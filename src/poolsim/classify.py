@@ -6,22 +6,23 @@ uncle if it is the first block of a losing sub-chain and sits within the
 reward distance of the nephew block; other orphans are stale. The nephew is
 the first block after the round's main chain: the first block of the next
 round, or, when the winner reserved part of its chain, the first reserved
-block. Uncle and nephew rewards are exact rationals (eighths and
-thirty-seconds), so the per-round identities can be checked exactly.
+block. Counts and ratio numerators are integers computed from the round's
+counters without visiting a block; block_labels derives per-block labels on
+demand for the oracle and tests. Uncle rewards are integers in units of 1/32
+(4 * (8 - d) at distance d), so the per-round identities hold exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .engine import RoundOutcome
 from .tree import HONEST, Block
 
 MAX_UNCLE_DISTANCE = 6
-NEPHEW_REFERENCE_UNIT = Fraction(1, 32)
-
-_ZERO = Fraction(0)
+UNITS_PER_BLOCK = 32  # reward units of one regular block
+NEPHEW_REFERENCE_UNIT = Fraction(1, UNITS_PER_BLOCK)
 
 
 class NotAnUncle(ValueError):
@@ -34,55 +35,89 @@ class NephewUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockClass:
-    kind: str  # "regular" | "uncle" | "stale" | "nephew"
+    kind: str  # "regular" | "uncle" | "stale"
     distance: Optional[int] = None  # set for uncles
-    uncle_count: Optional[int] = None  # set for nephews
 
 
 REGULAR = BlockClass("regular")
 STALE = BlockClass("stale")
 
 
-@dataclass(frozen=True)
-class UncleRecord:
+class UncleRecord(NamedTuple):
     owner: int
     height: int
     distance: int
-    reward: Fraction
+
+    @property
+    def units(self) -> int:
+        """Uncle reward in units of 1/32."""
+        return 4 * (8 - self.distance)
+
+    @property
+    def reward(self) -> Fraction:
+        return Fraction(self.units, UNITS_PER_BLOCK)
 
 
-@dataclass(frozen=True)
-class NephewRecord:
+class NephewRecord(NamedTuple):
     owner: int
     height: int  # in the closed round's local heights (main chain length + 1)
     uncle_count: int
     from_reserve: bool
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     round_index: int
     regular_count: int
     orphan_count: int
     uncles: Tuple[UncleRecord, ...]
     stale_count: int
     nephew: NephewRecord
-    labels: Dict[Block, BlockClass]
 
     @property
     def uncle_count(self) -> int:
         return len(self.uncles)
 
 
-@dataclass(frozen=True)
-class RoundRatios:
-    """Per-round ratios over the observed tree; always main + orphan = 1."""
+class RoundRatios(NamedTuple):
+    """Per-round ratios as integer numerators over the observed block count;
+    chain quality is honest_main / main. The properties are exact ratios."""
 
-    chain_quality: Fraction
-    main_chain: Fraction
-    orphan: Fraction
-    uncle: Fraction
-    stale: Fraction
+    total: int  # observed blocks
+    main: int  # main-chain (regular) blocks
+    honest_main: int  # honest blocks on the main chain
+    uncles: int
+
+    def as_floats(self) -> Tuple[float, float, float, float, float]:
+        """Chain quality, main, orphan, uncle and stale ratios, each a correctly
+        rounded integer division, so equal to float() of the exact ratio."""
+        total, main, uncles = self.total, self.main, self.uncles
+        return (
+            self.honest_main / main,
+            main / total,
+            (total - main) / total,
+            uncles / total,
+            (total - main - uncles) / total,
+        )
+
+    @property
+    def chain_quality(self) -> Fraction:
+        return Fraction(self.honest_main, self.main)
+
+    @property
+    def main_chain(self) -> Fraction:
+        return Fraction(self.main, self.total)
+
+    @property
+    def orphan(self) -> Fraction:
+        return Fraction(self.total - self.main, self.total)
+
+    @property
+    def uncle(self) -> Fraction:
+        return Fraction(self.uncles, self.total)
+
+    @property
+    def stale(self) -> Fraction:
+        return Fraction(self.total - self.main - self.uncles, self.total)
 
 
 def uncle_reward(distance: int) -> Fraction:
@@ -106,24 +141,15 @@ def determine_nephew(
 
     If the winner reserved blocks, the nephew is the first reserved block;
     otherwise it is the next round's first mined block, whose owner the
-    caller must supply. The uncle count is filled in by classify_round.
+    caller must supply. Either way it sits just above the main chain. The
+    uncle count is filled in by classify_round.
     """
+    height = outcome.pegged_count + 1
     if outcome.reserved >= 1:
-        fork = outcome.per_pool[outcome.winner - 1].fork_position
-        return NephewRecord(
-            owner=outcome.winner,
-            height=fork + outcome.released + 1,
-            uncle_count=0,
-            from_reserve=True,
-        )
+        return NephewRecord(owner=outcome.winner, height=height, uncle_count=0, from_reserve=True)
     if next_first_owner is None:
         raise NephewUnavailable("nothing reserved and no next-round first block given")
-    return NephewRecord(
-        owner=next_first_owner,
-        height=outcome.pegged_count + 1,
-        uncle_count=0,
-        from_reserve=False,
-    )
+    return NephewRecord(owner=next_first_owner, height=height, uncle_count=0, from_reserve=False)
 
 
 def find_uncles(
@@ -165,20 +191,8 @@ def find_uncles(
     for height, owner in sorted(candidates):
         distance = nephew_height - height
         if 1 <= distance <= max_distance:
-            records.append(
-                UncleRecord(owner=owner, height=height, distance=distance, reward=Fraction(8 - distance, 8))
-            )
+            records.append(UncleRecord(owner, height, distance))
     return tuple(records)
-
-
-def _observed_blocks(outcome: RoundOutcome):
-    """Blocks visible on this round's tree; a winner's reserved tail is not."""
-    yield from outcome.tree.honest.blocks
-    for sub in outcome.tree.dishonest:
-        if sub.owner == outcome.winner:
-            yield from sub.blocks[: outcome.released]
-        else:
-            yield from sub.blocks
 
 
 def classify_round(
@@ -187,59 +201,50 @@ def classify_round(
     uncles: Tuple[UncleRecord, ...],
     round_index: int = 0,
 ) -> Classification:
-    """Label every observed block of a closed round."""
-    uncle_at = {(u.owner, u.height): u for u in uncles}
-    pegged = set(outcome.pegged)
-    labels: Dict[Block, BlockClass] = {}
-    regular = 0
-    stale = 0
-    for block in _observed_blocks(outcome):
-        if block in pegged:
-            labels[block] = REGULAR
-            regular += 1
-        else:
-            uncle = uncle_at.get((block.owner, block.height))
-            if uncle is not None:
-                labels[block] = BlockClass("uncle", distance=uncle.distance)
-            else:
-                labels[block] = STALE
-                stale += 1
-    orphan = stale + len(uncles)
+    """Count the regular, uncle and stale blocks of a closed round.
+
+    Observed blocks are all blocks of the round but a winner's reserved
+    tail; the regular ones are exactly the pegged main chain.
+    """
+    observed = outcome.honest_length + sum([stat.length for stat in outcome.per_pool]) - outcome.reserved
+    regular = outcome.pegged_count
+    orphan = observed - regular
     return Classification(
         round_index=round_index,
         regular_count=regular,
         orphan_count=orphan,
         uncles=uncles,
-        stale_count=stale,
-        nephew=replace(nephew, uncle_count=len(uncles)),
-        labels=labels,
+        stale_count=orphan - len(uncles),
+        nephew=NephewRecord(nephew.owner, nephew.height, len(uncles), nephew.from_reserve),
     )
+
+
+def block_labels(outcome: RoundOutcome, classification: Classification) -> Dict[Block, BlockClass]:
+    """Label of every observed block of a closed round, from its block tree."""
+    pegged = set(outcome.pegged)
+    uncle_at = {(u.owner, u.height): u for u in classification.uncles}
+    tree = outcome.tree
+    observed = list(tree.honest.blocks)
+    for sub in tree.dishonest:
+        observed += sub.blocks[: outcome.released] if sub.owner == outcome.winner else sub.blocks
+    labels: Dict[Block, BlockClass] = {}
+    for block in observed:
+        uncle = uncle_at.get((block.owner, block.height))
+        if block in pegged:
+            labels[block] = REGULAR
+        elif uncle is not None:
+            labels[block] = BlockClass("uncle", distance=uncle.distance)
+        else:
+            labels[block] = STALE
+    return labels
 
 
 def round_ratios(outcome: RoundOutcome, classification: Classification) -> RoundRatios:
     """Chain quality and main/orphan/uncle/stale ratios for one round."""
-    n_uncles = classification.uncle_count
-    if outcome.winner == HONEST:
-        v = outcome.honest_length
-        losing = sum(stat.length for stat in outcome.per_pool)
-        total = v + losing
-        quality = Fraction(1)
-        main = Fraction(v, total)
-        orphan = Fraction(losing, total)
-    else:
-        stat = outcome.per_pool[outcome.winner - 1]
-        fork = stat.fork_position
-        v = outcome.honest_length
-        others = sum(s.length for i, s in enumerate(outcome.per_pool, start=1) if i != outcome.winner)
-        total = v + outcome.released + others
-        quality = Fraction(fork, fork + outcome.released)
-        main = Fraction(fork + outcome.released, total)
-        orphan = Fraction((v - fork) + others, total)
-    uncle = Fraction(n_uncles, total)
+    main = classification.regular_count
     return RoundRatios(
-        chain_quality=quality,
-        main_chain=main,
-        orphan=orphan,
-        uncle=uncle,
-        stale=orphan - uncle,
+        total=main + classification.orphan_count,
+        main=main,
+        honest_main=main - outcome.released,  # the winner's released blocks are its own
+        uncles=len(classification.uncles),
     )

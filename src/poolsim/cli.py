@@ -17,14 +17,17 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .classify import UNITS_PER_BLOCK
 from .engine import RELEASE_POLICIES, SimConfig
-from .metrics import EstimatorBank, NoCrossing, grid_config, interpolate_crossing, mean_ci95
+from .metrics import EstimatorBank, NoCrossing, crossing_estimate, grid_config, mean_ci95
 from .pipeline import simulate_rounds
 
 MODES = ("single", "sweep", "threshold")
@@ -69,11 +72,14 @@ class ExperimentSpec:
             seed=self.seed,
         )
 
-    def config_at(self, alpha_honest: float) -> SimConfig:
-        """Config simulated at one point: the base config in single mode,
-        otherwise the grid variant where pool 1 absorbs the remainder."""
+    def point_configs(self) -> List[SimConfig]:
+        """Config simulated at each point: the base config in single mode,
+        otherwise the grid variant where pool 1 absorbs the remainder.
+        Raises ValueError for a config the simulator rejects."""
         base = self.base_config()
-        return base if self.mode == "single" else grid_config(base, alpha_honest)
+        if self.mode == "single":
+            return [base]
+        return [grid_config(base, alpha_h) for alpha_h in self.grid]
 
     def grid_alphas(self, alpha_honest: float) -> Tuple[float, ...]:
         """Pool powers at one grid point: pool 1 absorbs the remainder."""
@@ -103,23 +109,13 @@ def _validate(raw: Dict) -> ExperimentSpec:
     for i, a in enumerate(alphas):
         if not isinstance(a, (int, float)) or not 0.0 <= float(a) <= 1.0:
             raise ConfigError(f"alphas[{i}]: must be a number in [0, 1], got {a!r}")
-    if sum(alphas) > 1.0 + 1e-9:
-        raise ConfigError(f"alphas: sum {sum(alphas):.4f} exceeds 1")
 
     grid = raw.get("grid")
     if grid is None:
         grid = DEFAULT_GRID if mode != "single" else ()
     grid = tuple(float(g) for g in grid)
-    if mode != "single":
-        if len(grid) < (2 if mode == "threshold" else 1):
-            raise ConfigError(f"grid: {mode} mode needs at least two grid points")
-        fixed = sum(alphas[2:])
-        for g in grid:
-            first = 1.0 - g - fixed
-            if first < -1e-9:
-                raise ConfigError(
-                    f"grid: honest power {g} leaves pool 1 with negative power {first:.4f}"
-                )
+    if mode != "single" and len(grid) < (2 if mode == "threshold" else 1):
+        raise ConfigError(f"grid: {mode} mode needs at least two grid points")
 
     def _num(key, default, kind, low=None):
         value = raw.get(key, default)
@@ -137,8 +133,6 @@ def _validate(raw: Dict) -> ExperimentSpec:
     seed = _num("seed", 0, int, 0)
 
     release_policy = raw.get("release_policy", "release-all")
-    if release_policy not in RELEASE_POLICIES:
-        raise ConfigError(f"release_policy: expected one of {RELEASE_POLICIES}, got {release_policy!r}")
 
     workers = raw.get("workers")
     if workers is not None:
@@ -152,7 +146,7 @@ def _validate(raw: Dict) -> ExperimentSpec:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"out_dir: expected a non-empty string, got {out_dir!r}")
 
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         mode=mode,
         alphas=tuple(float(a) for a in alphas),
         gamma=gamma,
@@ -167,6 +161,11 @@ def _validate(raw: Dict) -> ExperimentSpec:
         emit_rounds=emit_rounds,
         out_dir=out_dir,
     )
+    try:
+        spec.point_configs()  # the simulator's own checks: powers, grid points, rates, policy
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return spec
 
 
 def parse_config(path: Optional[str] = None, overrides: Optional[Dict] = None) -> ExperimentSpec:
@@ -203,19 +202,17 @@ def replication_seed(master_seed: int, grid_idx: int, rep_idx: int) -> int:
 
 def _trace_row(grid_idx: float, alpha_h: float, rep_idx: int, record) -> list:
     out = record.outcome
-    r = record.ratios
     return [
         grid_idx, f"{alpha_h:.6g}", rep_idx, record.index, out.winner,
         out.honest_length, out.released, out.reserved, f"{out.duration!r}",
         record.classification.uncle_count,
-        f"{float(r.chain_quality)!r}", f"{float(r.main_chain)!r}",
-        f"{float(r.orphan)!r}", f"{float(r.uncle)!r}", f"{float(r.stale)!r}",
-    ] + [f"{float(p.total)!r}" for p in record.rewards.per_pool]
+    ] + [f"{x!r}" for x in record.ratios.as_floats()] + [
+        f"{p.total_units / UNITS_PER_BLOCK!r}" for p in record.rewards.per_pool
+    ]
 
 
 def _replication_task(args) -> Tuple[int, int, EstimatorBank, Optional[List[list]]]:
-    spec, grid_idx, alpha_h, rep_idx, trace_cap = args
-    config = spec.config_at(alpha_h)
+    spec, config, grid_idx, alpha_h, rep_idx, trace_cap = args
     seed = np.random.SeedSequence(spec.seed, spawn_key=(grid_idx, rep_idx))
     rows: Optional[List[list]] = [] if trace_cap else None
 
@@ -232,9 +229,10 @@ def _replication_task(args) -> Tuple[int, int, EstimatorBank, Optional[List[list
 
 def _run_replications(spec: ExperimentSpec):
     points = spec.points()
+    configs = spec.point_configs()
     trace_per_grid = MAX_TRACE_ROWS // len(points) if spec.emit_rounds else 0
     tasks = [
-        (spec, g, alpha_h, r, trace_per_grid if r == 0 else 0)
+        (spec, configs[g], g, alpha_h, r, trace_per_grid if r == 0 else 0)
         for g, alpha_h in enumerate(points)
         for r in range(spec.replications)
     ]
@@ -288,30 +286,20 @@ def csv_columns(num_dishonest: int, threshold_mode: bool) -> List[str]:
     return cols
 
 
-def _threshold_block(spec: ExperimentSpec, points, per_rep_scalars) -> Dict:
+def _threshold_block(points, per_rep_scalars) -> Dict:
     """Crossing of pool 1's and the honest pool's win curves over the grid."""
-    crossings = []
-    skipped = 0
-    for r in range(spec.replications):
-        diff = [per_rep_scalars[g][r]["p1"] - per_rep_scalars[g][r]["pH"] for g in range(len(points))]
-        crossing = interpolate_crossing(list(points), diff)
-        if crossing is None:
-            skipped += 1
-        else:
-            crossings.append(crossing)
-    mean_h = [sum(per_rep_scalars[g][r]["pH"] for r in range(spec.replications)) / spec.replications for g in range(len(points))]
-    mean_f = [sum(per_rep_scalars[g][r]["p1"] for r in range(spec.replications)) / spec.replications for g in range(len(points))]
-    star = interpolate_crossing(list(points), [f - h for f, h in zip(mean_f, mean_h)])
-    if star is None or not crossings:
-        raise NoCrossing(f"win-probability curves do not cross on grid {points}")
-    _, lo, hi = mean_ci95(crossings)
+    est = crossing_estimate(
+        points,
+        [[s["pH"] for s in reps] for reps in per_rep_scalars],
+        [[s["p1"] for s in reps] for reps in per_rep_scalars],
+    )
     return {
-        "alpha_star": star,
-        "ci95": [lo, hi],
-        "crossings": crossings,
-        "skipped_replications": skipped,
-        "mean_p_honest": mean_h,
-        "mean_p_first": mean_f,
+        "alpha_star": est.alpha_star,
+        "ci95": list(est.ci95),
+        "crossings": list(est.crossings),
+        "skipped_replications": est.skipped,
+        "mean_p_honest": list(est.mean_p_honest),
+        "mean_p_first": list(est.mean_p_first),
     }
 
 
@@ -325,44 +313,33 @@ def _ci_or_none(values: Sequence[float]):
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run the experiment and write summary.json / gridpoint.csv / rounds.csv.
 
-    Exit codes: 0 on success, 2 for configuration errors, 3 for runtime or
-    I/O failures. Identical spec and seed produce identical numeric output
-    for any worker count; only the wall-clock field differs.
+    Exit codes: 0 on success, 2 for configuration errors, 3 for any failure
+    once the simulation has started (runtime, worker or I/O). Every
+    per-point config is built before the first round runs, so a config the
+    simulator rejects is a configuration error. Identical spec and seed
+    produce identical numeric output for any worker count; only the
+    wall-clock field differs.
     """
     started = time.time()
     try:
-        points, results = _run_replications(spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        configs = spec.point_configs()
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
+        points, results = _run_replications(spec)
         os.makedirs(spec.out_dir, exist_ok=True)
 
-        by_grid: Dict[int, List[Tuple[int, EstimatorBank]]] = {}
-        trace_rows: List[list] = []
-        for grid_idx, rep_idx, bank, rows in results:
-            by_grid.setdefault(grid_idx, []).append((rep_idx, bank))
-            if rows:
-                trace_rows.extend(rows)
-
-        per_rep_scalars: List[List[Dict[str, float]]] = []
-        merged_banks: List[EstimatorBank] = []
-        for g in range(len(points)):
-            reps = sorted(by_grid[g])
-            scalars = [_rep_scalars(bank) for _, bank in reps]
-            per_rep_scalars.append(scalars)
-            merged = reps[0][1]
-            for _, bank in reps[1:]:
-                merged = merged.merge(bank)
-            merged_banks.append(merged)
+        # Results come sorted by (grid point, replication).
+        banks = [[bank for g_, _, bank, _ in results if g_ == g] for g in range(len(points))]
+        trace_rows = [row for *_, rows in results if rows for row in rows]
+        per_rep_scalars = [[_rep_scalars(bank) for bank in reps] for reps in banks]
+        merged_banks = [reduce(EstimatorBank.merge, reps) for reps in banks]
 
         threshold = None
         if spec.mode == "threshold":
-            threshold = _threshold_block(spec, points, per_rep_scalars)
+            threshold = _threshold_block(points, per_rep_scalars)
 
         num_dishonest = len(spec.alphas) - 1
         columns = csv_columns(num_dishonest, threshold is not None)
@@ -371,7 +348,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for g, alpha_h in enumerate(points):
-                alphas = spec.config_at(alpha_h).alphas
+                alphas = configs[g].alphas
                 for r, scalars in enumerate(per_rep_scalars[g]):
                     row = {
                         "alphaH": f"{alpha_h:.6g}",
@@ -395,7 +372,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             series = {k: [s[k] for s in scalars] for k in keys}
             grid_blocks.append({
                 "alpha_honest": alpha_h,
-                "alphas": list(spec.config_at(alpha_h).alphas),
+                "alphas": list(configs[g].alphas),
                 "seeds": [replication_seed(spec.seed, g, r) for r in range(spec.replications)],
                 "merged": merged_banks[g].summary(),
                 "replication_mean_ci95": {k: _ci_or_none(v) for k, v in series.items()},
@@ -439,6 +416,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except Exception:
+        print(f"runtime error: {traceback.format_exc()}", file=sys.stderr)
         return 3
     return 0
 

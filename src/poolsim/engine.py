@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tree import FORK_ANCHORED, FORK_RULES, FORK_TIP, HONEST, Block, RoundTree, SubChain, select_main_chain
+from .tree import FORK_ANCHORED, FORK_RULES, FORK_TIP, HONEST, Block, RoundTree, round_tree, select_main_chain
 
 RELEASE_ALL = "release-all"
 RELEASE_MIN = "release-min"
@@ -87,8 +87,7 @@ class SimConfig:
         return tuple(spec.alpha for spec in self.pools)
 
 
-@dataclass(frozen=True)
-class PoolRoundStat:
+class PoolRoundStat(NamedTuple):
     """Final state of one dishonest sub-chain: forked flag, fork position, length."""
 
     forked: bool
@@ -96,16 +95,18 @@ class PoolRoundStat:
     length: int
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
+    """A finished round as plain counters; a NamedTuple, like every record
+    built once per round, since those are immutable and cheap to build.
+    tree and pegged derive the blocks from the counters on each access; the
+    simulation never asks for them."""
+
     winner: int
     honest_length: int
     per_pool: Tuple[PoolRoundStat, ...]  # index i-1 holds dishonest pool i
     released: int  # winner's own blocks pegged this round (0 on an honest win)
     reserved: int  # winner's blocks held back as next round's private lead
     duration: float
-    pegged: Tuple[Block, ...]
-    tree: RoundTree
     first_block_owner: int  # owner of the round's first block (carried or mined)
     fork_order: Tuple[int, ...]  # dishonest pools in the order they forked
     longest: int  # leader's generalized length at termination
@@ -114,7 +115,18 @@ class RoundOutcome:
 
     @property
     def pegged_count(self) -> int:
-        return len(self.pegged)
+        """Main-chain length: honest length, or fork position plus released."""
+        if self.winner == HONEST:
+            return self.honest_length
+        return self.per_pool[self.winner - 1].fork_position + self.released
+
+    @property
+    def tree(self) -> RoundTree:
+        return round_tree(self)
+
+    @property
+    def pegged(self) -> Tuple[Block, ...]:
+        return select_main_chain(self.tree, self.winner, self.released)
 
 
 @dataclass(frozen=True)
@@ -157,7 +169,10 @@ def sample_interarrival(rng, pool: PoolSpec, config: SimConfig) -> float:
 
 
 class _PoolStream:
-    """Batched exponential gaps for one pool, on its own counter-based stream."""
+    """Batched exponential gaps for one pool, on its own counter-based stream.
+
+    A zero-power pool's buffer holds infinite gaps and draws no randomness.
+    """
 
     __slots__ = ("_gen", "scale", "_buf", "_pos", "_batch")
 
@@ -166,18 +181,19 @@ class _PoolStream:
         self.scale = scale
         self._batch = batch
         self._buf: list = []
-        self._pos = 0
+        self._pos = batch  # empty: the first gap fills the buffer
 
     def next_gap(self) -> float:
-        if self.scale == math.inf:
-            return math.inf
-        if self._pos >= len(self._buf):
-            u = self._gen.random(self._batch)
-            self._buf = (-self.scale * np.log1p(-u)).tolist()
-            self._pos = 0
-        gap = self._buf[self._pos]
-        self._pos += 1
-        return gap
+        pos = self._pos
+        if pos == self._batch:
+            if self.scale == math.inf:
+                self._buf = [math.inf] * self._batch
+            else:
+                u = self._gen.random(self._batch)
+                self._buf = (-self.scale * np.log1p(-u)).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._buf[pos]
 
 
 class MiningClock:
@@ -205,14 +221,10 @@ class MiningClock:
 
     def next_event(self) -> Tuple[int, float]:
         nxt = self._next
-        pool = 0
-        at = nxt[0]
-        for i in range(1, len(nxt)):
-            if nxt[i] < at:
-                at = nxt[i]
-                pool = i
+        at = min(nxt)
         if at == math.inf:
             raise RuntimeError("no pool can mine (all alphas zero?)")
+        pool = nxt.index(at)  # the first minimum: ties go to the lowest index
         nxt[pool] = at + self._streams[pool].next_gap()
         return pool, at
 
@@ -235,10 +247,6 @@ class ScriptClock:
         self._pos += 1
         self._now += 1.0
         return pool, self._now
-
-    @property
-    def consumed(self) -> int:
-        return self._pos
 
 
 def run_round(
@@ -272,6 +280,7 @@ def run_round(
     forked = [False] * (m + 1)
     fork_pos = [0] * (m + 1)
     length = [0] * (m + 1)
+    gen = [0] * (m + 1)  # generalized lengths; gen[0] is unused, v stands in
     fork_order: list = []
     first_owner = -1
 
@@ -280,12 +289,13 @@ def run_round(
         if not 1 <= z <= m:
             raise ValueError(f"carryover owner {z} not a dishonest pool of this config")
         forked[z] = True
-        fork_pos[z] = 0
-        length[z] = carryover.private_blocks
+        length[z] = gen[z] = carryover.private_blocks
         fork_order.append(z)
         first_owner = z
 
     clock.begin_round()
+    next_event = clock.next_event
+    pools = range(1, m + 1)
     mined = 0
     now = 0.0
     winner = -1
@@ -293,34 +303,37 @@ def run_round(
     second = 0
 
     while True:
-        pool, now = clock.next_event()
+        pool, now = next_event()
         mined += 1
         if first_owner < 0:
             first_owner = pool
         if pool == HONEST:
             v += 1
             if tip:
-                fork_pos = [v] * (m + 1)
+                for i in fork_order:
+                    fork_pos[i] = v
+                    gen[i] += 1
         else:
             if not forked[pool]:
                 forked[pool] = True
-                fork_pos[pool] = v
+                fork_pos[pool] = gen[pool] = v
                 fork_order.append(pool)
             length[pool] += 1
+            gen[pool] += 1
 
         # Top-two scan over generalized lengths; starting from the honest
         # pool with strict > keeps the honest-first, lowest-index tie-break.
         longest = v
         leader = HONEST
         second = 0
-        for i in range(1, m + 1):
-            gen = fork_pos[i] + length[i] if forked[i] else 0
-            if gen > longest:
+        for i in pools:
+            g = gen[i]
+            if g > longest:
                 second = longest
-                longest = gen
+                longest = g
                 leader = i
-            elif gen > second:
-                second = gen
+            elif g > second:
+                second = g
 
         if longest - second >= threshold:
             if leader == HONEST:
@@ -343,29 +356,13 @@ def run_round(
             released = min(released, own)
         reserved = own - released
 
-    honest_blocks = tuple(Block(HONEST, h, h) for h in range(1, v + 1))
-    subchains = []
-    for i in range(1, m + 1):
-        if forked[i]:
-            blocks = tuple(Block(i, fork_pos[i] + j, j) for j in range(1, length[i] + 1))
-            subchains.append(SubChain(owner=i, fork_position=fork_pos[i], blocks=blocks, forked=True))
-        else:
-            subchains.append(SubChain(owner=i))
-    tree = RoundTree(
-        honest=SubChain(owner=HONEST, blocks=honest_blocks),
-        dishonest=tuple(subchains),
-    )
-    pegged = select_main_chain(tree, winner, released if winner != HONEST else v)
-
     return RoundOutcome(
         winner=winner,
         honest_length=v,
-        per_pool=tuple(PoolRoundStat(forked[i], fork_pos[i] if forked[i] else 0, length[i]) for i in range(1, m + 1)),
+        per_pool=tuple([PoolRoundStat(forked[i], fork_pos[i], length[i]) for i in pools]),
         released=released,
         reserved=reserved,
         duration=now,
-        pegged=pegged,
-        tree=tree,
         first_block_owner=first_owner,
         fork_order=tuple(fork_order),
         longest=longest,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import Classification, RoundRatios
+from .classify import UNITS_PER_BLOCK, Classification, RoundRatios
 from .engine import Carryover, MiningClock, PoolSpec, RoundOutcome, SimConfig, make_carryover, run_round
 from .rewards import RewardVector
 from .tree import HONEST
@@ -55,10 +55,10 @@ class StreamingMean:
         self.m2 = m2
 
     def update(self, x: float) -> None:
-        self.count += 1
+        self.count = count = self.count + 1
         delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+        self.mean = mean = self.mean + delta / count
+        self.m2 += delta * (x - mean)
 
     def merge(self, other: "StreamingMean") -> "StreamingMean":
         """Combined accumulator, equal to streaming both inputs' samples."""
@@ -78,17 +78,8 @@ class StreamingMean:
             return 0.0
         return self.m2 / (self.count - 1)
 
-    @property
-    def stderr(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.variance / self.count)
-
     def mean_or(self, default: Optional[float] = None) -> Optional[float]:
         return self.mean if self.count else default
-
-    def __repr__(self) -> str:
-        return f"StreamingMean(count={self.count}, mean={self.mean!r})"
 
 
 def mean_ci95(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -165,30 +156,23 @@ class EstimatorBank:
             self.cond_length[w].update(stat.length)
             self.cond_released[w].update(outcome.released)
 
-        values = (
-            ratios.chain_quality,
-            ratios.main_chain,
-            ratios.orphan,
-            ratios.uncle,
-            ratios.stale,
-        )
         by_winner = self.ratio_by_winner[w]
-        for name, value in zip(RATIO_NAMES, values):
-            x = float(value)
+        for name, x in zip(RATIO_NAMES, ratios.as_floats()):
             self.ratio_all[name].update(x)
             by_winner[name].update(x)
 
         self.duration.update(outcome.duration)
         self.pegged.update(outcome.pegged_count)
-        for pool in range(self.num_pools):
-            self.reward_total[pool].update(float(rewards.per_pool[pool].total))
+        pays = rewards.per_pool
+        for mean, pay in zip(self.reward_total, pays):
+            mean.update(pay.total_units / UNITS_PER_BLOCK)
 
         holder = outcome.first_block_owner
         self.nephew_count[w][holder] += 1
-        self.nephew_given[w][holder].update(float(rewards.per_pool[holder].nephew))
+        self.nephew_given[w][holder].update(pays[holder].nephew_units / UNITS_PER_BLOCK)
         for record in classification.uncles:
             self.uncle_count[w][record.owner] += 1
-            self.uncle_given[w][record.owner].update(float(record.reward))
+            self.uncle_given[w][record.owner].update(record.units / UNITS_PER_BLOCK)
 
     # -- merging -----------------------------------------------------------
 
@@ -391,7 +375,7 @@ def grid_config(base: SimConfig, alpha_honest: float) -> SimConfig:
     alpha_first = 1.0 - alpha_honest - fixed
     if alpha_first < -base.alpha_slack:
         raise ValueError(
-            f"honest power {alpha_honest} leaves pool 1 with negative power {alpha_first:.4f}"
+            f"grid point {alpha_honest} leaves pool 1 with negative power {alpha_first:.4f}"
         )
     alphas = (alpha_honest, max(alpha_first, 0.0)) + base.alphas[2:]
     return replace(base, pools=tuple(PoolSpec(i, a) for i, a in enumerate(alphas)))
@@ -453,12 +437,23 @@ def find_power_threshold(
     else:
         results = [_threshold_task(t) for t in tasks]
 
-    p_honest = [[0.0] * replications for _ in grid]
-    p_first = [[0.0] * replications for _ in grid]
-    for g, r, fractions in results:
-        p_honest[g][r] = fractions[HONEST]
-        p_first[g][r] = fractions[1]
+    fractions = {(g, r): f for g, r, f in results}
+    p_honest = [[fractions[g, r][HONEST] for r in range(replications)] for g in range(len(grid))]
+    p_first = [[fractions[g, r][1] for r in range(replications)] for g in range(len(grid))]
+    return crossing_estimate(grid, p_honest, p_first)
 
+
+def crossing_estimate(
+    grid: Sequence[float],
+    p_honest: Sequence[Sequence[float]],
+    p_first: Sequence[Sequence[float]],
+) -> ThresholdEstimate:
+    """Crossing of pool 1's and the honest pool's win curves over a grid,
+    from replication r's win fractions p_honest[g][r], p_first[g][r] at each
+    grid point g: alpha_star from the averaged curves, the interval from the
+    per-replication crossings."""
+    grid = tuple(grid)
+    replications = len(p_honest[0])
     crossings = []
     skipped = 0
     for r in range(replications):

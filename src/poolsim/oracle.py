@@ -11,13 +11,14 @@ or invariant violation; the report must come back empty.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import tree as chain
-from .classify import classify_round, determine_nephew, find_uncles, round_ratios
+from .classify import block_labels, classify_round, determine_nephew, find_uncles, round_ratios
 from .engine import (
     RELEASE_ALL,
     Carryover,
@@ -29,6 +30,7 @@ from .engine import (
     make_carryover,
     run_round,
 )
+from .pipeline import close_round
 from .rewards import allocate
 from .tree import HONEST
 
@@ -49,10 +51,12 @@ class EventScript:
 
 @dataclass
 class ScriptRound:
-    """One closed round of a replay; classification stays None when the
-    script ended before the round's nephew could be identified."""
+    """One closed round of a replay, with the tree the replay built;
+    classification stays None when the script ended before the round's
+    nephew could be identified."""
 
     outcome: RoundOutcome
+    tree: chain.RoundTree
     classification: object = None
     ratios: object = None
     rewards: object = None
@@ -75,7 +79,6 @@ def _snapshot(
     lengths: chain.SortedLengths,
 ) -> RoundOutcome:
     own = state.subchain(winner).length if winner != HONEST else 0
-    pegged = chain.select_main_chain(state, winner, released if winner != HONEST else state.honest_length)
     return RoundOutcome(
         winner=winner,
         honest_length=state.honest_length,
@@ -86,8 +89,6 @@ def _snapshot(
         released=released if winner != HONEST else 0,
         reserved=(own - released) if winner != HONEST else 0,
         duration=duration,
-        pegged=pegged,
-        tree=state,
         first_block_owner=first_owner,
         fork_order=fork_order,
         longest=lengths.omega1,
@@ -97,12 +98,9 @@ def _snapshot(
 
 
 def _classify_entry(entry: ScriptRound, next_first_owner: Optional[int]) -> None:
-    nephew = determine_nephew(entry.outcome, next_first_owner)
-    uncles = find_uncles(entry.outcome, nephew.height)
-    classification = classify_round(entry.outcome, nephew, uncles)
-    entry.classification = classification
-    entry.ratios = round_ratios(entry.outcome, classification)
-    entry.rewards = allocate(entry.outcome, classification, entry.prev_uncle_count)
+    entry.classification, entry.ratios, entry.rewards = close_round(
+        entry.outcome, entry.prev_uncle_count, next_first_owner
+    )
 
 
 def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
@@ -172,7 +170,7 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
         if rounds and rounds[-1].classification is None:
             _classify_entry(rounds[-1], outcome.first_block_owner)
             prev_uncles = rounds[-1].classification.uncle_count
-        entry = ScriptRound(outcome=outcome, prev_uncle_count=prev_uncles)
+        entry = ScriptRound(outcome=outcome, tree=state, prev_uncle_count=prev_uncles)
         rounds.append(entry)
         carry = make_carryover(outcome)
         if carry is not None:
@@ -340,22 +338,6 @@ def _engine_outcomes(
     return outcomes
 
 
-_OUTCOME_FIELDS = (
-    "winner",
-    "honest_length",
-    "per_pool",
-    "released",
-    "reserved",
-    "duration",
-    "pegged",
-    "tree",
-    "first_block_owner",
-    "fork_order",
-    "longest",
-    "second",
-)
-
-
 def _check_round(
     report: ViolationReport,
     events,
@@ -364,20 +346,22 @@ def _check_round(
     ratios,
     rewards,
     prev_uncles: int,
-    tip: bool = False,
+    config: SimConfig,
 ) -> None:
     """Per-round invariants plus the production-vs-reference comparison."""
     report.rounds_checked += 1
 
-    if tip:
+    if config.fork_rule == chain.FORK_TIP:
         for i, stat in enumerate(outcome.per_pool, start=1):
             if stat.forked and stat.fork_position != outcome.honest_length:
                 report.add(events, f"pool {i} at {stat.fork_position}, off the honest tip {outcome.honest_length}")
     elif outcome.fork_order:
         first_fork = outcome.fork_order[0]
         pos = outcome.per_pool[first_fork - 1].fork_position
-        if pos not in (0, 1):
-            report.add(events, f"first fork of pool {first_fork} at {pos}, expected 0 or 1")
+        # Before any dishonest block the honest pool leads by its length, so
+        # it has won by the time that length reaches the threshold.
+        if not 0 <= pos < config.lead_threshold:
+            report.add(events, f"first fork of pool {first_fork} at {pos}, not below {config.lead_threshold}")
     # The leading criterion and the pegged main chain must measure from one
     # base: a round that reserves nothing pegs its leader's generalized length.
     if outcome.reserved == 0 and outcome.pegged_count != outcome.longest:
@@ -388,23 +372,19 @@ def _check_round(
     got_uncles = [(u.owner, u.height, u.distance) for u in classification.uncles]
     if got_uncles != ref["uncles"]:
         report.add(events, f"uncles {got_uncles} != reference {ref['uncles']}")
-    got_labels = {(b.owner, b.height): c.kind for b, c in classification.labels.items()}
+    got_labels = {(b.owner, b.height): c.kind for b, c in block_labels(outcome, classification).items()}
     if got_labels != ref["labels"]:
         report.add(events, f"labels differ: {got_labels} != {ref['labels']}")
-    if classification.nephew.height != ref["nephew_height"]:
-        report.add(events, f"nephew height {classification.nephew.height} != {ref['nephew_height']}")
-    if classification.regular_count + classification.orphan_count != ref["observed"]:
-        report.add(events, "regular+orphan != observed blocks")
-    if classification.stale_count != classification.orphan_count - classification.uncle_count:
-        report.add(events, "stale != orphan - uncles")
+    # The counts are arithmetic; the reference labels count them block by block.
+    kinds = Counter(ref["labels"].values())
+    c = classification
+    got_counts = (c.regular_count, c.uncle_count, c.stale_count, c.orphan_count)
+    if got_counts != (kinds["regular"], kinds["uncle"], kinds["stale"], kinds["uncle"] + kinds["stale"]):
+        report.add(events, f"regular/uncle/stale/orphan counts {got_counts} != reference labels {dict(kinds)}")
+    if c.nephew.height != ref["nephew_height"]:
+        report.add(events, f"nephew height {c.nephew.height} != {ref['nephew_height']}")
 
-    got_ratios = {
-        "chain_quality": ratios.chain_quality,
-        "main_chain": ratios.main_chain,
-        "orphan": ratios.orphan,
-        "uncle": ratios.uncle,
-        "stale": ratios.stale,
-    }
+    got_ratios = {name: getattr(ratios, name) for name in ref["ratios"]}
     if got_ratios != ref["ratios"]:
         report.add(events, f"ratios differ: {got_ratios} != {ref['ratios']}")
     if ratios.main_chain + ratios.orphan != 1:
@@ -450,7 +430,6 @@ def enumerate_and_check(
     cutoff = 6 if mutate_max_distance is None else mutate_max_distance
     report = ViolationReport()
     n = num_dishonest + 1
-    tip = config.fork_rule == chain.FORK_TIP
 
     if scripts is None:
         scripts = (
@@ -469,18 +448,25 @@ def enumerate_and_check(
         if len(engine_rounds) != len(rounds):
             report.add(events, f"engine closed {len(engine_rounds)} rounds, replay closed {len(rounds)}")
         for got, want in zip(engine_rounds, rounds):
-            for name in _OUTCOME_FIELDS:
+            for name in RoundOutcome._fields:
                 a, b = getattr(got, name), getattr(want.outcome, name)
                 if a != b:
                     report.add(events, f"engine {name}={a!r} != replay {b!r}")
                     break
+            # The engine keeps counters only: the tree derived from them must
+            # be the one the replay built, and the pegged count its main chain.
+            if got.tree != want.tree:
+                report.add(events, f"engine tree {got.tree!r} != replay tree {want.tree!r}")
+            pegged = chain.select_main_chain(want.tree, want.outcome.winner, want.outcome.released)
+            if got.pegged_count != len(pegged):
+                report.add(events, f"engine pegged_count {got.pegged_count} != replay main chain {len(pegged)}")
 
         for entry in rounds:
             outcome = entry.outcome
             if entry.classification is not None and cutoff == 6:
                 _check_round(
                     report, events, outcome, entry.classification, entry.ratios,
-                    entry.rewards, entry.prev_uncle_count, tip,
+                    entry.rewards, entry.prev_uncle_count, config,
                 )
                 continue
             # Trailing round, or a mutated rerun: close under each possible
@@ -494,7 +480,7 @@ def enumerate_and_check(
                 rewards = allocate(outcome, classification, entry.prev_uncle_count)
                 _check_round(
                     report, events, outcome, classification, ratios, rewards,
-                    entry.prev_uncle_count, tip,
+                    entry.prev_uncle_count, config,
                 )
 
     return report

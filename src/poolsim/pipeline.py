@@ -10,8 +10,7 @@ classification; that block books nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .classify import Classification, RoundRatios, classify_round, determine_nephew, find_uncles, round_ratios
 from .engine import Carryover, MiningClock, RoundOutcome, SimConfig, TerminationPolicy, make_carryover, run_round
@@ -19,8 +18,7 @@ from .metrics import EstimatorBank
 from .rewards import RewardVector, allocate
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     index: int  # 1-based round number
     outcome: RoundOutcome
     classification: Classification
@@ -58,7 +56,7 @@ def simulate_rounds(
     Returns the bank (created if not given) and, with collect=True, the list
     of closed-round records. on_record is called once per closed round, in
     round order, for callers that want to inspect rounds without holding
-    them all in memory.
+    them all in memory. Records are built only when one of the two asks.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -67,17 +65,19 @@ def simulate_rounds(
     if bank is None:
         bank = EstimatorBank(config.num_dishonest)
     records: Optional[List[RoundRecord]] = [] if collect else None
+    want_records = collect or on_record is not None
 
     def emit(index: int, outcome: RoundOutcome, next_owner: Optional[int], prev_uncles: int) -> int:
         classification, ratios, rewards = close_round(
             outcome, prev_uncles, next_first_owner=next_owner, round_index=index
         )
         bank.update(outcome, ratios, rewards, classification)
-        record = RoundRecord(index, outcome, classification, ratios, rewards)
-        if on_record is not None:
-            on_record(record)
-        if records is not None:
-            records.append(record)
+        if want_records:
+            record = RoundRecord(index, outcome, classification, ratios, rewards)
+            if on_record is not None:
+                on_record(record)
+            if records is not None:
+                records.append(record)
         return classification.uncle_count
 
     carry: Optional[Carryover] = None

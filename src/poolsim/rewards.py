@@ -5,40 +5,56 @@ its pegged blocks, and when a dishonest pool wins, the honest pool is still
 paid for the pegged honest prefix. Uncle rewards are booked to the round the
 uncles were mined in. The nephew reference reward is booked one round later,
 to the round the nephew block lives in, paid to whoever owns that round's
-first block. All amounts are exact rationals.
+first block. Amounts are integers in units of 1/32 of a block reward (a
+regular block is 32, an uncle at distance d is 4 * (8 - d), a nephew
+reference one per uncle named); regular, uncle, nephew and total give them
+as exact numbers of blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple, Union
 
-from .classify import Classification, NephewUnavailable, nephew_reward
+from .classify import UNITS_PER_BLOCK, Classification, NephewUnavailable
 from .engine import RoundOutcome
 from .tree import HONEST
 
-_ZERO = Fraction(0)
+
+def exact(units: int) -> Union[int, Fraction]:
+    """Units of 1/32 as an exact number of blocks: an int when whole."""
+    whole, rest = divmod(units, UNITS_PER_BLOCK)
+    return Fraction(units, UNITS_PER_BLOCK) if rest else whole
 
 
-@dataclass(frozen=True)
-class PoolReward:
-    regular: Fraction = _ZERO
-    uncle: Fraction = _ZERO
-    nephew: Fraction = _ZERO
+class PoolReward(NamedTuple):
+    regular_units: int = 0
+    uncle_units: int = 0
+    nephew_units: int = 0
 
     @property
-    def total(self) -> Fraction:
-        return self.regular + self.uncle + self.nephew
+    def total_units(self) -> int:
+        return self.regular_units + self.uncle_units + self.nephew_units
+
+    @property
+    def regular(self) -> Union[int, Fraction]:
+        return exact(self.regular_units)
+
+    @property
+    def uncle(self) -> Union[int, Fraction]:
+        return exact(self.uncle_units)
+
+    @property
+    def nephew(self) -> Union[int, Fraction]:
+        return exact(self.nephew_units)
+
+    @property
+    def total(self) -> Union[int, Fraction]:
+        return exact(self.total_units)
 
 
-@dataclass(frozen=True)
-class RewardVector:
+class RewardVector(NamedTuple):
     round_index: int
     per_pool: Tuple[PoolReward, ...]  # indexed by pool id
-
-    @property
-    def totals(self) -> Tuple[Fraction, ...]:
-        return tuple(p.total for p in self.per_pool)
 
 
 def allocate(
@@ -53,28 +69,25 @@ def allocate(
     reward here. Pass 0 for the first round.
     """
     n_pools = len(outcome.per_pool) + 1
-    regular = [_ZERO] * n_pools
-    uncle = [_ZERO] * n_pools
-    nephew = [_ZERO] * n_pools
+    regular = [0] * n_pools
+    uncle = [0] * n_pools
+    nephew = [0] * n_pools
 
     if outcome.winner == HONEST:
-        regular[HONEST] = Fraction(outcome.honest_length)
+        regular[HONEST] = UNITS_PER_BLOCK * outcome.honest_length
     else:
-        stat = outcome.per_pool[outcome.winner - 1]
-        regular[outcome.winner] = Fraction(outcome.released)
-        regular[HONEST] = Fraction(stat.fork_position)
+        regular[outcome.winner] = UNITS_PER_BLOCK * outcome.released
+        regular[HONEST] = UNITS_PER_BLOCK * outcome.per_pool[outcome.winner - 1].fork_position
 
     for record in classification.uncles:
-        uncle[record.owner] += record.reward
+        uncle[record.owner] += record.units
 
     if prev_uncle_count:
-        nephew[outcome.first_block_owner] += nephew_reward(prev_uncle_count)
+        nephew[outcome.first_block_owner] += prev_uncle_count
 
     return RewardVector(
         round_index=classification.round_index,
-        per_pool=tuple(
-            PoolReward(regular=regular[p], uncle=uncle[p], nephew=nephew[p]) for p in range(n_pools)
-        ),
+        per_pool=tuple(map(PoolReward, regular, uncle, nephew)),
     )
 
 

@@ -10,7 +10,9 @@ generalized lengths (fork position plus own blocks) of all sub-chains; block
 heights and main-chain selection use the same fork position.
 
 All operations here are value-semantic: they take a tree and return a new
-one, so trees can be shared freely across simulation workers.
+one, so trees can be shared freely across simulation workers. The engine
+plays rounds on plain counters and never builds a tree; round_tree derives
+one from a finished round's counters on demand, for the oracle and tests.
 """
 from __future__ import annotations
 
@@ -201,6 +203,21 @@ def ride_tip(tree: RoundTree) -> RoundTree:
         for sub in tree.dishonest
     )
     return replace(tree, dishonest=chains)
+
+
+def round_tree(outcome) -> RoundTree:
+    """The block tree of a finished round, rebuilt from its counters.
+
+    Heights use each dishonest chain's final fork position, which under the
+    tip rule is the honest length the chain rode up to.
+    """
+    v = outcome.honest_length
+    chains = tuple(
+        SubChain(i, stat.fork_position, tuple(Block(i, stat.fork_position + j, j) for j in range(1, stat.length + 1)), True)
+        if stat.forked else SubChain(i)
+        for i, stat in enumerate(outcome.per_pool, start=1)
+    )
+    return RoundTree(SubChain(HONEST, blocks=tuple(Block(HONEST, h, h) for h in range(1, v + 1))), chains)
 
 
 def sorted_lengths(tree: RoundTree) -> SortedLengths:

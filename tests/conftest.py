@@ -1,7 +1,7 @@
 import pytest
 
 from poolsim.engine import PoolRoundStat, RoundOutcome
-from poolsim.tree import HONEST, Block, RoundTree, SubChain, select_main_chain, sorted_lengths
+from poolsim.tree import HONEST
 
 
 def build_outcome(winner, honest_len, pools, released=0, first_block_owner=HONEST, duration=1.0):
@@ -11,28 +11,18 @@ def build_outcome(winner, honest_len, pools, released=0, first_block_owner=HONES
     a bare (fork_position, length) pair means forked. States need not be
     reachable by the engine; the classifier is a pure function of them.
     """
-    honest_blocks = tuple(Block(HONEST, h, h) for h in range(1, honest_len + 1))
-    subchains = []
     stats = []
-    for i, entry in enumerate(pools, start=1):
+    for entry in pools:
         forked, fork_pos, length = entry if len(entry) == 3 else (True, *entry)
-        if forked:
-            blocks = tuple(Block(i, fork_pos + j, j) for j in range(1, length + 1))
-            subchains.append(SubChain(i, fork_pos, blocks, True))
-        else:
-            subchains.append(SubChain(i))
         stats.append(PoolRoundStat(forked, fork_pos if forked else 0, length))
-    tree = RoundTree(SubChain(HONEST, 0, honest_blocks, False), tuple(subchains))
 
     if winner == HONEST:
-        pegged = honest_blocks
         rel = 0
         reserved = 0
     else:
         rel = released
         reserved = stats[winner - 1].length - released
-        pegged = select_main_chain(tree, winner, released)
-    lengths = sorted_lengths(tree)
+    gens = sorted([honest_len] + [s.fork_position + s.length if s.forked else 0 for s in stats], reverse=True)
     return RoundOutcome(
         winner=winner,
         honest_length=honest_len,
@@ -40,12 +30,10 @@ def build_outcome(winner, honest_len, pools, released=0, first_block_owner=HONES
         released=rel,
         reserved=reserved,
         duration=duration,
-        pegged=pegged,
-        tree=tree,
         first_block_owner=first_block_owner,
         fork_order=tuple(i for i, s in enumerate(stats, start=1) if s.forked),
-        longest=lengths.omega1,
-        second=lengths.omega2,
+        longest=gens[0],
+        second=gens[1],
         events=honest_len + sum(s.length for s in stats),
     )
 

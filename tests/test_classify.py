@@ -6,6 +6,7 @@ from poolsim.classify import (
     MAX_UNCLE_DISTANCE,
     NephewUnavailable,
     NotAnUncle,
+    block_labels,
     classify_round,
     determine_nephew,
     find_uncles,
@@ -132,9 +133,10 @@ class TestClassifyRound:
         assert cls.uncle_count == 2
         assert cls.stale_count == 1
         assert cls.orphan_count == 3
-        assert cls.labels[Block(1, 3, 2)].kind == "stale"
-        assert cls.labels[Block(1, 2, 1)].kind == "uncle"
-        assert cls.labels[Block(1, 2, 1)].distance == 3
+        labels = block_labels(out, cls)
+        assert labels[Block(1, 3, 2)].kind == "stale"
+        assert labels[Block(1, 2, 1)].kind == "uncle"
+        assert labels[Block(1, 2, 1)].distance == 3
         assert cls.nephew.uncle_count == 2
 
     def test_clean_honest_win_has_no_orphans(self):
@@ -148,16 +150,18 @@ class TestClassifyRound:
         nephew = determine_nephew(out, next_first_owner=1)
         cls = classify_round(out, nephew, find_uncles(out, nephew.height))
         assert cls.regular_count == 4
-        assert cls.labels[Block(0, 1, 1)].kind == "uncle"
-        assert cls.labels[Block(0, 2, 2)].kind == "stale"
+        labels = block_labels(out, cls)
+        assert labels[Block(0, 1, 1)].kind == "uncle"
+        assert labels[Block(0, 2, 2)].kind == "stale"
 
     def test_every_observed_block_labeled_once(self):
         out = build_outcome(1, 3, [(1, 4), (0, 2)], released=3)
         nephew = determine_nephew(out, next_first_owner=0)
         cls = classify_round(out, nephew, find_uncles(out, nephew.height))
-        assert len(cls.labels) == cls.regular_count + cls.orphan_count
+        labels = block_labels(out, cls)
+        assert len(labels) == cls.regular_count + cls.orphan_count
         # reserved block is not observed this round
-        assert Block(1, 5, 4) not in cls.labels
+        assert Block(1, 5, 4) not in labels
 
     def test_reserved_blocks_unobserved(self):
         out = build_outcome(1, 2, [(0, 5)], released=3)

@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from poolsim import cli
 from poolsim.cli import (
     ConfigError,
     ExperimentSpec,
@@ -180,6 +182,25 @@ class TestRunExperiment:
         data = read_summary(spec.out_dir)
         assert data["grid"][1]["alphas"] == [0.8, 0.0, 0.2]
 
+    def test_rejected_point_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # Every per-point config is built before any replication runs.
+        def no_replications(*args, **kwargs):
+            raise AssertionError("replications started")
+
+        monkeypatch.setattr(cli, "_run_replications", no_replications)
+        spec = self.spec(tmp_path, alphas=(0.0, 0.0))
+        assert run_experiment(spec) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [ValueError("bad draw"), BrokenProcessPool("worker died")])
+    def test_failure_after_start_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "simulate_rounds", failing)
+        assert run_experiment(self.spec(tmp_path)) == 3
+        assert "runtime error" in capsys.readouterr().err
+
     def test_unwritable_output_dir(self):
         spec = ExperimentSpec(
             mode="single", alphas=(0.6, 0.4), rounds=10, replications=1,
@@ -201,6 +222,11 @@ class TestMain:
         code = main(["--alphas", "0.9,0.3"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_zero_power_alphas_exit_code(self, tmp_path, capsys):
+        code = main(["--alphas", "0,0", "--workers", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "positive mining power" in capsys.readouterr().err
 
     def test_missing_alphas_exit_code(self, capsys):
         assert main([]) == 2

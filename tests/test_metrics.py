@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -160,7 +159,7 @@ class TestRates:
         )
         stretched = EstimatorBank(1)
         for rec in records:
-            outcome = dataclasses.replace(rec.outcome, duration=33.0)
+            outcome = rec.outcome._replace(duration=33.0)
             stretched.update(outcome, rec.ratios, rec.rewards, rec.classification)
         rate = stretched.growth_rate()
         assert rate.decomposition == pytest.approx(2 / 33, rel=1e-12)

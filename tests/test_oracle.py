@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from poolsim.engine import FORK_TIP, RELEASE_MIN, Carryover
+from poolsim.engine import FORK_TIP, RELEASE_MIN, Carryover, SimConfig
 from poolsim.oracle import (
     EventScript,
     IncompleteScript,
@@ -12,6 +13,7 @@ from poolsim.oracle import (
     replay_script,
     script_config,
 )
+from poolsim.pipeline import simulate_rounds
 from poolsim.tree import HONEST
 
 from conftest import build_outcome
@@ -231,6 +233,15 @@ class TestEnumerateAndCheck:
         assert report.rounds_checked > 0
         assert report.ok, report.violations[:5]
 
+    @pytest.mark.parametrize("fork_rule", ["anchored", FORK_TIP])
+    def test_lead_threshold_three_clean(self, fork_rule):
+        # With a three-block lead the honest pool can hold two blocks before
+        # the first fork, so that fork may sit at 0, 1 or 2.
+        config = script_config(3, lead_threshold=3, release_policy=RELEASE_MIN, fork_rule=fork_rule)
+        report = enumerate_and_check(6, 3, config=config)
+        assert report.rounds_checked > 0
+        assert report.ok, report.violations[:5]
+
     def test_mutated_distance_cutoff_is_caught(self):
         # Ten events, three rivals: the only way to reach a distance-seven
         # candidate within the enumeration cap. A classifier that accepts
@@ -249,3 +260,46 @@ class TestEnumerateAndCheck:
         report = enumerate_and_check(3, 1)
         data = report.to_dict()
         assert data["ok"] is True and data["scripts"] == 8
+
+
+def wait_for_lead_of_three(longest, second, mined):
+    return longest - second >= 3
+
+
+class TestMonteCarloAgainstReference:
+    """The production close path on random streams, round by round, against
+    the from-scratch reference analysis."""
+
+    CASES = {
+        "m2-anchored": (SimConfig.from_alphas([0.55, 0.32, 0.13]), None),
+        "m2-tip": (SimConfig.from_alphas([0.55, 0.32, 0.13], fork_rule=FORK_TIP), None),
+        "m4-release-min-lead3": (
+            SimConfig.from_alphas([0.5, 0.2, 0.13, 0.1, 0.07], release_policy=RELEASE_MIN),
+            wait_for_lead_of_three,
+        ),
+        "lead-threshold-3": (SimConfig.from_alphas([0.5, 0.3, 0.2], lead_threshold=3), None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_records_match_reference(self, case):
+        config, policy = self.CASES[case]
+        _, records = simulate_rounds(
+            config, 3000, seed=np.random.SeedSequence(404), termination_policy=policy, collect=True
+        )
+        prev_uncles = 0
+        uncles_seen = 0
+        for rec in records:
+            ref = reference_analysis(rec.outcome, prev_uncles)
+            c = rec.classification
+            assert [(u.owner, u.height, u.distance) for u in c.uncles] == ref["uncles"], rec.index
+            assert c.nephew.height == ref["nephew_height"], rec.index
+            assert (c.regular_count, c.regular_count + c.orphan_count) == (ref["main_len"], ref["observed"])
+            got_ratios = {name: getattr(rec.ratios, name) for name in ref["ratios"]}
+            assert got_ratios == ref["ratios"], rec.index
+            got_rewards = [(p.regular, p.uncle, p.nephew) for p in rec.rewards.per_pool]
+            assert got_rewards == ref["rewards"], rec.index
+            prev_uncles = c.uncle_count
+            uncles_seen += c.uncle_count
+        assert uncles_seen > 0
+        if policy is not None:
+            assert any(rec.outcome.reserved for rec in records)
