@@ -50,8 +50,7 @@ class UncleRecord(NamedTuple):
 
     @property
     def units(self) -> int:
-        """Uncle reward in units of 1/32."""
-        return 4 * (8 - self.distance)
+        return uncle_units(self.distance)
 
     @property
     def reward(self) -> Fraction:
@@ -120,11 +119,16 @@ class RoundRatios(NamedTuple):
         return Fraction(self.total - self.main - self.uncles, self.total)
 
 
+def uncle_units(distance: int) -> int:
+    """Reward of an uncle at a generation distance, in units of 1/32."""
+    return 4 * (8 - distance)
+
+
 def uncle_reward(distance: int) -> Fraction:
     """Reward of an uncle at the given generation distance from its nephew."""
     if not 1 <= distance <= MAX_UNCLE_DISTANCE:
         raise NotAnUncle(f"distance {distance} outside 1..{MAX_UNCLE_DISTANCE}")
-    return Fraction(8 - distance, 8)
+    return Fraction(uncle_units(distance), UNITS_PER_BLOCK)
 
 
 def nephew_reward(uncle_count: int) -> Fraction:
