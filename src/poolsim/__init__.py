@@ -43,8 +43,8 @@ from .classify import (
     round_ratios,
     uncle_reward,
 )
-from .rewards import PoolReward, RewardVector, allocate, settle_uncle_rewards
-from .metrics import EstimatorBank, GrowthRate, RewardRates, StreamingMean, ThresholdEstimate, find_power_threshold
-from .pipeline import RoundRecord, close_round, simulate_rounds
+from .rewards import ClosedRounds, PoolReward, RewardVector, allocate
+from .metrics import EstimatorBank, GrowthRate, RewardRates, ThresholdEstimate, find_power_threshold
+from .pipeline import RoundRecord, close_columns, close_round, simulate_rounds
 
 __version__ = "0.1.0"

@@ -10,15 +10,23 @@ block. Counts and ratio numerators are integers computed from the round's
 counters without visiting a block; block_labels derives per-block labels on
 demand for the oracle and tests. Uncle rewards are integers in units of 1/32
 (4 * (8 - d) at distance d), so the per-round identities hold exactly.
+
+The rules work on columns: RoundColumns holds a buffer of consecutive
+rounds, one row each, and nephew_columns, uncle_columns and block_counts
+classify every row at once. determine_nephew, find_uncles and
+classify_round are their one-row case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple
+from itertools import chain, islice
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .engine import RoundOutcome
-from .tree import HONEST, Block
+from .tree import Block
 
 MAX_UNCLE_DISTANCE = 6
 UNITS_PER_BLOCK = 32  # reward units of one regular block
@@ -87,16 +95,8 @@ class RoundRatios(NamedTuple):
     uncles: int
 
     def as_floats(self) -> Tuple[float, float, float, float, float]:
-        """Chain quality, main, orphan, uncle and stale ratios, each a correctly
-        rounded integer division, so equal to float() of the exact ratio."""
-        total, main, uncles = self.total, self.main, self.uncles
-        return (
-            self.honest_main / main,
-            main / total,
-            (total - main) / total,
-            uncles / total,
-            (total - main - uncles) / total,
-        )
+        """Chain quality, main, orphan, uncle and stale ratios as floats."""
+        return ratio_floats(*self)
 
     @property
     def chain_quality(self) -> Fraction:
@@ -138,30 +138,67 @@ def nephew_reward(uncle_count: int) -> Fraction:
     return uncle_count * NEPHEW_REFERENCE_UNIT
 
 
-def determine_nephew(
-    outcome: RoundOutcome, next_first_owner: Optional[int] = None
-) -> NephewRecord:
-    """Locate the nephew block that closes this round's classification.
+class RoundColumns(NamedTuple):
+    """Consecutive finished rounds as columns, one row per round. Matrices
+    have one column per pool: column 0 is the honest pool, whose fork
+    position is 0 and whose length is the honest chain length."""
+
+    winner: np.ndarray
+    fork_pos: np.ndarray  # (rounds, pools)
+    length: np.ndarray  # (rounds, pools)
+    released: np.ndarray
+    reserved: np.ndarray
+    pegged: np.ndarray
+    duration: np.ndarray  # float
+    first_owner: np.ndarray
+
+
+def round_columns(outcomes: Sequence[RoundOutcome]) -> RoundColumns:
+    """Columns of a run of consecutive round outcomes."""
+    winner, honest, per_pool, released, reserved, duration, first_owner = list(zip(*outcomes))[:7]
+    stats = np.fromiter(chain.from_iterable(chain.from_iterable(per_pool)), dtype=np.int64)
+    stats = stats.reshape(len(outcomes), -1, 3)  # (forked, fork position, length) per dishonest pool
+    fork_pos = np.zeros((len(outcomes), stats.shape[1] + 1), dtype=np.int64)
+    fork_pos[:, 1:] = stats[:, :, 1]
+    length = fork_pos.copy()
+    length[:, 0] = honest
+    length[:, 1:] = stats[:, :, 2]
+    return RoundColumns(
+        winner=np.array(winner, dtype=np.int64),
+        fork_pos=fork_pos,
+        length=length,
+        released=np.array(released, dtype=np.int64),
+        reserved=np.array(reserved, dtype=np.int64),
+        pegged=np.array([o.pegged_count for o in outcomes], dtype=np.int64),
+        duration=np.array(duration, dtype=np.float64),
+        first_owner=np.array(first_owner, dtype=np.int64),
+    )
+
+
+def nephew_columns(
+    rounds: RoundColumns, next_first_owner: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owner, height and reserve flag of each round's nephew, the first block
+    after its main chain.
 
     If the winner reserved blocks, the nephew is the first reserved block;
-    otherwise it is the next round's first mined block, whose owner the
-    caller must supply. Either way it sits just above the main chain. The
-    uncle count is filled in by classify_round.
+    otherwise it is the next round's first mined block: the next row's first
+    block, or next_first_owner after the last row. Either way it sits just
+    above the main chain.
     """
-    height = outcome.pegged_count + 1
-    if outcome.reserved >= 1:
-        return NephewRecord(owner=outcome.winner, height=height, uncle_count=0, from_reserve=True)
+    from_reserve = rounds.reserved >= 1
     if next_first_owner is None:
-        raise NephewUnavailable("nothing reserved and no next-round first block given")
-    return NephewRecord(owner=next_first_owner, height=height, uncle_count=0, from_reserve=False)
+        if not from_reserve[-1]:
+            raise NephewUnavailable("nothing reserved and no next-round first block given")
+        next_first_owner = -1  # unused: the reserve is the nephew
+    following = np.append(rounds.first_owner[1:], next_first_owner)
+    return np.where(from_reserve, rounds.winner, following), rounds.pegged + 1, from_reserve
 
 
-def find_uncles(
-    outcome: RoundOutcome,
-    nephew_height: int,
-    max_distance: int = MAX_UNCLE_DISTANCE,
-) -> Tuple[UncleRecord, ...]:
-    """Orphans of this round that qualify as uncles of the nephew.
+def uncle_columns(
+    rounds: RoundColumns, nephew_height: np.ndarray, max_distance: int = MAX_UNCLE_DISTANCE
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Height and distance of each pool's uncle; distance 0 where it has none.
 
     Candidates are the first block of each losing dishonest sub-chain, plus
     the first orphaned honest block when a dishonest pool won. A candidate
@@ -169,34 +206,78 @@ def find_uncles(
     When the honest candidate qualifies, dishonest first blocks forked at or
     above it are disqualified (their parent is itself an orphan).
     """
-    candidates = []  # (height, owner)
-    if outcome.winner == HONEST:
-        for i, stat in enumerate(outcome.per_pool, start=1):
-            if stat.length >= 1:
-                candidates.append((stat.fork_position + 1, i))
-    else:
-        win_fork = outcome.per_pool[outcome.winner - 1].fork_position
-        honest_candidate = None
-        if outcome.honest_length > win_fork:
-            honest_candidate = win_fork + 1
-            candidates.append((honest_candidate, HONEST))
-        honest_qualifies = (
-            honest_candidate is not None
-            and 1 <= nephew_height - honest_candidate <= max_distance
-        )
-        for i, stat in enumerate(outcome.per_pool, start=1):
-            if i == outcome.winner or stat.length < 1:
-                continue
-            if honest_qualifies and stat.fork_position >= win_fork + 1:
-                continue
-            candidates.append((stat.fork_position + 1, i))
+    rows = np.arange(len(rounds.winner))
+    win_fork = rounds.fork_pos[rows, rounds.winner]
+    height = rounds.fork_pos + 1  # first block of each dishonest chain
+    height[:, 0] = win_fork + 1  # first honest block above the winner's fork
+    lost = rounds.length.copy()  # blocks of each pool off the main chain
+    lost[:, 0] -= win_fork
+    lost[rows, rounds.winner] = 0
+    distance = nephew_height[:, None] - height
+    qualifies = (lost >= 1) & (distance >= 1) & (distance <= max_distance)
+    qualifies[:, 1:] &= ~(qualifies[:, :1] & (rounds.fork_pos[:, 1:] >= height[:, :1]))
+    return height, np.where(qualifies, distance, 0)
 
-    records = []
-    for height, owner in sorted(candidates):
-        distance = nephew_height - height
-        if 1 <= distance <= max_distance:
-            records.append(UncleRecord(owner, height, distance))
-    return tuple(records)
+
+def uncle_records(height: np.ndarray, distance: np.ndarray) -> List[Tuple[UncleRecord, ...]]:
+    """Each round's uncles from its height and distance rows, in (height, pool) order."""
+    pools = height.shape[1]
+    order = np.argsort(height * pools + np.arange(pools), axis=1)
+    height = np.take_along_axis(height, order, axis=1)
+    distance = np.take_along_axis(distance, order, axis=1)
+    named = distance > 0
+    uncles = map(UncleRecord, order[named].tolist(), height[named].tolist(), distance[named].tolist())
+    return [tuple(islice(uncles, count)) for count in np.count_nonzero(named, axis=1).tolist()]
+
+
+def block_counts(rounds: RoundColumns, uncle_count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Orphan and stale blocks of each round.
+
+    Observed blocks are all but a winner's reserved tail; the regular ones
+    are exactly the pegged main chain, the rest are orphans, and orphans
+    that are not uncles are stale.
+    """
+    orphan = rounds.length.sum(axis=1) - rounds.reserved - rounds.pegged
+    return orphan, orphan - uncle_count
+
+
+def ratio_numerators(regular, orphan, released, uncle_count):
+    """Observed, main-chain, honest main-chain and uncle block counts, the
+    numerators of the per-round ratios, from scalars or columns."""
+    return regular + orphan, regular, regular - released, uncle_count  # the winner's released blocks are its own
+
+
+def ratio_floats(total, main, honest_main, uncles):
+    """Chain quality, main, orphan, uncle and stale ratios from integer
+    numerators, scalars or columns. Each is one correctly rounded division,
+    so it equals float() of the exact ratio."""
+    return (
+        honest_main / main,
+        main / total,
+        (total - main) / total,
+        uncles / total,
+        (total - main - uncles) / total,
+    )
+
+
+def determine_nephew(
+    outcome: RoundOutcome, next_first_owner: Optional[int] = None
+) -> NephewRecord:
+    """The nephew block that closes this round's classification; the
+    one-row case of nephew_columns. The uncle count is filled in by
+    classify_round."""
+    owner, height, from_reserve = nephew_columns(round_columns([outcome]), next_first_owner)
+    return NephewRecord(int(owner[0]), int(height[0]), 0, bool(from_reserve[0]))
+
+
+def find_uncles(
+    outcome: RoundOutcome,
+    nephew_height: int,
+    max_distance: int = MAX_UNCLE_DISTANCE,
+) -> Tuple[UncleRecord, ...]:
+    """Orphans of this round that qualify as uncles of the nephew; the
+    one-row case of uncle_columns."""
+    return uncle_records(*uncle_columns(round_columns([outcome]), np.array([nephew_height]), max_distance))[0]
 
 
 def classify_round(
@@ -205,20 +286,15 @@ def classify_round(
     uncles: Tuple[UncleRecord, ...],
     round_index: int = 0,
 ) -> Classification:
-    """Count the regular, uncle and stale blocks of a closed round.
-
-    Observed blocks are all blocks of the round but a winner's reserved
-    tail; the regular ones are exactly the pegged main chain.
-    """
-    observed = outcome.honest_length + sum([stat.length for stat in outcome.per_pool]) - outcome.reserved
-    regular = outcome.pegged_count
-    orphan = observed - regular
+    """Count the regular, uncle and stale blocks of a closed round; the
+    one-row case of block_counts."""
+    orphan, stale = block_counts(round_columns([outcome]), np.array([len(uncles)]))
     return Classification(
         round_index=round_index,
-        regular_count=regular,
-        orphan_count=orphan,
+        regular_count=outcome.pegged_count,
+        orphan_count=int(orphan[0]),
         uncles=uncles,
-        stale_count=orphan - len(uncles),
+        stale_count=int(stale[0]),
         nephew=NephewRecord(nephew.owner, nephew.height, len(uncles), nephew.from_reserve),
     )
 
@@ -244,11 +320,7 @@ def block_labels(outcome: RoundOutcome, classification: Classification) -> Dict[
 
 
 def round_ratios(outcome: RoundOutcome, classification: Classification) -> RoundRatios:
-    """Chain quality and main/orphan/uncle/stale ratios for one round."""
-    main = classification.regular_count
-    return RoundRatios(
-        total=main + classification.orphan_count,
-        main=main,
-        honest_main=main - outcome.released,  # the winner's released blocks are its own
-        uncles=len(classification.uncles),
-    )
+    """Chain quality and main/orphan/uncle/stale ratio numerators for one
+    round; the one-row case of ratio_numerators."""
+    c = classification
+    return RoundRatios(*ratio_numerators(c.regular_count, c.orphan_count, outcome.released, c.uncle_count))

@@ -113,6 +113,10 @@ def _validate(raw: Dict) -> ExperimentSpec:
     grid = raw.get("grid")
     if grid is None:
         grid = DEFAULT_GRID if mode != "single" else ()
+    if not isinstance(grid, (list, tuple)) or not all(
+        isinstance(g, (int, float)) and not isinstance(g, bool) for g in grid
+    ):
+        raise ConfigError(f"grid: expected a list of honest powers, got {grid!r}")
     grid = tuple(float(g) for g in grid)
     if mode != "single" and len(grid) < (2 if mode == "threshold" else 1):
         raise ConfigError(f"grid: {mode} mode needs at least two grid points")

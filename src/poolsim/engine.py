@@ -63,10 +63,10 @@ class SimConfig:
             raise ValueError(f"pool alphas sum to {total:.6f} > 1")
         if total <= 0.0:
             raise ValueError("at least one pool needs positive mining power")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.mean_block_time <= 0.0:
-            raise ValueError("mean block time must be positive")
+        if not self.gamma > 0.0:  # NaN fails every comparison
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.mean_block_time < math.inf:
+            raise ValueError(f"mean block time must be positive and finite, got {self.mean_block_time}")
         if self.lead_threshold < 1:
             raise ValueError("lead threshold must be a positive integer")
         if self.release_policy not in RELEASE_POLICIES:
@@ -139,7 +139,6 @@ class Carryover:
 
     owner: int
     private_blocks: int
-    pending_nephew: bool = True
 
     def __post_init__(self):
         if self.owner == HONEST:

@@ -1,12 +1,14 @@
 """Streaming estimators over simulated rounds.
 
-An EstimatorBank ingests one closed round at a time and tracks everything
-the long-run analysis needs: win frequencies per pool, conditional means of
-the round geometry given the winner, running means of the per-round ratios,
-mean round duration and pegged-block count, booked rewards per pool, and
-the (winner, holder) counting tables for nephew and uncle events. Banks from
-different workers merge exactly on counters and to float tolerance on means,
-so results cannot depend on scheduling.
+An EstimatorBank takes in buffers of closed rounds and keeps totals of
+everything the long-run analysis needs: win counts per pool, the round
+geometry summed per winner, the per-round ratios, round duration and
+pegged-block count, booked rewards per pool, and the (winner, holder)
+counting tables for nephew and uncle events. Integer samples are summed
+exactly, so their means are one correctly rounded division; durations and
+ratios are float sums. Banks from different workers merge exactly on the
+integer totals and to rounding on the float ones, so results cannot depend
+on scheduling.
 
 Long-run rates come out two ways on purpose: a direct estimate (sample mean
 of per-round totals over mean duration) and a decomposition through the win
@@ -22,9 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Classification, RoundRatios
+from .classify import UNITS_PER_BLOCK, Classification, RoundRatios, ratio_floats, ratio_numerators, round_columns
 from .engine import Carryover, MiningClock, PoolSpec, RoundOutcome, SimConfig, make_carryover, run_round
-from .rewards import RewardVector
+from .rewards import ClosedRounds, RewardVector
 from .tree import HONEST
 
 Z_95 = 1.959963984540054
@@ -42,44 +44,6 @@ class MergeShapeError(ValueError):
 
 class NoCrossing(RuntimeError):
     """The win-probability curves do not cross on the given grid."""
-
-
-class StreamingMean:
-    """Numerically stable online mean and variance (Welford), mergeable."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, count: int = 0, mean: float = 0.0, m2: float = 0.0):
-        self.count = count
-        self.mean = mean
-        self.m2 = m2
-
-    def update(self, x: float) -> None:
-        self.count = count = self.count + 1
-        delta = x - self.mean
-        self.mean = mean = self.mean + delta / count
-        self.m2 += delta * (x - mean)
-
-    def merge(self, other: "StreamingMean") -> "StreamingMean":
-        """Combined accumulator, equal to streaming both inputs' samples."""
-        if other.count == 0:
-            return StreamingMean(self.count, self.mean, self.m2)
-        if self.count == 0:
-            return StreamingMean(other.count, other.mean, other.m2)
-        count = self.count + other.count
-        delta = other.mean - self.mean
-        mean = (self.count * self.mean + other.count * other.mean) / count
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / count
-        return StreamingMean(count, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-    def mean_or(self, default: Optional[float] = None) -> Optional[float]:
-        return self.mean if self.count else default
 
 
 def mean_ci95(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -107,8 +71,33 @@ class RewardRates:
     decomposition: Tuple[float, ...]
 
 
+def _add(total, part):
+    """Elementwise sum of two equally nested lists of numbers."""
+    if isinstance(total, list):
+        return [_add(t, p) for t, p in zip(total, part)]
+    return total + part
+
+
+def _mean(total, count: int, default=None):
+    """total / count, or default when nothing was counted."""
+    return total / count if count else default
+
+
 class EstimatorBank:
-    """Mergeable per-round accumulators for one simulation configuration."""
+    """Mergeable totals over the closed rounds of one simulation configuration.
+
+    Integer samples (win and event counts, lengths, pegged counts, reward
+    units) are kept as exact integer totals, so their means are exact up to
+    one final division; durations and the five ratios are float totals.
+    Per-pool lists are indexed by pool, tables by (winner, pool).
+    """
+
+    # Every accumulator, in merge order; each is a total over closed rounds.
+    TOTALS = (
+        "rounds", "win_counts", "fork_pos_total", "length_total", "released_total",
+        "pegged_total", "reward_units", "nephew_count", "nephew_units",
+        "uncle_count", "uncle_units", "duration_total", "ratio_total", "ratio_by_winner",
+    )
 
     def __init__(self, num_dishonest: int):
         if num_dishonest < 1:
@@ -117,26 +106,55 @@ class EstimatorBank:
         self.num_pools = n
         self.rounds = 0
         self.win_counts = [0] * n
-        self.cond_honest_len = StreamingMean()  # honest chain length on honest wins
-        self.cond_fork_pos = [StreamingMean() for _ in range(n)]  # winner's fork position
-        self.cond_length = [StreamingMean() for _ in range(n)]  # winner's own chain length
-        self.cond_released = [StreamingMean() for _ in range(n)]  # winner's pegged own blocks
-        self.ratio_all = {name: StreamingMean() for name in RATIO_NAMES}
-        self.ratio_by_winner = [{name: StreamingMean() for name in RATIO_NAMES} for _ in range(n)]
-        self.duration = StreamingMean()
-        self.pegged = StreamingMean()
-        self.reward_total = [StreamingMean() for _ in range(n)]
-        # (winner, holder) event tables: holder owned the round's nephew block /
-        # had an uncle among the round's orphans. Reward means are conditional
-        # on the event, so rates times means reproduce the booked totals.
+        # Winner's fork position, own chain length (the honest length on an
+        # honest win) and pegged own blocks, summed over its wins.
+        self.fork_pos_total = [0] * n
+        self.length_total = [0] * n
+        self.released_total = [0] * n
+        self.pegged_total = 0
+        self.reward_units = [0] * n  # booked units of 1/32
+        # (winner, holder) event tables: holder owned the round's first block,
+        # the previous round's nephew / had an uncle among the round's
+        # orphans; with the units booked for them.
         self.nephew_count = [[0] * n for _ in range(n)]
-        self.nephew_given = [[StreamingMean() for _ in range(n)] for _ in range(n)]
+        self.nephew_units = [[0] * n for _ in range(n)]
         self.uncle_count = [[0] * n for _ in range(n)]
-        self.uncle_given = [[StreamingMean() for _ in range(n)] for _ in range(n)]
+        self.uncle_units = [[0] * n for _ in range(n)]
+        self.duration_total = 0.0
+        self.ratio_total = [0.0] * len(RATIO_NAMES)
+        self.ratio_by_winner = [[0.0] * len(RATIO_NAMES) for _ in range(n)]
 
     @property
     def num_dishonest(self) -> int:
         return self.num_pools - 1
+
+    def add(self, closed: ClosedRounds) -> None:
+        """Take in a buffer of closed rounds."""
+        rounds = closed.rounds
+        pools = np.eye(self.num_pools, dtype=np.int64)
+        won = pools[rounds.winner]  # one-hot winner per round
+        by_winner = won.T
+        ratios = ratio_floats(*ratio_numerators(rounds.pegged, closed.orphan, rounds.released, closed.uncle_count))
+        part = {
+            "rounds": len(rounds.winner),
+            "win_counts": won.sum(axis=0),
+            "fork_pos_total": (won * rounds.fork_pos).sum(axis=0),
+            "length_total": (won * rounds.length).sum(axis=0),
+            "released_total": by_winner @ rounds.released,
+            "pegged_total": rounds.pegged.sum(),
+            "reward_units": (closed.regular_units + closed.uncle_units + closed.nephew_units).sum(axis=0),
+            "nephew_count": by_winner @ pools[rounds.first_owner],
+            "nephew_units": by_winner @ closed.nephew_units,
+            "uncle_count": by_winner @ (closed.uncle_distance > 0),
+            "uncle_units": by_winner @ closed.uncle_units,
+            "duration_total": rounds.duration.sum(),
+            "ratio_total": np.array([r.sum() for r in ratios]),
+            "ratio_by_winner": np.stack(
+                [np.bincount(rounds.winner, weights=r, minlength=self.num_pools) for r in ratios], axis=1
+            ),
+        }
+        for name in self.TOTALS:
+            setattr(self, name, _add(getattr(self, name), np.asarray(part[name]).tolist()))
 
     def update(
         self,
@@ -145,63 +163,39 @@ class EstimatorBank:
         rewards: RewardVector,
         classification: Classification,
     ) -> None:
-        w = outcome.winner
-        self.rounds += 1
-        self.win_counts[w] += 1
-        if w == HONEST:
-            self.cond_honest_len.update(outcome.honest_length)
-        else:
-            stat = outcome.per_pool[w - 1]
-            self.cond_fork_pos[w].update(stat.fork_position)
-            self.cond_length[w].update(stat.length)
-            self.cond_released[w].update(outcome.released)
-
-        by_winner = self.ratio_by_winner[w]
-        for name, x in zip(RATIO_NAMES, ratios.as_floats()):
-            self.ratio_all[name].update(x)
-            by_winner[name].update(x)
-
-        self.duration.update(outcome.duration)
-        self.pegged.update(outcome.pegged_count)
-        pays = rewards.per_pool
-        for mean, pay in zip(self.reward_total, pays):
-            mean.update(pay.total_units / UNITS_PER_BLOCK)
-
-        holder = outcome.first_block_owner
-        self.nephew_count[w][holder] += 1
-        self.nephew_given[w][holder].update(pays[holder].nephew_units / UNITS_PER_BLOCK)
+        """Take in one closed round's records; the one-row case of add."""
+        rounds = round_columns([outcome])
+        height = np.zeros_like(rounds.length)
+        distance = np.zeros_like(rounds.length)
         for record in classification.uncles:
-            self.uncle_count[w][record.owner] += 1
-            self.uncle_given[w][record.owner].update(record.units / UNITS_PER_BLOCK)
+            height[0, record.owner] = record.height
+            distance[0, record.owner] = record.distance
+        nephew = classification.nephew
+        pays = rewards.per_pool
+        self.add(ClosedRounds(
+            rounds=rounds,
+            nephew_owner=np.array([nephew.owner]),
+            nephew_height=np.array([nephew.height]),
+            from_reserve=np.array([nephew.from_reserve]),
+            uncle_height=height,
+            uncle_distance=distance,
+            uncle_count=np.array([ratios.uncles]),
+            orphan=np.array([ratios.total - ratios.main]),
+            stale=np.array([classification.stale_count]),
+            regular_units=np.array([[p.regular_units for p in pays]]),
+            uncle_units=np.array([[p.uncle_units for p in pays]]),
+            nephew_units=np.array([[p.nephew_units for p in pays]]),
+        ))
 
     # -- merging -----------------------------------------------------------
 
     def merge(self, other: "EstimatorBank") -> "EstimatorBank":
-        """New bank equal to streaming both inputs' rounds in any order."""
+        """New bank equal to taking in both inputs' rounds, in any order."""
         if self.num_pools != other.num_pools:
             raise MergeShapeError(f"cannot merge banks with {self.num_pools} and {other.num_pools} pools")
         out = EstimatorBank(self.num_dishonest)
-        out.rounds = self.rounds + other.rounds
-        out.win_counts = [a + b for a, b in zip(self.win_counts, other.win_counts)]
-        out.cond_honest_len = self.cond_honest_len.merge(other.cond_honest_len)
-        out.cond_fork_pos = [a.merge(b) for a, b in zip(self.cond_fork_pos, other.cond_fork_pos)]
-        out.cond_length = [a.merge(b) for a, b in zip(self.cond_length, other.cond_length)]
-        out.cond_released = [a.merge(b) for a, b in zip(self.cond_released, other.cond_released)]
-        out.ratio_all = {name: self.ratio_all[name].merge(other.ratio_all[name]) for name in RATIO_NAMES}
-        out.ratio_by_winner = [
-            {name: mine[name].merge(theirs[name]) for name in RATIO_NAMES}
-            for mine, theirs in zip(self.ratio_by_winner, other.ratio_by_winner)
-        ]
-        out.duration = self.duration.merge(other.duration)
-        out.pegged = self.pegged.merge(other.pegged)
-        out.reward_total = [a.merge(b) for a, b in zip(self.reward_total, other.reward_total)]
-        n = self.num_pools
-        for w in range(n):
-            for p in range(n):
-                out.nephew_count[w][p] = self.nephew_count[w][p] + other.nephew_count[w][p]
-                out.nephew_given[w][p] = self.nephew_given[w][p].merge(other.nephew_given[w][p])
-                out.uncle_count[w][p] = self.uncle_count[w][p] + other.uncle_count[w][p]
-                out.uncle_given[w][p] = self.uncle_given[w][p].merge(other.uncle_given[w][p])
+        for name in self.TOTALS:
+            setattr(out, name, _add(getattr(self, name), getattr(other, name)))
         return out
 
     # -- estimates ---------------------------------------------------------
@@ -234,23 +228,41 @@ class EstimatorBank:
             out.append([table[w][p] / base if base else 0.0 for p in range(self.num_pools)])
         return out
 
+    def conditional_mean(self, totals: List[int], winner: int) -> Optional[float]:
+        """Mean of a winner-conditional total over that winner's rounds; None
+        if it never won."""
+        return _mean(totals[winner], self.win_counts[winner])
+
+    def duration_mean(self) -> float:
+        self._require_data()
+        return self.duration_total / self.rounds
+
+    def pegged_mean(self) -> float:
+        self._require_data()
+        return self.pegged_total / self.rounds
+
+    def reward_means(self) -> Tuple[float, ...]:
+        """Mean booked reward per round for every pool, in blocks."""
+        self._require_data()
+        return tuple(units / (UNITS_PER_BLOCK * self.rounds) for units in self.reward_units)
+
     def expected_pegged(self) -> float:
         """Mean pegged blocks per round via the win-fraction decomposition."""
         self._require_data()
-        total = self.win_counts[HONEST] * self.cond_honest_len.mean
+        total = self.win_counts[HONEST] * _mean(self.length_total[HONEST], self.win_counts[HONEST], 0.0)
         for pool in range(1, self.num_pools):
             if self.win_counts[pool]:
                 total += self.win_counts[pool] * (
-                    self.cond_fork_pos[pool].mean + self.cond_released[pool].mean
+                    self.conditional_mean(self.fork_pos_total, pool)
+                    + self.conditional_mean(self.released_total, pool)
                 )
         return total / self.rounds
 
     def growth_rate(self) -> GrowthRate:
         """Long-run pegged blocks per second, both estimators."""
-        self._require_data()
-        mean_duration = self.duration.mean
+        mean_duration = self.duration_mean()
         return GrowthRate(
-            direct=self.pegged.mean / mean_duration,
+            direct=self.pegged_mean() / mean_duration,
             decomposition=self.expected_pegged() / mean_duration,
         )
 
@@ -263,44 +275,46 @@ class EstimatorBank:
             if not wins:
                 continue
             if w == HONEST and pool == HONEST:
-                base = self.cond_honest_len.mean
+                base = self.conditional_mean(self.length_total, w)
             elif w != HONEST and pool == HONEST:
-                base = self.cond_fork_pos[w].mean
+                base = self.conditional_mean(self.fork_pos_total, w)
             elif w == pool:
-                base = self.cond_released[w].mean
+                base = self.conditional_mean(self.released_total, w)
             else:
                 base = 0.0
-            nephew = (self.nephew_count[w][pool] / wins) * (self.nephew_given[w][pool].mean_or(0.0) or 0.0)
-            uncle = (self.uncle_count[w][pool] / wins) * (self.uncle_given[w][pool].mean_or(0.0) or 0.0)
+            # Event rate times the mean reward given the event, per table.
+            nephew, uncle = (
+                (count[w][pool] / wins) * _mean(units[w][pool], UNITS_PER_BLOCK * count[w][pool], 0.0)
+                for count, units in ((self.nephew_count, self.nephew_units), (self.uncle_count, self.uncle_units))
+            )
             total += wins * (base + nephew + uncle)
         return total / self.rounds
 
     def reward_rates(self) -> RewardRates:
         """Long-run reward per second for every pool, both estimators."""
-        self._require_data()
-        mean_duration = self.duration.mean
-        direct = tuple(self.reward_total[p].mean / mean_duration for p in range(self.num_pools))
+        mean_duration = self.duration_mean()
+        direct = tuple(mean / mean_duration for mean in self.reward_means())
         decomposition = tuple(
             self.expected_round_reward(p) / mean_duration for p in range(self.num_pools)
         )
         return RewardRates(direct=direct, decomposition=decomposition)
 
     def ratio_averages(self) -> Dict[str, Dict[str, float]]:
-        """Running means of the per-round ratios, direct and decomposed.
+        """Means of the per-round ratios, direct and decomposed.
 
         The decomposed form weighs the per-winner conditional means by the
         win fractions; on the same data the two agree to float tolerance.
         """
         self._require_data()
         out: Dict[str, Dict[str, float]] = {}
-        for name in RATIO_NAMES:
+        for k, name in enumerate(RATIO_NAMES):
             decomposed = 0.0
             for w in range(self.num_pools):
                 wins = self.win_counts[w]
                 if wins:
-                    decomposed += wins * self.ratio_by_winner[w][name].mean
+                    decomposed += wins * (self.ratio_by_winner[w][k] / wins)
             out[name] = {
-                "direct": self.ratio_all[name].mean,
+                "direct": self.ratio_total[k] / self.rounds,
                 "decomposition": decomposed / self.rounds,
             }
         return out
@@ -310,22 +324,21 @@ class EstimatorBank:
         self._require_data()
         growth = self.growth_rate()
         rates = self.reward_rates()
+        dishonest = range(1, self.num_pools)
         return {
             "rounds": self.rounds,
             "win_fraction": list(self.win_fractions()),
             "conditional_means": {
-                "honest_length": self.cond_honest_len.mean_or(),
-                "fork_position": [sm.mean_or() for sm in self.cond_fork_pos],
-                "length": [sm.mean_or() for sm in self.cond_length],
-                "released": [sm.mean_or() for sm in self.cond_released],
+                "honest_length": self.conditional_mean(self.length_total, HONEST),
+                "fork_position": [None] + [self.conditional_mean(self.fork_pos_total, p) for p in dishonest],
+                "length": [None] + [self.conditional_mean(self.length_total, p) for p in dishonest],
+                "released": [None] + [self.conditional_mean(self.released_total, p) for p in dishonest],
             },
-            "ratios": {
-                name: both for name, both in self.ratio_averages().items()
-            },
-            "duration_mean": self.duration.mean,
-            "pegged_mean": self.pegged.mean,
+            "ratios": self.ratio_averages(),
+            "duration_mean": self.duration_mean(),
+            "pegged_mean": self.pegged_mean(),
             "growth_rate": {"direct": growth.direct, "decomposition": growth.decomposition},
-            "reward_mean": [sm.mean for sm in self.reward_total],
+            "reward_mean": list(self.reward_means()),
             "reward_rate": {"direct": list(rates.direct), "decomposition": list(rates.decomposition)},
             "nephew_rate": {
                 "joint": self.nephew_rates(conditional=False),

@@ -8,16 +8,18 @@ to the round the nephew block lives in, paid to whoever owns that round's
 first block. Amounts are integers in units of 1/32 of a block reward (a
 regular block is 32, an uncle at distance d is 4 * (8 - d), a nephew
 reference one per uncle named); regular, uncle, nephew and total give them
-as exact numbers of blocks.
+as exact numbers of blocks. reward_columns books a whole buffer of closed
+rounds at once; allocate is its one-row case.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
-from .classify import UNITS_PER_BLOCK, Classification, NephewUnavailable
+import numpy as np
+
+from .classify import UNITS_PER_BLOCK, Classification, RoundColumns, round_columns, uncle_units
 from .engine import RoundOutcome
-from .tree import HONEST
 
 
 def exact(units: int) -> Union[int, Fraction]:
@@ -57,42 +59,55 @@ class RewardVector(NamedTuple):
     per_pool: Tuple[PoolReward, ...]  # indexed by pool id
 
 
+class ClosedRounds(NamedTuple):
+    """A buffer of consecutive rounds closed together: their columns, their
+    classification and their booked units. Matrices have one column per pool."""
+
+    rounds: RoundColumns
+    nephew_owner: np.ndarray
+    nephew_height: np.ndarray
+    from_reserve: np.ndarray
+    uncle_height: np.ndarray
+    uncle_distance: np.ndarray  # 0 where the pool has no uncle
+    uncle_count: np.ndarray
+    orphan: np.ndarray
+    stale: np.ndarray
+    regular_units: np.ndarray
+    uncle_units: np.ndarray
+    nephew_units: np.ndarray
+
+
+def reward_columns(
+    rounds: RoundColumns, uncle_distance: np.ndarray, prev_uncle_count: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regular, uncle and nephew units of every pool in each round.
+
+    prev_uncle_count[i] is the uncle count of the round before row i; row
+    i's first block is that round's nephew, so its owner collects the
+    reference reward there.
+    """
+    rows = np.arange(len(rounds.winner))
+    regular = np.zeros_like(rounds.length)
+    # The honest pool is paid the pegged honest prefix, the winner its released blocks.
+    regular[:, 0] = UNITS_PER_BLOCK * (rounds.pegged - rounds.released)
+    regular[rows, rounds.winner] += UNITS_PER_BLOCK * rounds.released
+    uncle = np.where(uncle_distance > 0, uncle_units(uncle_distance), 0)
+    nephew = np.zeros_like(regular)
+    nephew[rows, rounds.first_owner] = prev_uncle_count
+    return regular, uncle, nephew
+
+
 def allocate(
     outcome: RoundOutcome,
     classification: Classification,
     prev_uncle_count: int,
 ) -> RewardVector:
-    """Book one round's rewards for every pool.
-
-    prev_uncle_count is the uncle count of the previous round; this round's
-    first block is that round's nephew, so its owner collects the reference
-    reward here. Pass 0 for the first round.
-    """
-    n_pools = len(outcome.per_pool) + 1
-    regular = [0] * n_pools
-    uncle = [0] * n_pools
-    nephew = [0] * n_pools
-
-    if outcome.winner == HONEST:
-        regular[HONEST] = UNITS_PER_BLOCK * outcome.honest_length
-    else:
-        regular[outcome.winner] = UNITS_PER_BLOCK * outcome.released
-        regular[HONEST] = UNITS_PER_BLOCK * outcome.per_pool[outcome.winner - 1].fork_position
-
+    """Book one round's rewards for every pool; the one-row case of
+    reward_columns. Pass prev_uncle_count 0 for the first round."""
+    rounds = round_columns([outcome])
+    distance = np.zeros_like(rounds.length)
     for record in classification.uncles:
-        uncle[record.owner] += record.units
-
-    if prev_uncle_count:
-        nephew[outcome.first_block_owner] += prev_uncle_count
-
-    return RewardVector(
-        round_index=classification.round_index,
-        per_pool=tuple(map(PoolReward, regular, uncle, nephew)),
-    )
-
-
-def settle_uncle_rewards(classification: Classification) -> List[Tuple[int, Fraction]]:
-    """Uncle payments of a closed round, in (height, pool) order."""
-    if classification.nephew is None:
-        raise NephewUnavailable("round not closed: nephew unknown")
-    return [(u.owner, u.reward) for u in classification.uncles]
+        distance[0, record.owner] = record.distance
+    regular, uncle, nephew = reward_columns(rounds, distance, np.array([prev_uncle_count]))
+    per_pool = map(PoolReward, regular[0].tolist(), uncle[0].tolist(), nephew[0].tolist())
+    return RewardVector(classification.round_index, tuple(per_pool))

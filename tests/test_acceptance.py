@@ -246,9 +246,9 @@ def test_criterion_8_trend_monotonicity(trend_sweep):
     points, per_grid_banks = trend_sweep
     first, last = 0, len(points) - 1
 
-    quality = lambda bank: bank.ratio_all["chain_quality"].mean
-    uncle = lambda bank: bank.ratio_all["uncle"].mean
-    honest_reward = lambda bank: bank.reward_total[0].mean
+    quality = lambda bank: bank.ratio_averages()["chain_quality"]["direct"]
+    uncle = lambda bank: bank.ratio_averages()["uncle"]["direct"]
+    honest_reward = lambda bank: bank.reward_means()[0]
 
     _, q_lo_first, q_hi_first = endpoint_ci(per_grid_banks, first, quality)
     _, q_lo_last, q_hi_last = endpoint_ci(per_grid_banks, last, quality)
@@ -278,7 +278,7 @@ def test_criterion_8_main_ratio_interior_minimum(trend_sweep):
     points, per_grid_banks = trend_sweep
     means = []
     for g in range(len(points)):
-        values = [bank.ratio_all["main_chain"].mean for bank in per_grid_banks[g]]
+        values = [bank.ratio_averages()["main_chain"]["direct"] for bank in per_grid_banks[g]]
         means.append(sum(values) / len(values))
     interior_min = min(means)
     ok = means[0] > interior_min and means[-1] > interior_min
@@ -330,10 +330,10 @@ def test_criterion_9_determinism_and_merge_invariance(tmp_path):
 
     def max_rel_diff(a, b):
         worst = 0.0
-        pairs = [(a.duration.mean, b.duration.mean), (a.pegged.mean, b.pegged.mean)]
-        pairs += [(x.mean, y.mean) for x, y in zip(a.reward_total, b.reward_total)]
+        pairs = [(a.duration_mean(), b.duration_mean()), (a.pegged_mean(), b.pegged_mean())]
+        pairs += list(zip(a.reward_means(), b.reward_means()))
         pairs += [
-            (a.ratio_all[name].mean, b.ratio_all[name].mean) for name in a.ratio_all
+            (x["direct"], y["direct"]) for x, y in zip(a.ratio_averages().values(), b.ratio_averages().values())
         ]
         for x, y in pairs:
             if y:

@@ -84,6 +84,18 @@ class TestParseConfig:
         spec = parse_config(overrides={"alphas": [0.6, 0.27, 0.13], "mode": "sweep"})
         assert spec.grid == (0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
 
+    @pytest.mark.parametrize(
+        "grid", [["x"], 0.5, [0.5, None], "0.5", [True, 0.6]],
+        ids=["string-point", "scalar", "null-point", "string", "bool-point"],
+    )
+    def test_malformed_grid_in_config_file(self, tmp_path, capsys, grid):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"alphas": [0.6, 0.3, 0.1], "mode": "sweep", "grid": grid}))
+        with pytest.raises(ConfigError, match="grid"):
+            parse_config(str(path))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: grid" in capsys.readouterr().err
+
     def test_bool_not_accepted_as_int(self):
         with pytest.raises(ConfigError, match="rounds"):
             parse_config(overrides={"alphas": [0.6, 0.4], "rounds": True})
@@ -227,6 +239,16 @@ class TestMain:
         code = main(["--alphas", "0,0", "--workers", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "positive mining power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "nan"), ("--mean-block-time", "nan"), ("--mean-block-time", "inf"),
+    ])
+    def test_nan_or_infinite_rates_exit_code(self, tmp_path, capsys, flag, value):
+        code = main(["--alphas", "0.6,0.4", flag, value, "--rounds", "10",
+                     "--workers", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_alphas_exit_code(self, capsys):
         assert main([]) == 2

@@ -59,6 +59,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="fork rule"):
             SimConfig.from_alphas([0.6, 0.4], fork_rule="floating")
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", math.nan), ("gamma", 0.0),
+        ("mean_block_time", math.nan), ("mean_block_time", math.inf), ("mean_block_time", -1.0),
+    ])
+    def test_bad_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            SimConfig.from_alphas([0.6, 0.4], **{field: value})
+
 
 class TestSampleInterarrival:
     def test_direct_substitution_half_power(self):
@@ -214,7 +222,7 @@ class TestCarryover:
         policy = lambda longest, second, mined: longest - second >= 4
         out = scripted_round([1, 0, 1, 1, 1, 1], policy=policy, release_policy=RELEASE_MIN)
         carry = make_carryover(out)
-        assert carry == Carryover(owner=1, private_blocks=2, pending_nephew=True)
+        assert carry == Carryover(owner=1, private_blocks=2)
 
     def test_carryover_seeds_next_round_at_zero(self):
         out = scripted_round([0, 0, 0, 0], carry=Carryover(1, 2))

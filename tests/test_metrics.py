@@ -1,8 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from poolsim.engine import SimConfig
 from poolsim.metrics import (
@@ -10,7 +7,6 @@ from poolsim.metrics import (
     MergeShapeError,
     NoCrossing,
     NoData,
-    StreamingMean,
     ThresholdEstimate,
     find_power_threshold,
     interpolate_crossing,
@@ -19,50 +15,6 @@ from poolsim.metrics import (
 )
 from poolsim.pipeline import simulate_rounds
 from poolsim.tree import HONEST
-
-
-class TestStreamingMean:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(3.0, 2.0, size=500)
-        sm = StreamingMean()
-        for x in data:
-            sm.update(float(x))
-        assert sm.mean == pytest.approx(float(np.mean(data)), rel=1e-12)
-        assert sm.variance == pytest.approx(float(np.var(data, ddof=1)), rel=1e-10)
-
-    def test_merge_with_empty_is_identity(self):
-        sm = StreamingMean()
-        for x in (1.0, 2.0, 4.0):
-            sm.update(x)
-        merged = sm.merge(StreamingMean())
-        assert (merged.count, merged.mean, merged.m2) == (sm.count, sm.mean, sm.m2)
-
-    def test_merge_counts_commute(self):
-        a, b = StreamingMean(), StreamingMean()
-        for x in (1.0, 5.0):
-            a.update(x)
-        for x in (2.0, 3.0, 9.0):
-            b.update(x)
-        ab, ba = a.merge(b), b.merge(a)
-        assert ab.count == ba.count == 5
-        assert ab.mean == pytest.approx(ba.mean, rel=1e-12)
-        assert ab.m2 == pytest.approx(ba.m2, rel=1e-12)
-
-    @settings(max_examples=50)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60), st.integers(0, 59))
-    def test_merge_equals_streaming(self, data, cut):
-        cut = min(cut, len(data))
-        left, right, whole = StreamingMean(), StreamingMean(), StreamingMean()
-        for x in data[:cut]:
-            left.update(x)
-        for x in data[cut:]:
-            right.update(x)
-        for x in data:
-            whole.update(x)
-        merged = left.merge(right)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)
 
 
 class TestBankCounting:
@@ -88,8 +40,9 @@ class TestBankCounting:
     def test_degenerate_race_statistics(self):
         bank, _ = self.run_bank([1.0, 0.0, 0.0], 10_000, 7)
         assert bank.win_fractions()[0] == 1.0
-        assert bank.cond_honest_len.mean == 2.0
-        assert bank.cond_honest_len.variance == 0.0
+        # Every honest win has length 2, exactly.
+        assert bank.length_total[HONEST] == 2 * bank.win_counts[HONEST]
+        assert bank.conditional_mean(bank.length_total, HONEST) == 2.0
 
     def test_empty_bank_refuses_estimates(self):
         bank = EstimatorBank(2)
@@ -97,6 +50,50 @@ class TestBankCounting:
             bank.win_fractions()
         with pytest.raises(NoData):
             bank.growth_rate()
+
+
+class TestBankTotals:
+    def test_totals_match_a_loop_over_records(self):
+        # Reference: plain Python sums over the closed-round records. Integer
+        # totals must match exactly, float totals to summation-order rounding.
+        config = SimConfig.from_alphas([0.5, 0.3, 0.2], release_policy="release-min")
+        bank, records = simulate_rounds(
+            config, 3000, seed=np.random.SeedSequence(37),
+            termination_policy=lambda longest, second, mined: longest - second >= 3, collect=True,
+        )
+        n = 3
+        wins, fork, length, released = [0] * n, [0] * n, [0] * n, [0] * n
+        units = [0] * n
+        nephew_count, nephew_units = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        uncle_count, uncle_units = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        duration, ratio_total = 0.0, [0.0] * 5
+        for rec in records:
+            out, w = rec.outcome, rec.outcome.winner
+            wins[w] += 1
+            if w == HONEST:
+                length[w] += out.honest_length
+            else:
+                fork[w] += out.per_pool[w - 1].fork_position
+                length[w] += out.per_pool[w - 1].length
+                released[w] += out.released
+            for p, pay in enumerate(rec.rewards.per_pool):
+                units[p] += pay.total_units
+            holder = out.first_block_owner
+            nephew_count[w][holder] += 1
+            nephew_units[w][holder] += rec.rewards.per_pool[holder].nephew_units
+            for uncle in rec.classification.uncles:
+                uncle_count[w][uncle.owner] += 1
+                uncle_units[w][uncle.owner] += uncle.units
+            duration += out.duration
+            ratio_total = [t + x for t, x in zip(ratio_total, rec.ratios.as_floats())]
+        assert bank.win_counts == wins
+        assert (bank.fork_pos_total, bank.length_total, bank.released_total) == (fork, length, released)
+        assert bank.pegged_total == sum(rec.outcome.pegged_count for rec in records)
+        assert bank.reward_units == units
+        assert (bank.nephew_count, bank.nephew_units) == (nephew_count, nephew_units)
+        assert (bank.uncle_count, bank.uncle_units) == (uncle_count, uncle_units)
+        assert bank.duration_total == pytest.approx(duration, rel=1e-12)
+        assert bank.ratio_total == pytest.approx(ratio_total, rel=1e-12)
 
 
 class TestBankMerge:
@@ -118,14 +115,14 @@ class TestBankMerge:
         assert merged.win_counts == whole.win_counts
         assert merged.nephew_count == whole.nephew_count
         assert merged.uncle_count == whole.uncle_count
-        assert merged.duration.mean == pytest.approx(whole.duration.mean, rel=1e-12)
+        assert merged.duration_mean() == pytest.approx(whole.duration_mean(), rel=1e-12)
         for name in ("chain_quality", "main_chain", "orphan", "uncle", "stale"):
-            assert merged.ratio_all[name].mean == pytest.approx(
-                whole.ratio_all[name].mean, rel=1e-12
+            assert merged.ratio_averages()[name]["direct"] == pytest.approx(
+                whole.ratio_averages()[name]["direct"], rel=1e-12
             )
         for p in range(3):
-            assert merged.reward_total[p].mean == pytest.approx(
-                whole.reward_total[p].mean, rel=1e-12
+            assert merged.reward_means()[p] == pytest.approx(
+                whole.reward_means()[p], rel=1e-12
             )
 
     def test_merge_order_does_not_matter(self):
@@ -139,9 +136,9 @@ class TestBankMerge:
         forward = banks[0].merge(banks[1]).merge(banks[2])
         backward = banks[2].merge(banks[1]).merge(banks[0])
         assert forward.win_counts == backward.win_counts
-        assert forward.duration.mean == pytest.approx(backward.duration.mean, rel=1e-12)
-        assert forward.ratio_all["uncle"].mean == pytest.approx(
-            backward.ratio_all["uncle"].mean, rel=1e-12
+        assert forward.duration_mean() == pytest.approx(backward.duration_mean(), rel=1e-12)
+        assert forward.ratio_averages()["uncle"]["direct"] == pytest.approx(
+            backward.ratio_averages()["uncle"]["direct"], rel=1e-12
         )
 
     def test_shape_mismatch_rejected(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poolsim import pipeline
 from poolsim.engine import RELEASE_MIN, SimConfig
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_round, simulate_rounds
@@ -92,3 +93,49 @@ class TestCarryoverChaining:
     def test_durations_always_positive(self):
         _, records = self.run_with_reserve()
         assert all(rec.outcome.duration > 0 for rec in records)
+
+
+class TestBufferBoundaries:
+    """Closing rounds in buffers must not change any record or total: the
+    nephew owner, the pending round and the one-round-late nephew reference
+    all carry across buffer boundaries."""
+
+    config = SimConfig.from_alphas([0.5, 0.37, 0.13], release_policy=RELEASE_MIN)
+
+    def run(self, monkeypatch, close_rows, rounds):
+        monkeypatch.setattr(pipeline, "CLOSE_ROWS", close_rows)
+        return simulate_rounds(
+            self.config, rounds, seed=np.random.SeedSequence(41),
+            termination_policy=delayed, collect=True,
+        )
+
+    def assert_same(self, got, want):
+        (bank, records), (want_bank, want_records) = got, want
+        assert records == want_records
+        for name in EstimatorBank.TOTALS:
+            a, b = getattr(bank, name), getattr(want_bank, name)
+            if name in ("duration_total", "ratio_total", "ratio_by_winner"):
+                assert np.allclose(a, b, rtol=1e-12, atol=0.0), name
+            else:
+                assert a == b, name
+        summary, want_summary = bank.summary(), want_bank.summary()
+        assert summary["win_fraction"] == want_summary["win_fraction"]
+        for key in ("duration_mean", "pegged_mean", "reward_mean"):
+            assert np.allclose(summary[key], want_summary[key], rtol=1e-12, atol=0.0), key
+        for name, both in summary["ratios"].items():
+            for kind, value in both.items():
+                assert value == pytest.approx(want_summary["ratios"][name][kind], rel=1e-12)
+
+    def test_longer_than_three_buffers(self, monkeypatch):
+        rounds = 3 * pipeline.CLOSE_ROWS + 517
+        chunked = self.run(monkeypatch, pipeline.CLOSE_ROWS, rounds)
+        one_by_one = self.run(monkeypatch, 1, rounds)
+        self.assert_same(chunked, one_by_one)
+
+    def test_reserves_and_pending_rounds_on_boundaries(self, monkeypatch):
+        rounds = 2000
+        chunked = self.run(monkeypatch, 7, rounds)
+        _, records = chunked
+        last_rows = [rec.outcome.reserved for rec in records[6::7]]
+        assert any(last_rows) and not all(last_rows)
+        self.assert_same(chunked, self.run(monkeypatch, 1, rounds))

@@ -7,7 +7,7 @@ from poolsim.classify import classify_round, determine_nephew, find_uncles
 from poolsim.engine import SimConfig
 from poolsim.oracle import EventScript, replay_script, script_config
 from poolsim.pipeline import simulate_rounds
-from poolsim.rewards import allocate, settle_uncle_rewards
+from poolsim.rewards import allocate
 from poolsim.tree import HONEST
 
 from conftest import build_outcome
@@ -60,16 +60,21 @@ class TestAllocate:
         assert rewards.per_pool[1].regular == 3  # not 5
 
 
+def uncle_payments(classification):
+    """Uncle payments a closed round settles, in (height, pool) order."""
+    return [(u.owner, u.reward) for u in classification.uncles]
+
+
 class TestSettleUncleRewards:
     def test_payments_follow_table(self):
         out = build_outcome(HONEST, 4, [(1, 2), (0, 1)])
         cls, _ = closed(out, next_owner=HONEST)
-        assert settle_uncle_rewards(cls) == [(2, Fraction(4, 8)), (1, Fraction(5, 8))]
+        assert uncle_payments(cls) == [(2, Fraction(4, 8)), (1, Fraction(5, 8))]
 
     def test_no_uncles_no_payments(self):
         out = build_outcome(HONEST, 2, [(False, 0, 0)])
         cls, _ = closed(out, next_owner=HONEST)
-        assert settle_uncle_rewards(cls) == []
+        assert uncle_payments(cls) == []
 
     def test_same_payments_for_reserve_nephew(self):
         # The uncle payments of a round do not depend on which source
@@ -79,7 +84,7 @@ class TestSettleUncleRewards:
         cls_full, _ = closed(full, next_owner=2)
         cls_held, _ = closed(held, next_owner=None)
         assert cls_held.nephew.from_reserve and not cls_full.nephew.from_reserve
-        assert settle_uncle_rewards(cls_full) == settle_uncle_rewards(cls_held)
+        assert uncle_payments(cls_full) == uncle_payments(cls_held)
 
 
 class TestConservation:
