@@ -7,20 +7,8 @@ package simulates rounds, classifies blocks, books rewards, and estimates
 long-run growth and reward rates via renewal-reward averaging.
 """
 
-from .tree import (
-    HONEST,
-    Block,
-    RoundTree,
-    SortedLengths,
-    SubChain,
-    TerminationVerdict,
-    append_block,
-    check_termination,
-    fork_subchain,
-    select_main_chain,
-    sorted_lengths,
-)
 from .engine import (
+    HONEST,
     Carryover,
     MiningClock,
     PoolSpec,
@@ -29,7 +17,6 @@ from .engine import (
     SimConfig,
     make_carryover,
     run_round,
-    sample_interarrival,
 )
 from .classify import (
     Classification,
@@ -39,12 +26,10 @@ from .classify import (
     classify_round,
     determine_nephew,
     find_uncles,
-    nephew_reward,
     round_ratios,
-    uncle_reward,
 )
 from .rewards import ClosedRounds, PoolReward, RewardVector, allocate
 from .metrics import EstimatorBank, GrowthRate, RewardRates, ThresholdEstimate, find_power_threshold
-from .pipeline import RoundRecord, close_columns, close_round, simulate_rounds
+from .pipeline import RoundRecord, close_columns, simulate_rounds
 
 __version__ = "0.1.0"

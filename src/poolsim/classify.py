@@ -7,9 +7,8 @@ reward distance of the nephew block; other orphans are stale. The nephew is
 the first block after the round's main chain: the first block of the next
 round, or, when the winner reserved part of its chain, the first reserved
 block. Counts and ratio numerators are integers computed from the round's
-counters without visiting a block; block_labels derives per-block labels on
-demand for the oracle and tests. Uncle rewards are integers in units of 1/32
-(4 * (8 - d) at distance d), so the per-round identities hold exactly.
+counters without visiting a block. Uncle rewards are integers in units of
+1/32 (4 * (8 - d) at distance d), so the per-round identities hold exactly.
 
 The rules work on columns: RoundColumns holds a buffer of consecutive
 rounds, one row each, and nephew_columns, uncle_columns and block_counts
@@ -18,37 +17,20 @@ classify_round are their one-row case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .engine import RoundOutcome
-from .tree import Block
 
 MAX_UNCLE_DISTANCE = 6
 UNITS_PER_BLOCK = 32  # reward units of one regular block
-NEPHEW_REFERENCE_UNIT = Fraction(1, UNITS_PER_BLOCK)
-
-
-class NotAnUncle(ValueError):
-    """Distance outside the rewarded uncle range."""
 
 
 class NephewUnavailable(RuntimeError):
     """No nephew source: nothing reserved and the next round's first block unknown."""
-
-
-@dataclass(frozen=True)
-class BlockClass:
-    kind: str  # "regular" | "uncle" | "stale"
-    distance: Optional[int] = None  # set for uncles
-
-
-REGULAR = BlockClass("regular")
-STALE = BlockClass("stale")
 
 
 class UncleRecord(NamedTuple):
@@ -122,20 +104,6 @@ class RoundRatios(NamedTuple):
 def uncle_units(distance: int) -> int:
     """Reward of an uncle at a generation distance, in units of 1/32."""
     return 4 * (8 - distance)
-
-
-def uncle_reward(distance: int) -> Fraction:
-    """Reward of an uncle at the given generation distance from its nephew."""
-    if not 1 <= distance <= MAX_UNCLE_DISTANCE:
-        raise NotAnUncle(f"distance {distance} outside 1..{MAX_UNCLE_DISTANCE}")
-    return Fraction(uncle_units(distance), UNITS_PER_BLOCK)
-
-
-def nephew_reward(uncle_count: int) -> Fraction:
-    """Reference reward a nephew earns for the uncles it names."""
-    if uncle_count < 0:
-        raise ValueError("uncle count cannot be negative")
-    return uncle_count * NEPHEW_REFERENCE_UNIT
 
 
 class RoundColumns(NamedTuple):
@@ -223,11 +191,12 @@ def uncle_records(height: np.ndarray, distance: np.ndarray) -> List[Tuple[UncleR
     """Each round's uncles from its height and distance rows, in (height, pool) order."""
     pools = height.shape[1]
     order = np.argsort(height * pools + np.arange(pools), axis=1)
-    height = np.take_along_axis(height, order, axis=1)
-    distance = np.take_along_axis(distance, order, axis=1)
+    rows = np.arange(len(height))[:, None]
+    height = height[rows, order]
+    distance = distance[rows, order]
     named = distance > 0
     uncles = map(UncleRecord, order[named].tolist(), height[named].tolist(), distance[named].tolist())
-    return [tuple(islice(uncles, count)) for count in np.count_nonzero(named, axis=1).tolist()]
+    return [tuple(islice(uncles, count)) for count in named.sum(axis=1).tolist()]
 
 
 def block_counts(rounds: RoundColumns, uncle_count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -297,26 +266,6 @@ def classify_round(
         stale_count=int(stale[0]),
         nephew=NephewRecord(nephew.owner, nephew.height, len(uncles), nephew.from_reserve),
     )
-
-
-def block_labels(outcome: RoundOutcome, classification: Classification) -> Dict[Block, BlockClass]:
-    """Label of every observed block of a closed round, from its block tree."""
-    pegged = set(outcome.pegged)
-    uncle_at = {(u.owner, u.height): u for u in classification.uncles}
-    tree = outcome.tree
-    observed = list(tree.honest.blocks)
-    for sub in tree.dishonest:
-        observed += sub.blocks[: outcome.released] if sub.owner == outcome.winner else sub.blocks
-    labels: Dict[Block, BlockClass] = {}
-    for block in observed:
-        uncle = uncle_at.get((block.owner, block.height))
-        if block in pegged:
-            labels[block] = REGULAR
-        elif uncle is not None:
-            labels[block] = BlockClass("uncle", distance=uncle.distance)
-        else:
-            labels[block] = STALE
-    return labels
 
 
 def round_ratios(outcome: RoundOutcome, classification: Classification) -> RoundRatios:

@@ -19,7 +19,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,13 +34,6 @@ MODES = ("single", "sweep", "threshold")
 DEFAULT_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
 MAX_TRACE_ROWS = 100_000
 SUMMARY_SCHEMA = "poolsim-summary-v1"
-
-_SPEC_FIELDS = {
-    "mode", "alphas", "gamma", "mean_block_time", "lead_threshold",
-    "release_policy", "grid", "rounds", "replications", "seed",
-    "workers", "emit_rounds", "out_dir",
-}
-
 
 class ConfigError(ValueError):
     """Bad experiment configuration; the message names the offending field."""
@@ -92,7 +85,13 @@ class ExperimentSpec:
         return self.grid
 
 
+_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)}
+
+
 def _validate(raw: Dict) -> ExperimentSpec:
+    """Check the raw config's keys and types and the run-only fields; the
+    simulator's config (SimConfig, grid_config) checks pool powers, rates,
+    lead threshold and policy."""
     unknown = set(raw) - _SPEC_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -107,8 +106,8 @@ def _validate(raw: Dict) -> ExperimentSpec:
     if not isinstance(alphas, (list, tuple)) or len(alphas) < 2:
         raise ConfigError("alphas: need the honest pool plus at least one dishonest pool")
     for i, a in enumerate(alphas):
-        if not isinstance(a, (int, float)) or not 0.0 <= float(a) <= 1.0:
-            raise ConfigError(f"alphas[{i}]: must be a number in [0, 1], got {a!r}")
+        if not isinstance(a, (int, float)) or isinstance(a, bool):
+            raise ConfigError(f"alphas[{i}]: expected a number, got {a!r}")
 
     grid = raw.get("grid")
     if grid is None:
@@ -129,9 +128,9 @@ def _validate(raw: Dict) -> ExperimentSpec:
             raise ConfigError(f"{key}: must be >= {low}, got {value}")
         return value
 
-    gamma = float(_num("gamma", 10.0, (int, float), 1e-12))
-    mean_block_time = float(_num("mean_block_time", 15.0, (int, float), 1e-12))
-    lead_threshold = _num("lead_threshold", 2, int, 1)
+    gamma = float(_num("gamma", 10.0, (int, float)))
+    mean_block_time = float(_num("mean_block_time", 15.0, (int, float)))
+    lead_threshold = _num("lead_threshold", 2, int)
     rounds = _num("rounds", 10_000, int, 1)
     replications = _num("replications", 1, int, 1)
     seed = _num("seed", 0, int, 0)
@@ -166,7 +165,7 @@ def _validate(raw: Dict) -> ExperimentSpec:
         out_dir=out_dir,
     )
     try:
-        spec.point_configs()  # the simulator's own checks: powers, grid points, rates, policy
+        spec.point_configs()  # the simulator's own checks: powers, grid points, rates, threshold, policy
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec
@@ -466,22 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "mode": args.mode,
-        "alphas": args.alphas,
-        "grid": args.grid,
-        "gamma": args.gamma,
-        "mean_block_time": args.mean_block_time,
-        "lead_threshold": args.lead_threshold,
-        "release_policy": args.release_policy,
-        "rounds": args.rounds,
-        "replications": args.replications,
-        "seed": args.seed,
-        "out_dir": args.out_dir,
-        "workers": args.workers,
-        "emit_rounds": args.emit_rounds,
-    }
+    overrides = vars(build_parser().parse_args(argv))
+    path = overrides.pop("config")  # every other flag's dest is a spec field
     env_workers = os.environ.get("SIM_WORKERS")
     if env_workers:
         try:
@@ -490,7 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"config error: SIM_WORKERS must be an integer, got {env_workers!r}", file=sys.stderr)
             return 2
     try:
-        spec = parse_config(args.config, overrides)
+        spec = parse_config(path, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

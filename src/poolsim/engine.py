@@ -18,11 +18,17 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tree import FORK_ANCHORED, FORK_RULES, FORK_TIP, HONEST, Block, RoundTree, round_tree, select_main_chain
+HONEST = 0  # the honest pool's index; dishonest pools are 1..m
+
+FORK_ANCHORED = "anchored"
+FORK_TIP = "tip"
+FORK_RULES = (FORK_ANCHORED, FORK_TIP)
 
 RELEASE_ALL = "release-all"
 RELEASE_MIN = "release-min"
 RELEASE_POLICIES = (RELEASE_ALL, RELEASE_MIN)
+
+ALPHA_SLACK = 1e-9  # float dust tolerated when pool powers sum past 1
 
 # Hook deciding whether an eligible dishonest leader ends the round now.
 # Arguments: (longest, second, blocks mined this round). None means eager.
@@ -47,7 +53,6 @@ class SimConfig:
     lead_threshold: int = 2
     release_policy: str = RELEASE_ALL
     seed: int = 0
-    alpha_slack: float = 1e-9
     fork_rule: str = FORK_ANCHORED
 
     def __post_init__(self):
@@ -56,10 +61,10 @@ class SimConfig:
         for want, spec in enumerate(self.pools):
             if spec.pool != want:
                 raise ValueError(f"pools must be indexed 0..m in order, got {spec.pool} at {want}")
-            if not 0.0 <= spec.alpha <= 1.0:
-                raise ValueError(f"alpha of pool {spec.pool} must be in [0, 1], got {spec.alpha}")
+            if not 0.0 <= spec.alpha <= 1.0:  # NaN fails every comparison
+                raise ValueError(f"alphas[{spec.pool}]: must be a number in [0, 1], got {spec.alpha!r}")
         total = sum(spec.alpha for spec in self.pools)
-        if total > 1.0 + self.alpha_slack:
+        if total > 1.0 + ALPHA_SLACK:
             raise ValueError(f"pool alphas sum to {total:.6f} > 1")
         if total <= 0.0:
             raise ValueError("at least one pool needs positive mining power")
@@ -67,8 +72,9 @@ class SimConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not 0.0 < self.mean_block_time < math.inf:
             raise ValueError(f"mean block time must be positive and finite, got {self.mean_block_time}")
-        if self.lead_threshold < 1:
-            raise ValueError("lead threshold must be a positive integer")
+        threshold = self.lead_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
+            raise ValueError(f"lead threshold must be a positive integer, got {threshold!r}")
         if self.release_policy not in RELEASE_POLICIES:
             raise ValueError(f"unknown release policy {self.release_policy!r}")
         if self.fork_rule not in FORK_RULES:
@@ -97,9 +103,7 @@ class PoolRoundStat(NamedTuple):
 
 class RoundOutcome(NamedTuple):
     """A finished round as plain counters; a NamedTuple, like every record
-    built once per round, since those are immutable and cheap to build.
-    tree and pegged derive the blocks from the counters on each access; the
-    simulation never asks for them."""
+    built once per round, since those are immutable and cheap to build."""
 
     winner: int
     honest_length: int
@@ -119,14 +123,6 @@ class RoundOutcome(NamedTuple):
         if self.winner == HONEST:
             return self.honest_length
         return self.per_pool[self.winner - 1].fork_position + self.released
-
-    @property
-    def tree(self) -> RoundTree:
-        return round_tree(self)
-
-    @property
-    def pegged(self) -> Tuple[Block, ...]:
-        return select_main_chain(self.tree, self.winner, self.released)
 
 
 @dataclass(frozen=True)
@@ -152,19 +148,6 @@ def interarrival_scale(alpha: float, gamma: float, mean_block_time: float) -> fl
     if alpha == 0.0:
         return math.inf
     return mean_block_time * (1.0 / alpha + 1.0 / gamma)
-
-
-def sample_interarrival(rng, pool: PoolSpec, config: SimConfig) -> float:
-    """One inter-arrival draw for a pool: exponential via inverse transform.
-
-    rng needs a .random() method returning uniforms in [0, 1). A zero-alpha
-    pool is never scheduled and gets an infinite sentinel without consuming
-    randomness.
-    """
-    scale = interarrival_scale(pool.alpha, config.gamma, config.mean_block_time)
-    if scale == math.inf:
-        return math.inf
-    return -scale * math.log1p(-rng.random())
 
 
 class _PoolStream:

@@ -25,9 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classify import UNITS_PER_BLOCK, Classification, RoundRatios, ratio_floats, ratio_numerators, round_columns
-from .engine import Carryover, MiningClock, PoolSpec, RoundOutcome, SimConfig, make_carryover, run_round
+from .engine import (
+    ALPHA_SLACK, HONEST, Carryover, MiningClock, PoolSpec, RoundOutcome, SimConfig, make_carryover, run_round,
+)
 from .rewards import ClosedRounds, RewardVector
-from .tree import HONEST
 
 Z_95 = 1.959963984540054
 
@@ -386,7 +387,7 @@ def grid_config(base: SimConfig, alpha_honest: float) -> SimConfig:
     """
     fixed = sum(base.alphas[2:])
     alpha_first = 1.0 - alpha_honest - fixed
-    if alpha_first < -base.alpha_slack:
+    if alpha_first < -ALPHA_SLACK:
         raise ValueError(
             f"grid point {alpha_honest} leaves pool 1 with negative power {alpha_first:.4f}"
         )

@@ -2,12 +2,23 @@
 
 Two deliberately separate implementations of the round rules exist: the
 engine plays rounds over plain counters for speed, while replay_script here
-drives the value-semantic tree operations directly from a fixed event order.
-On top of that, reference_analysis is a from-scratch transcription of the
-classification, ratio, and reward rules that shares no code with the
-production classifier or allocator. enumerate_and_check replays every pool
-sequence of a given length through all of them and reports any disagreement
-or invariant violation; the report must come back empty.
+drives a value-semantic block tree from a fixed event order. On top of that,
+reference_analysis is a from-scratch transcription of the classification,
+ratio, and reward rules that shares no code with the production classifier
+or allocator. enumerate_and_check replays every pool sequence of a given
+length through the engine and the tree replay, closes the rounds with the
+production columnar close, checks them against the reference, and reports
+any disagreement or invariant violation; the report must come back empty.
+
+The tree is the paper's representation of a round: m+1 sub-chains, one
+honest chain and one (initially empty) chain per dishonest pool. A
+dishonest chain forks off the honest chain at the honest tip when the pool
+mines its first block of the round. Under the anchored fork rule that fork
+position stays fixed; under the tip rule (ride_tip) every forked chain moves
+up with each honest block. The round ends under the two-block leading
+criterion, evaluated on the generalized lengths (fork position plus own
+blocks) of all sub-chains; block heights and main-chain selection use the
+same fork position. Every tree operation takes a tree and returns a new one.
 """
 from __future__ import annotations
 
@@ -15,11 +26,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from . import tree as chain
-from .classify import block_labels, classify_round, determine_nephew, find_uncles, round_ratios
+from .classify import find_uncles, round_columns
 from .engine import (
+    FORK_TIP,
+    HONEST,
     RELEASE_ALL,
     Carryover,
     PoolRoundStat,
@@ -30,11 +43,225 @@ from .engine import (
     make_carryover,
     run_round,
 )
-from .pipeline import close_round
-from .rewards import allocate
-from .tree import HONEST
+from .pipeline import RoundRecord, close_columns, round_records
 
 UNCLE_REWARDS = {d: Fraction(8 - d, 8) for d in range(1, 7)}
+
+
+# -- the round tree -------------------------------------------------------------
+
+
+class InvalidPool(ValueError):
+    """An operation named a pool that cannot perform it."""
+
+
+class AlreadyForked(ValueError):
+    """A dishonest pool tried to fork twice in one round."""
+
+
+class NotForked(ValueError):
+    """A dishonest pool tried to extend a chain it has not forked yet."""
+
+
+class InvalidRelease(ValueError):
+    """The released block count is outside the winner's mined range."""
+
+
+class Block(NamedTuple):
+    """One mined block.
+
+    height counts from the round genesis (first block of the round = 1);
+    ordinal is the 1-based position within the owner's own sequence. For an
+    honest block the two coincide; for a dishonest block height equals the
+    fork position plus the ordinal.
+    """
+
+    owner: int
+    height: int
+    ordinal: int
+
+
+class SubChain(NamedTuple):
+    """The blocks one pool has mined this round.
+
+    A dishonest sub-chain is empty until the pool forks; fork_position is
+    meaningful only while forked is True. It changes within a round only
+    under the tip fork rule, through ride_tip.
+    """
+
+    owner: int
+    fork_position: int = 0
+    blocks: Tuple[Block, ...] = ()
+    forked: bool = False
+
+    @property
+    def length(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def generalized_length(self) -> int:
+        if self.owner == HONEST:
+            return len(self.blocks)
+        return self.fork_position + len(self.blocks) if self.forked else 0
+
+
+class RoundTree(NamedTuple):
+    honest: SubChain
+    dishonest: Tuple[SubChain, ...]
+
+    @classmethod
+    def empty(cls, num_dishonest: int) -> "RoundTree":
+        if num_dishonest < 1:
+            raise ValueError("need at least one dishonest pool")
+        return cls(
+            honest=SubChain(owner=HONEST),
+            dishonest=tuple(SubChain(owner=i) for i in range(1, num_dishonest + 1)),
+        )
+
+    @property
+    def honest_length(self) -> int:
+        return len(self.honest.blocks)
+
+    def subchain(self, pool: int) -> SubChain:
+        if pool == HONEST:
+            return self.honest
+        if not 1 <= pool <= len(self.dishonest):
+            raise InvalidPool(f"no pool {pool} in a tree with {len(self.dishonest)} dishonest pools")
+        return self.dishonest[pool - 1]
+
+    def _with_subchain(self, pool: int, sub: SubChain) -> "RoundTree":
+        if pool == HONEST:
+            return self._replace(honest=sub)
+        chains = list(self.dishonest)
+        chains[pool - 1] = sub
+        return self._replace(dishonest=tuple(chains))
+
+
+class SortedLengths(NamedTuple):
+    """Generalized lengths of all pools, longest first.
+
+    Ties are broken deterministically: the honest pool sorts before any
+    dishonest pool of equal length, then by ascending pool index. The
+    tie-break never affects a termination verdict (the leader only matters
+    once its lead is at least the threshold, i.e. strictly positive).
+    """
+
+    entries: Tuple[Tuple[int, int], ...]  # (pool, generalized length)
+
+    @property
+    def omega1(self) -> int:
+        return self.entries[0][1]
+
+    @property
+    def omega2(self) -> int:
+        return self.entries[1][1]
+
+    @property
+    def leader(self) -> int:
+        return self.entries[0][0]
+
+
+CONTINUE = "continue"
+HONEST_WIN = "honest-win"
+DISHONEST_ELIGIBLE = "dishonest-eligible"
+
+
+class TerminationVerdict(NamedTuple):
+    state: str
+    pool: Optional[int] = None
+
+    @property
+    def ends_round(self) -> bool:
+        return self.state != CONTINUE
+
+
+def fork_subchain(tree: RoundTree, pool: int, honest_length_now: int) -> RoundTree:
+    """Fix a dishonest pool's fork position at the current honest tip."""
+    if pool == HONEST:
+        raise InvalidPool("the honest pool never forks")
+    sub = tree.subchain(pool)
+    if sub.forked:
+        raise AlreadyForked(f"pool {pool} already forked at {sub.fork_position}")
+    if not 0 <= honest_length_now <= tree.honest_length:
+        raise ValueError(f"fork position {honest_length_now} beyond honest length {tree.honest_length}")
+    return tree._with_subchain(pool, sub._replace(forked=True, fork_position=honest_length_now))
+
+
+def append_block(tree: RoundTree, pool: int) -> RoundTree:
+    """Append the next block to a pool's sub-chain."""
+    sub = tree.subchain(pool)
+    if pool != HONEST and not sub.forked:
+        raise NotForked(f"pool {pool} must fork before mining")
+    ordinal = len(sub.blocks) + 1
+    base = 0 if pool == HONEST else sub.fork_position
+    block = Block(owner=pool, height=base + ordinal, ordinal=ordinal)
+    return tree._with_subchain(pool, sub._replace(blocks=sub.blocks + (block,)))
+
+
+def ride_tip(tree: RoundTree) -> RoundTree:
+    """Move every forked dishonest chain onto the current honest tip.
+
+    This is the tip fork rule's step after each honest block: the chain keeps
+    its own blocks, its fork position becomes the honest length, and its
+    block heights follow, so the generalized length it is compared by and
+    the heights it is pegged and classified at share one base.
+    """
+    v = tree.honest_length
+    chains = tuple(
+        sub._replace(
+            fork_position=v,
+            blocks=tuple(Block(b.owner, v + b.ordinal, b.ordinal) for b in sub.blocks),
+        )
+        if sub.forked else sub
+        for sub in tree.dishonest
+    )
+    return tree._replace(dishonest=chains)
+
+
+def sorted_lengths(tree: RoundTree) -> SortedLengths:
+    pairs = [(HONEST, tree.honest.generalized_length)]
+    pairs += [(sub.owner, sub.generalized_length) for sub in tree.dishonest]
+    pairs.sort(key=itemgetter(1), reverse=True)  # stable: ties keep pool order
+    return SortedLengths(entries=tuple(pairs))
+
+
+def check_termination(
+    lengths: SortedLengths, lead_threshold: int = 2
+) -> TerminationVerdict:
+    """Apply the two-block leading criterion to sorted generalized lengths.
+
+    An honest leader wins outright; a dishonest leader merely becomes
+    eligible to end the round (whether it does is the engine's policy).
+    Under single-block events the honest lead reaches the threshold exactly,
+    so testing >= here coincides with equality on reachable states.
+    """
+    if lengths.omega1 - lengths.omega2 < lead_threshold:
+        return TerminationVerdict(CONTINUE)
+    if lengths.leader == HONEST:
+        return TerminationVerdict(HONEST_WIN, HONEST)
+    return TerminationVerdict(DISHONEST_ELIGIBLE, lengths.leader)
+
+
+def select_main_chain(tree: RoundTree, winner: int, released: int) -> Tuple[Block, ...]:
+    """Blocks pegged onto the blockchain when `winner` ends the round.
+
+    An honest winner pegs its whole chain (released is ignored). A dishonest
+    winner pegs the honest prefix up to its fork position plus `released` of
+    its own blocks; the remainder stays private.
+    """
+    if winner == HONEST:
+        return tree.honest.blocks
+    sub = tree.subchain(winner)
+    if not sub.forked or not 1 <= released <= sub.length:
+        raise InvalidRelease(
+            f"pool {winner} cannot release {released} of {sub.length if sub.forked else 0} blocks"
+        )
+    if sub.fork_position > tree.honest_length:
+        raise ValueError("fork position beyond honest chain")
+    return tree.honest.blocks[: sub.fork_position] + sub.blocks[:released]
+
+
+# -- tree-op replay -------------------------------------------------------------
 
 
 class IncompleteScript(RuntimeError):
@@ -49,18 +276,11 @@ class EventScript:
     carryover: Optional[Carryover] = None
 
 
-@dataclass
-class ScriptRound:
-    """One closed round of a replay, with the tree the replay built;
-    classification stays None when the script ended before the round's
-    nephew could be identified."""
+class ScriptRound(NamedTuple):
+    """One closed round of a replay, with the tree the replay built."""
 
     outcome: RoundOutcome
-    tree: chain.RoundTree
-    classification: object = None
-    ratios: object = None
-    rewards: object = None
-    prev_uncle_count: int = 0  # uncle count of the round before this one
+    tree: RoundTree
 
 
 def script_config(num_dishonest: int, **kwargs) -> SimConfig:
@@ -70,13 +290,13 @@ def script_config(num_dishonest: int, **kwargs) -> SimConfig:
 
 
 def _snapshot(
-    state: chain.RoundTree,
+    state: RoundTree,
     winner: int,
     released: int,
     duration: float,
     first_owner: int,
     fork_order: Tuple[int, ...],
-    lengths: chain.SortedLengths,
+    lengths: SortedLengths,
 ) -> RoundOutcome:
     own = state.subchain(winner).length if winner != HONEST else 0
     return RoundOutcome(
@@ -97,36 +317,28 @@ def _snapshot(
     )
 
 
-def _classify_entry(entry: ScriptRound, next_first_owner: Optional[int]) -> None:
-    entry.classification, entry.ratios, entry.rewards = close_round(
-        entry.outcome, entry.prev_uncle_count, next_first_owner
-    )
-
-
 def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
-    """Replay an event order through the tree operations, closing rounds.
+    """Replay an event order through the tree operations.
 
-    Returns one entry per closed round, in order. A trailing round that
-    closed on the script's last event with nothing reserved comes back with
-    classification None (its nephew would be the next round's first block).
-    Raises IncompleteScript when no round closes at all.
+    Returns one entry per closed round, in order; a round still open when
+    the script ends is dropped. Raises IncompleteScript when no round closes
+    at all.
     """
     m = config.num_dishonest
-    tip = config.fork_rule == chain.FORK_TIP
+    tip = config.fork_rule == FORK_TIP
     rounds: List[ScriptRound] = []
     carry = script.carryover
-    prev_uncles = 0
     pos = 0
     events = script.events
 
     while pos < len(events):
-        state = chain.RoundTree.empty(m)
+        state = RoundTree.empty(m)
         fork_order: List[int] = []
         first_owner = -1
         if carry is not None:
-            state = chain.fork_subchain(state, carry.owner, 0)
+            state = fork_subchain(state, carry.owner, 0)
             for _ in range(carry.private_blocks):
-                state = chain.append_block(state, carry.owner)
+                state = append_block(state, carry.owner)
             fork_order.append(carry.owner)
             first_owner = carry.owner
         mined = 0
@@ -138,17 +350,17 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
             if first_owner < 0:
                 first_owner = pool
             if pool != HONEST and not state.subchain(pool).forked:
-                state = chain.fork_subchain(state, pool, state.honest_length)
+                state = fork_subchain(state, pool, state.honest_length)
                 fork_order.append(pool)
-            state = chain.append_block(state, pool)
+            state = append_block(state, pool)
             if pool == HONEST and tip:
-                state = chain.ride_tip(state)
-            lengths = chain.sorted_lengths(state)
-            verdict = chain.check_termination(lengths, config.lead_threshold)
-            if verdict.state == chain.HONEST_WIN:
+                state = ride_tip(state)
+            lengths = sorted_lengths(state)
+            verdict = check_termination(lengths, config.lead_threshold)
+            if verdict.state == HONEST_WIN:
                 closed = (HONEST, 0, lengths)
                 break
-            if verdict.state == chain.DISHONEST_ELIGIBLE and mined >= 1:
+            if verdict.state == DISHONEST_ELIGIBLE and mined >= 1:
                 owner = verdict.pool
                 sub = state.subchain(owner)
                 if config.release_policy == RELEASE_ALL:
@@ -164,22 +376,27 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
             break  # script exhausted mid-round
         winner, released, lengths = closed
         outcome = _snapshot(state, winner, released, float(mined), first_owner, tuple(fork_order), lengths)
-
-        # The new round's first block closes the previous round, whose uncle
-        # count then feeds the new round's nephew booking.
-        if rounds and rounds[-1].classification is None:
-            _classify_entry(rounds[-1], outcome.first_block_owner)
-            prev_uncles = rounds[-1].classification.uncle_count
-        entry = ScriptRound(outcome=outcome, tree=state, prev_uncle_count=prev_uncles)
-        rounds.append(entry)
+        rounds.append(ScriptRound(outcome, state))
         carry = make_carryover(outcome)
-        if carry is not None:
-            _classify_entry(entry, None)
-            prev_uncles = entry.classification.uncle_count
 
     if not rounds:
         raise IncompleteScript(f"no round closed within {len(events)} events")
     return rounds
+
+
+def close_replay(
+    rounds: List[ScriptRound], next_first_owners: Iterable[Optional[int]]
+) -> Iterator[List[RoundRecord]]:
+    """A replay's rounds closed by the production columnar close, one pass
+    per possible owner of the first block after the script.
+
+    Only the last round's nephew depends on that owner. It may be None only
+    when the last round reserved blocks, whose first is then its nephew.
+    """
+    outcomes = [entry.outcome for entry in rounds]
+    columns = round_columns(outcomes)
+    for owner in next_first_owners:
+        yield list(round_records(close_columns(columns, owner, 0), outcomes, 1))
 
 
 # -- independent reference analysis -------------------------------------------
@@ -338,20 +555,12 @@ def _engine_outcomes(
     return outcomes
 
 
-def _check_round(
-    report: ViolationReport,
-    events,
-    outcome: RoundOutcome,
-    classification,
-    ratios,
-    rewards,
-    prev_uncles: int,
-    config: SimConfig,
-) -> None:
+def _check_round(report: ViolationReport, events, record: RoundRecord, ref: dict, config: SimConfig) -> None:
     """Per-round invariants plus the production-vs-reference comparison."""
     report.rounds_checked += 1
+    outcome = record.outcome
 
-    if config.fork_rule == chain.FORK_TIP:
+    if config.fork_rule == FORK_TIP:
         for i, stat in enumerate(outcome.per_pool, start=1):
             if stat.forked and stat.fork_position != outcome.honest_length:
                 report.add(events, f"pool {i} at {stat.fork_position}, off the honest tip {outcome.honest_length}")
@@ -367,41 +576,38 @@ def _check_round(
     if outcome.reserved == 0 and outcome.pegged_count != outcome.longest:
         report.add(events, f"pegged {outcome.pegged_count} blocks, leader measured {outcome.longest}")
 
-    ref = reference_analysis(outcome, prev_uncles)
+    c = record.classification
 
-    got_uncles = [(u.owner, u.height, u.distance) for u in classification.uncles]
+    got_uncles = [(u.owner, u.height, u.distance) for u in c.uncles]
     if got_uncles != ref["uncles"]:
         report.add(events, f"uncles {got_uncles} != reference {ref['uncles']}")
-    got_labels = {(b.owner, b.height): c.kind for b, c in block_labels(outcome, classification).items()}
-    if got_labels != ref["labels"]:
-        report.add(events, f"labels differ: {got_labels} != {ref['labels']}")
     # The counts are arithmetic; the reference labels count them block by block.
     kinds = Counter(ref["labels"].values())
-    c = classification
     got_counts = (c.regular_count, c.uncle_count, c.stale_count, c.orphan_count)
     if got_counts != (kinds["regular"], kinds["uncle"], kinds["stale"], kinds["uncle"] + kinds["stale"]):
         report.add(events, f"regular/uncle/stale/orphan counts {got_counts} != reference labels {dict(kinds)}")
     if c.nephew.height != ref["nephew_height"]:
         report.add(events, f"nephew height {c.nephew.height} != {ref['nephew_height']}")
 
-    got_ratios = {name: getattr(ratios, name) for name in ref["ratios"]}
-    if got_ratios != ref["ratios"]:
-        report.add(events, f"ratios differ: {got_ratios} != {ref['ratios']}")
-    if ratios.main_chain + ratios.orphan != 1:
+    ratios = {name: getattr(record.ratios, name) for name in ref["ratios"]}
+    if ratios != ref["ratios"]:
+        report.add(events, f"ratios differ: {ratios} != {ref['ratios']}")
+    if ratios["main_chain"] + ratios["orphan"] != 1:
         report.add(events, "main + orphan != 1")
-    if ratios.orphan != ratios.uncle + ratios.stale:
+    if ratios["orphan"] != ratios["uncle"] + ratios["stale"]:
         report.add(events, "orphan != uncle + stale")
-    if outcome.winner == HONEST and ratios.chain_quality != 1:
+    if outcome.winner == HONEST and ratios["chain_quality"] != 1:
         report.add(events, "honest win with chain quality != 1")
 
-    got_rewards = [(p.regular, p.uncle, p.nephew) for p in rewards.per_pool]
+    per_pool = record.rewards.per_pool
+    got_rewards = [(p.regular, p.uncle, p.nephew) for p in per_pool]
     if got_rewards != ref["rewards"]:
         report.add(events, f"rewards differ: {got_rewards} != {ref['rewards']}")
-    if sum(p.regular for p in rewards.per_pool) != outcome.pegged_count:
+    if sum(p.regular for p in per_pool) != outcome.pegged_count:
         report.add(events, "regular rewards != pegged count")
-    for record in classification.uncles:
-        if record.reward not in UNCLE_REWARDS.values():
-            report.add(events, f"uncle reward {record.reward} not in the table")
+    for uncle in c.uncles:
+        if uncle.reward not in UNCLE_REWARDS.values():
+            report.add(events, f"uncle reward {uncle.reward} not in the table")
 
 
 def enumerate_and_check(
@@ -415,21 +621,30 @@ def enumerate_and_check(
     """Replay every pool sequence of length max_events through the engine,
     the tree-op replay, and the reference analysis; report disagreements.
 
-    A round closed by the script's last event without a nephew source is
-    checked once per possible next-first-block owner. carryover seeds every
-    replay with a private lead; scripts, when given, replaces the exhaustive
-    enumeration with an explicit script list. mutate_max_distance reruns the
-    production classifier with a non-standard distance cutoff against the
-    unchanged reference; such a run must produce violations, which is how
-    the harness's own sensitivity is verified.
+    Each script's rounds are closed together by the production columnar
+    close. Only the last round's nephew depends on the block after the
+    script, so when it reserved nothing, the script is closed once per
+    possible next-first-block owner and that round is checked each time.
+    carryover seeds every replay with a private lead; scripts, when given,
+    replaces the exhaustive enumeration with an explicit script list.
+    mutate_max_distance recomputes each round's uncles with the production
+    uncle rule under a non-standard distance cutoff, against the unchanged
+    reference; such a run must produce violations, which is how the
+    harness's own sensitivity is verified.
     """
     if max_events > 10:
         raise ValueError("bounded enumeration only: max_events <= 10")
     if config is None:
         config = script_config(num_dishonest)
-    cutoff = 6 if mutate_max_distance is None else mutate_max_distance
     report = ViolationReport()
     n = num_dishonest + 1
+
+    def checked(record: RoundRecord) -> RoundRecord:
+        if mutate_max_distance is None:
+            return record
+        c = record.classification
+        uncles = find_uncles(record.outcome, c.nephew.height, max_distance=mutate_max_distance)
+        return record._replace(classification=c._replace(uncles=uncles))
 
     if scripts is None:
         scripts = (
@@ -453,34 +668,19 @@ def enumerate_and_check(
                 if a != b:
                     report.add(events, f"engine {name}={a!r} != replay {b!r}")
                     break
-            # The engine keeps counters only: the tree derived from them must
-            # be the one the replay built, and the pegged count its main chain.
-            if got.tree != want.tree:
-                report.add(events, f"engine tree {got.tree!r} != replay tree {want.tree!r}")
-            pegged = chain.select_main_chain(want.tree, want.outcome.winner, want.outcome.released)
+            pegged = select_main_chain(want.tree, want.outcome.winner, want.outcome.released)
             if got.pegged_count != len(pegged):
                 report.add(events, f"engine pegged_count {got.pegged_count} != replay main chain {len(pegged)}")
 
+        refs = []
+        prev_uncles = 0  # the reference chains its own uncle counts
         for entry in rounds:
-            outcome = entry.outcome
-            if entry.classification is not None and cutoff == 6:
-                _check_round(
-                    report, events, outcome, entry.classification, entry.ratios,
-                    entry.rewards, entry.prev_uncle_count, config,
-                )
-                continue
-            # Trailing round, or a mutated rerun: close under each possible
-            # next-first-block owner (the reserve fixes it when present).
-            owners = [None] if outcome.reserved >= 1 else list(range(n))
-            for owner in owners:
-                nephew = determine_nephew(outcome, owner)
-                uncles = find_uncles(outcome, nephew.height, max_distance=cutoff)
-                classification = classify_round(outcome, nephew, uncles)
-                ratios = round_ratios(outcome, classification)
-                rewards = allocate(outcome, classification, entry.prev_uncle_count)
-                _check_round(
-                    report, events, outcome, classification, ratios, rewards,
-                    entry.prev_uncle_count, config,
-                )
+            refs.append(reference_analysis(entry.outcome, prev_uncles))
+            prev_uncles = len(refs[-1]["uncles"])
+        owners = [None] if rounds[-1].outcome.reserved else range(n)
+        for k, records in enumerate(close_replay(rounds, owners)):
+            # Rounds before the last close the same way for every owner.
+            for record, ref in zip(records, refs) if k == 0 else [(records[-1], refs[-1])]:
+                _check_round(report, events, checked(record), ref, config)
 
     return report

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 # The per-round functions are each the one-row case of the columnar close;
-# they stay importable here with it.
+# they stay importable here with it, where the benchmark's tracer finds them.
 from .classify import (  # noqa: F401
     Classification,
     NephewRecord,
@@ -58,7 +58,7 @@ def close_columns(rounds: RoundColumns, next_first_owner: Optional[int], prev_un
     """
     nephew = nephew_columns(rounds, next_first_owner)
     uncle_height, uncle_distance = uncle_columns(rounds, nephew[1])
-    uncle_count = np.count_nonzero(uncle_distance, axis=1)
+    uncle_count = (uncle_distance > 0).sum(axis=1)
     prev = np.concatenate(([prev_uncle_count], uncle_count[:-1]))
     return ClosedRounds(
         rounds, *nephew, uncle_height, uncle_distance, uncle_count, *block_counts(rounds, uncle_count),
@@ -100,19 +100,6 @@ def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_
     ):
         classification = Classification(index, regular, orphan, uncles, stale, nephew)
         yield RoundRecord(index, outcome, classification, ratio, RewardVector(index, per_pool))
-
-
-def close_round(
-    outcome: RoundOutcome,
-    prev_uncle_count: int,
-    next_first_owner: Optional[int] = None,
-    round_index: int = 0,
-) -> Tuple[Classification, RoundRatios, RewardVector]:
-    """Classify a finished round and book its rewards; the one-row case of
-    close_columns."""
-    closed = close_columns(round_columns([outcome]), next_first_owner, prev_uncle_count)
-    _, _, classification, ratios, rewards = next(round_records(closed, [outcome], round_index))
-    return classification, ratios, rewards
 
 
 def simulate_rounds(

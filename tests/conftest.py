@@ -1,7 +1,7 @@
 import pytest
 
 from poolsim.engine import PoolRoundStat, RoundOutcome
-from poolsim.tree import HONEST
+from poolsim.engine import HONEST
 
 
 def build_outcome(winner, honest_len, pools, released=0, first_block_owner=HONEST, duration=1.0):

@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from poolsim.cli import ExperimentSpec, _run_replications, run_experiment
-from poolsim.engine import MiningClock, SimConfig, make_carryover, run_round
+from poolsim.engine import HONEST, MiningClock, SimConfig, make_carryover, run_round
 from poolsim.metrics import EstimatorBank, find_power_threshold, mean_ci95
 from poolsim.oracle import enumerate_and_check
 from poolsim.pipeline import simulate_rounds
-from poolsim.tree import HONEST
 
 WORKERS = os.cpu_count() or 1
 UNCLE_REWARD_SET = {Fraction(n, 8) for n in range(2, 8)}

@@ -3,20 +3,20 @@ from fractions import Fraction
 import pytest
 
 from poolsim.classify import (
-    MAX_UNCLE_DISTANCE,
     NephewUnavailable,
-    NotAnUncle,
-    block_labels,
     classify_round,
     determine_nephew,
     find_uncles,
-    nephew_reward,
     round_ratios,
-    uncle_reward,
 )
-from poolsim.tree import HONEST, Block
+from poolsim.engine import HONEST
+from poolsim.oracle import reference_analysis
+from poolsim.rewards import allocate
 
 from conftest import build_outcome
+
+# Pool 1's lone block, forked at 0, is an uncle candidate at height 1.
+LONE_CANDIDATE = build_outcome(HONEST, 12, [(0, 1)])
 
 
 class TestUncleReward:
@@ -26,28 +26,33 @@ class TestUncleReward:
          (4, Fraction(4, 8)), (5, Fraction(3, 8)), (6, Fraction(2, 8))],
     )
     def test_reward_table(self, distance, expected):
-        assert uncle_reward(distance) == expected
+        [uncle] = find_uncles(LONE_CANDIDATE, 1 + distance)
+        assert (uncle.distance, uncle.reward) == (distance, expected)
 
     @pytest.mark.parametrize("distance", [0, 7, -1, 12])
     def test_outside_table_rejected(self, distance):
-        with pytest.raises(NotAnUncle):
-            uncle_reward(distance)
+        assert find_uncles(LONE_CANDIDATE, 1 + distance) == ()
+
+
+def nephew_reference_paid(uncle_count):
+    """What the owner of a round's first block is paid for naming the
+    previous round's uncle_count uncles."""
+    out = build_outcome(HONEST, 2, [(False, 0, 0)], first_block_owner=1)
+    nephew = determine_nephew(out, next_first_owner=HONEST)
+    cls = classify_round(out, nephew, find_uncles(out, nephew.height))
+    return allocate(out, cls, uncle_count).per_pool[1].nephew
 
 
 class TestNephewReward:
     def test_values(self):
-        assert nephew_reward(0) == 0
-        assert nephew_reward(2) == Fraction(1, 16)
-        assert nephew_reward(3) == Fraction(3, 32)
+        assert nephew_reference_paid(0) == 0
+        assert nephew_reference_paid(2) == Fraction(1, 16)
+        assert nephew_reference_paid(3) == Fraction(3, 32)
 
     def test_linearity(self):
-        unit = nephew_reward(1)
+        unit = nephew_reference_paid(1)
         for n in range(12):
-            assert nephew_reward(n) == n * unit
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            nephew_reward(-1)
+            assert nephew_reference_paid(n) == n * unit
 
 
 class TestDetermineNephew:
@@ -133,10 +138,11 @@ class TestClassifyRound:
         assert cls.uncle_count == 2
         assert cls.stale_count == 1
         assert cls.orphan_count == 3
-        labels = block_labels(out, cls)
-        assert labels[Block(1, 3, 2)].kind == "stale"
-        assert labels[Block(1, 2, 1)].kind == "uncle"
-        assert labels[Block(1, 2, 1)].distance == 3
+        ref = reference_analysis(out, 0)
+        assert ref["labels"][(1, 3)] == "stale"
+        assert ref["labels"][(1, 2)] == "uncle"
+        assert (1, 2, 3) in ref["uncles"]
+        assert (1, 2, 3) in [(u.owner, u.height, u.distance) for u in cls.uncles]
         assert cls.nephew.uncle_count == 2
 
     def test_clean_honest_win_has_no_orphans(self):
@@ -150,18 +156,19 @@ class TestClassifyRound:
         nephew = determine_nephew(out, next_first_owner=1)
         cls = classify_round(out, nephew, find_uncles(out, nephew.height))
         assert cls.regular_count == 4
-        labels = block_labels(out, cls)
-        assert labels[Block(0, 1, 1)].kind == "uncle"
-        assert labels[Block(0, 2, 2)].kind == "stale"
+        labels = reference_analysis(out, 0)["labels"]
+        assert labels[(HONEST, 1)] == "uncle"
+        assert labels[(HONEST, 2)] == "stale"
+        assert [(u.owner, u.height) for u in cls.uncles] == [(HONEST, 1)]
 
     def test_every_observed_block_labeled_once(self):
         out = build_outcome(1, 3, [(1, 4), (0, 2)], released=3)
         nephew = determine_nephew(out, next_first_owner=0)
         cls = classify_round(out, nephew, find_uncles(out, nephew.height))
-        labels = block_labels(out, cls)
+        labels = reference_analysis(out, 0)["labels"]
         assert len(labels) == cls.regular_count + cls.orphan_count
         # reserved block is not observed this round
-        assert Block(1, 5, 4) not in labels
+        assert (1, 5) not in labels
 
     def test_reserved_blocks_unobserved(self):
         out = build_outcome(1, 2, [(0, 5)], released=3)

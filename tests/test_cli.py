@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -95,6 +97,15 @@ class TestParseConfig:
             parse_config(str(path))
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error: grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0.4", False, None])
+    def test_non_numeric_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigError, match=r"alphas\[1\]: expected a number"):
+            parse_config(overrides={"alphas": [0.6, alpha]})
+
+    def test_every_flag_is_a_spec_field(self):
+        flags = set(vars(build_parser().parse_args([]))) - {"config"}
+        assert flags == {f.name for f in dataclasses.fields(ExperimentSpec)}
 
     def test_bool_not_accepted_as_int(self):
         with pytest.raises(ConfigError, match="rounds"):
@@ -249,6 +260,19 @@ class TestMain:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--gamma", "0", "gamma must be positive"),
+        ("--mean-block-time", "-1", "mean block time must be positive"),
+        ("--lead-threshold", "0", "lead threshold must be a positive integer"),
+        ("--alphas", "0.6,1.2", r"alphas\[1\]: must be a number in \[0, 1\]"),
+    ])
+    def test_simulator_bounds_exit_code(self, tmp_path, capsys, flag, value, message):
+        argv = ["--alphas", "0.6,0.4", "--rounds", "10", "--workers", "1", "--out", str(tmp_path / "o")]
+        code = main(argv + [flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and re.search(message, err), err
 
     def test_missing_alphas_exit_code(self, capsys):
         assert main([]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from poolsim.engine import (
     FORK_TIP,
+    HONEST,
     RELEASE_MIN,
     Carryover,
     MiningClock,
@@ -12,22 +13,46 @@ from poolsim.engine import (
     ScriptClock,
     ScriptExhausted,
     SimConfig,
+    _PoolStream,
     interarrival_scale,
     make_carryover,
     run_round,
-    sample_interarrival,
 )
-from poolsim.tree import HONEST, Block
+from poolsim.oracle import Block, EventScript, replay_script, select_main_chain
 
 
-class ReplayUniforms:
-    """rng stub feeding a fixed sequence of uniforms."""
+class PinnedUniforms:
+    """Generator stub whose every uniform is u."""
 
-    def __init__(self, values):
-        self._values = list(values)
+    def __init__(self, u):
+        self.u = u
 
-    def random(self):
-        return self._values.pop(0)
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+class RecordingClock:
+    """A clock that logs which pool mines each event."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.events = []
+
+    def begin_round(self):
+        self.clock.begin_round()
+
+    def next_event(self):
+        pool, at = self.clock.next_event()
+        self.events.append(pool)
+        return pool, at
+
+
+def replay_pegged(events, out, alphas=(0.4, 0.3, 0.3), **cfg):
+    """The blocks the oracle's tree replay pegs for a round scripted_round
+    played from the same events; the replay must end the round the same way."""
+    [(replayed, tree)] = replay_script(EventScript(tuple(events)), SimConfig.from_alphas(alphas, **cfg))
+    assert replayed == out
+    return select_main_chain(tree, out.winner, out.released)
 
 
 def scripted_round(events, alphas=(0.4, 0.3, 0.3), carry=None, policy=None, **cfg):
@@ -55,6 +80,19 @@ class TestSimConfig:
     def test_fork_rule_defaults_to_anchored(self):
         assert SimConfig.from_alphas([0.6, 0.4]).fork_rule == "anchored"
 
+    @pytest.mark.parametrize("threshold", [2.5, 2.0, True, "2", 0, -1])
+    def test_lead_threshold_must_be_a_positive_int(self, threshold):
+        # A fractional threshold used to run, pegging fractional block counts
+        # that the columnar close then truncated.
+        with pytest.raises(ValueError, match="lead threshold"):
+            SimConfig.from_alphas([0.4, 0.4, 0.2], lead_threshold=threshold, release_policy=RELEASE_MIN)
+
+    def test_alpha_out_of_range_names_its_index(self):
+        with pytest.raises(ValueError, match=r"alphas\[2\]"):
+            SimConfig.from_alphas([0.5, 0.3, 1.5])
+        with pytest.raises(ValueError, match=r"alphas\[1\]"):
+            SimConfig.from_alphas([0.5, math.nan])
+
     def test_unknown_fork_rule_rejected(self):
         with pytest.raises(ValueError, match="fork rule"):
             SimConfig.from_alphas([0.6, 0.4], fork_rule="floating")
@@ -69,39 +107,42 @@ class TestSimConfig:
 
 
 class TestSampleInterarrival:
+    """The gaps production runs draw: _PoolStream, batched on a Philox stream."""
+
+    MEAN_DRAW = 1.0 - math.exp(-1.0)  # the uniform whose exponential draw is its mean
+
+    def pinned_gap(self, alpha):
+        stream = _PoolStream(np.random.SeedSequence(0), interarrival_scale(alpha, 10.0, 15.0))
+        stream._gen = PinnedUniforms(self.MEAN_DRAW)
+        return stream.next_gap()
+
     def test_direct_substitution_half_power(self):
         # With the exponential draw pinned to its mean (15 s), a pool with
         # half the power and gamma 10 needs 15 * (2 + 0.1) seconds.
-        u = 1.0 - math.exp(-1.0)
-        config = SimConfig.from_alphas([0.5, 0.5], gamma=10.0)
-        got = sample_interarrival(ReplayUniforms([u]), PoolSpec(0, 0.5), config)
-        assert got == pytest.approx(31.5, rel=1e-12)
+        assert self.pinned_gap(0.5) == pytest.approx(31.5, rel=1e-12)
 
     def test_direct_substitution_full_power(self):
-        u = 1.0 - math.exp(-1.0)
-        config = SimConfig.from_alphas([1.0, 0.0], gamma=10.0)
-        got = sample_interarrival(ReplayUniforms([u]), PoolSpec(0, 1.0), config)
-        assert got == pytest.approx(16.5, rel=1e-12)
+        assert self.pinned_gap(1.0) == pytest.approx(16.5, rel=1e-12)
 
     def test_zero_power_pool_never_scheduled(self):
-        config = SimConfig.from_alphas([1.0, 0.0], gamma=10.0)
-        assert sample_interarrival(ReplayUniforms([]), PoolSpec(1, 0.0), config) == math.inf
+        stream = _PoolStream(np.random.SeedSequence(0), interarrival_scale(0.0, 10.0, 15.0))
+        stream._gen = None  # any draw would fail
+        assert [stream.next_gap() for _ in range(3)] == [math.inf] * 3
 
     def test_monte_carlo_mean_matches_closed_form(self):
-        # 10^6 draws of the same inverse transform the sampler applies.
-        rng = np.random.default_rng(7)
-        u = rng.random(10**6)
-        draws = -15.0 * np.log1p(-u) * (1 / 0.6 + 1 / 10.0)
-        assert abs(draws.mean() - 26.5) < 0.1
+        stream = _PoolStream(np.random.SeedSequence(7), interarrival_scale(0.6, 10.0, 15.0))
+        draws = [stream.next_gap() for _ in range(10**6)]
+        assert abs(sum(draws) / len(draws) - 26.5) < 0.1
 
     def test_sampler_matches_vectorized_transform(self):
-        rng = np.random.default_rng(11)
-        u = rng.random(64)
-        config = SimConfig.from_alphas([0.6, 0.4], gamma=10.0)
-        stub = ReplayUniforms(list(u))
-        scalar = [sample_interarrival(stub, PoolSpec(0, 0.6), config) for _ in range(64)]
-        vector = -15.0 * np.log1p(-u) * (1 / 0.6 + 0.1)
-        assert scalar == pytest.approx(list(vector), rel=1e-12)
+        # 2,100 gaps cross two refills of 1024: each is -scale * log1p(-u)
+        # of the next uniform on the stream's own Philox generator.
+        seed = np.random.SeedSequence(11)
+        scale = interarrival_scale(0.6, 10.0, 15.0)
+        stream = _PoolStream(seed, scale, batch=1024)
+        gaps = [stream.next_gap() for _ in range(2100)]
+        u = np.random.Generator(np.random.Philox(seed)).random(3 * 1024)
+        assert gaps == (-scale * np.log1p(-u))[:2100].tolist()
 
     def test_scale_is_inverse_power_plus_communication(self):
         assert interarrival_scale(0.5, 10.0, 15.0) == pytest.approx(31.5)
@@ -113,7 +154,8 @@ class TestRunRoundScripted:
         out = scripted_round([0, 0])
         assert out.winner == HONEST
         assert out.honest_length == 2
-        assert out.pegged == (Block(0, 1, 1), Block(0, 2, 2))
+        assert replay_pegged([0, 0], out) == (Block(0, 1, 1), Block(0, 2, 2))
+        assert out.pegged_count == 2
         assert out.released == 0 and out.reserved == 0
         assert out.duration == 2.0
         assert out.first_block_owner == HONEST
@@ -191,9 +233,11 @@ class TestTipForkRule:
         assert out.winner == 1
         assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (4, 2)
         assert (out.longest, out.second) == (6, 4)
-        assert [(b.owner, b.height) for b in out.pegged] == [
+        pegged = replay_pegged([1, 0, 0, 0, 0, 1], out, (0.5, 0.5), fork_rule=FORK_TIP)
+        assert [(b.owner, b.height) for b in pegged] == [
             (HONEST, 1), (HONEST, 2), (HONEST, 3), (HONEST, 4), (1, 5), (1, 6),
         ]
+        assert out.pegged_count == 6
 
     def test_release_min_measures_from_the_tip(self):
         # Pool 1 forks at 0 and waits for a four-block lead: four own blocks
@@ -315,11 +359,15 @@ class TestStochasticRounds:
             assert out.reserved == 0
 
     def test_per_pool_stats_match_tree_snapshot(self):
+        # Each stochastic round, replayed from its events through the
+        # oracle's block tree, leaves every dishonest chain as counted.
         config = SimConfig.from_alphas([0.55, 0.3, 0.15], seed=3)
-        clock = MiningClock(config)
+        clock = RecordingClock(MiningClock(config))
         for _ in range(300):
+            clock.events = []
             out = run_round(config, None, clock)
-            for stat, sub in zip(out.per_pool, out.tree.dishonest):
+            [(_, tree)] = replay_script(EventScript(tuple(clock.events)), config)
+            for stat, sub in zip(out.per_pool, tree.dishonest):
                 assert stat.forked == sub.forked
                 assert stat.length == len(sub.blocks)
                 if sub.forked:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poolsim.engine import SimConfig
+from poolsim.engine import HONEST, SimConfig
 from poolsim.metrics import (
     EstimatorBank,
     MergeShapeError,
@@ -14,7 +14,6 @@ from poolsim.metrics import (
     win_fraction_run,
 )
 from poolsim.pipeline import simulate_rounds
-from poolsim.tree import HONEST
 
 
 class TestBankCounting:

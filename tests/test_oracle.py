@@ -3,18 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poolsim.engine import FORK_TIP, RELEASE_MIN, Carryover, SimConfig
+from poolsim.classify import NephewUnavailable
+from poolsim.engine import FORK_TIP, HONEST, RELEASE_MIN, Carryover, SimConfig
 from poolsim.oracle import (
     EventScript,
     IncompleteScript,
     ViolationReport,
+    close_replay,
     enumerate_and_check,
     reference_analysis,
     replay_script,
     script_config,
+    select_main_chain,
 )
 from poolsim.pipeline import simulate_rounds
-from poolsim.tree import HONEST
 
 from conftest import build_outcome
 
@@ -49,9 +51,12 @@ class TestReplayBasics:
     def test_rounds_chain_and_trailing_round_stays_open(self):
         rounds = replay_script(EventScript((H, H, D1, D1, H, H)), CFG2)
         assert [r.outcome.winner for r in rounds] == [H, D1, H]
-        assert rounds[0].classification is not None
-        assert rounds[1].classification is not None
-        assert rounds[2].classification is None  # no next first block seen
+        # Each round's nephew is the next round's first block; the trailing
+        # round's comes after the script, so it cannot close without one.
+        with pytest.raises(NephewUnavailable):
+            list(close_replay(rounds, [None]))
+        [records] = close_replay(rounds, [D2])
+        assert [rec.classification.nephew.owner for rec in records] == [D1, H, D2]
 
 
 class TestTipReplay:
@@ -78,10 +83,10 @@ class TestTipReplay:
         assert (out.longest, out.second) == (4, 2)
 
     def test_late_win_orphans_no_honest_block(self):
-        out = one_round([D1, H, H, H, H, D1], TIP2)
+        out, tree = replay_script(EventScript((D1, H, H, H, H, D1)), TIP2)[0]
         assert out.winner == D1 and out.per_pool[0].fork_position == 4
         assert out.pegged_count == out.longest == 6
-        assert out.tree.honest.blocks == out.pegged[:4]
+        assert tree.honest.blocks == select_main_chain(tree, out.winner, out.released)[:4]
 
 
 class TestHonestWinnerTreeShapes:

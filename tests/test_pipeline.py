@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from poolsim import pipeline
+from poolsim.classify import round_columns
 from poolsim.engine import RELEASE_MIN, SimConfig
 from poolsim.metrics import EstimatorBank
-from poolsim.pipeline import close_round, simulate_rounds
+from poolsim.pipeline import close_columns, round_records, simulate_rounds
 
 from conftest import build_outcome
 
@@ -20,7 +21,8 @@ def delayed(longest, second, mined):
 class TestCloseRound:
     def test_returns_consistent_triple(self):
         out = build_outcome(0, 4, [(1, 2), (0, 1)])
-        classification, ratios, rewards = close_round(out, 0, next_first_owner=0)
+        closed = close_columns(round_columns([out]), next_first_owner=0, prev_uncle_count=0)
+        [(_, _, classification, ratios, rewards)] = round_records(closed, [out], 1)
         assert classification.uncle_count == 2
         assert ratios.uncle == Fraction(2, 7)
         assert rewards.per_pool[0].regular == 4

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from poolsim.tree import (
+from poolsim.oracle import (
     CONTINUE,
     DISHONEST_ELIGIBLE,
     HONEST,
