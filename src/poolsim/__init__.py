@@ -11,7 +11,6 @@ from .engine import (
     HONEST,
     Carryover,
     MiningClock,
-    PoolSpec,
     RoundOutcome,
     ScriptClock,
     SimConfig,

@@ -18,16 +18,17 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import partial, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .classify import UNITS_PER_BLOCK
 from .engine import RELEASE_POLICIES, SimConfig
-from .metrics import EstimatorBank, NoCrossing, crossing_estimate, grid_config, mean_ci95
+from .metrics import (
+    EstimatorBank, NoCrossing, crossing_estimate, grid_config, mean_ci95, replication_seed, run_grid,
+)
 from .pipeline import simulate_rounds
 
 MODES = ("single", "sweep", "threshold")
@@ -35,18 +36,23 @@ DEFAULT_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
 MAX_TRACE_ROWS = 100_000
 SUMMARY_SCHEMA = "poolsim-summary-v1"
 
+# SimConfig fields an experiment sets, in base_config and summary.json's
+# config block; every other SimConfig field keeps its default.
+SIM_FIELDS = ("alphas", "gamma", "mean_block_time", "lead_threshold", "release_policy")
+
+
 class ConfigError(ValueError):
     """Bad experiment configuration; the message names the offending field."""
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    mode: str
     alphas: Tuple[float, ...]
-    gamma: float = 10.0
-    mean_block_time: float = 15.0
-    lead_threshold: int = 2
-    release_policy: str = "release-all"
+    mode: str = "single"
+    gamma: float = SimConfig.gamma
+    mean_block_time: float = SimConfig.mean_block_time
+    lead_threshold: int = SimConfig.lead_threshold
+    release_policy: str = SimConfig.release_policy
     grid: Tuple[float, ...] = ()
     rounds: int = 10_000
     replications: int = 1
@@ -56,14 +62,7 @@ class ExperimentSpec:
     out_dir: str = "out"
 
     def base_config(self) -> SimConfig:
-        return SimConfig.from_alphas(
-            self.alphas,
-            gamma=self.gamma,
-            mean_block_time=self.mean_block_time,
-            lead_threshold=self.lead_threshold,
-            release_policy=self.release_policy,
-            seed=self.seed,
-        )
+        return SimConfig.from_alphas(**{name: getattr(self, name) for name in SIM_FIELDS})
 
     def point_configs(self) -> List[SimConfig]:
         """Config simulated at each point: the base config in single mode,
@@ -78,36 +77,46 @@ class ExperimentSpec:
         """Pool powers at one grid point: pool 1 absorbs the remainder."""
         return grid_config(self.base_config(), alpha_honest).alphas
 
-    def points(self) -> Tuple[float, ...]:
-        """Honest powers actually simulated; single mode has one point."""
-        if self.mode == "single":
-            return (self.alphas[0],)
-        return self.grid
+
+# JSON number kind and run-only lower bound of each numeric key; SimConfig
+# makes the simulator's value checks.
+_NUMBERS = {
+    "gamma": (float, None), "mean_block_time": (float, None), "lead_threshold": (int, None),
+    "rounds": (int, 1), "replications": (int, 1), "seed": (int, 0), "workers": (int, 1),
+}
 
 
-_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)}
+def _number(key: str, value, kind: type, low=None):
+    """value as a JSON number of the given kind, at least low; an int passes as a float."""
+    if not isinstance(value, (int, float) if kind is float else int) or isinstance(value, bool):
+        raise ConfigError(f"{key}: expected {'a number' if kind is float else 'int'}, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{key}: must be >= {low}, got {value}")
+    return kind(value)
 
 
 def _validate(raw: Dict) -> ExperimentSpec:
     """Check the raw config's keys and types and the run-only fields; the
     simulator's config (SimConfig, grid_config) checks pool powers, rates,
     lead threshold and policy."""
-    unknown = set(raw) - _SPEC_FIELDS
+    unknown = set(raw) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "alphas" not in raw:
         raise ConfigError("alphas: required (pool powers, honest pool first)")
+    values = {f.name: raw.get(f.name, f.default) for f in fields(ExperimentSpec)}
 
-    mode = raw.get("mode", "single")
+    mode = values["mode"]
     if mode not in MODES:
         raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
 
-    alphas = raw["alphas"]
+    alphas = values["alphas"]
     if not isinstance(alphas, (list, tuple)) or len(alphas) < 2:
         raise ConfigError("alphas: need the honest pool plus at least one dishonest pool")
     for i, a in enumerate(alphas):
         if not isinstance(a, (int, float)) or isinstance(a, bool):
             raise ConfigError(f"alphas[{i}]: expected a number, got {a!r}")
+    values["alphas"] = tuple(float(a) for a in alphas)
 
     grid = raw.get("grid")
     if grid is None:
@@ -116,54 +125,20 @@ def _validate(raw: Dict) -> ExperimentSpec:
         isinstance(g, (int, float)) and not isinstance(g, bool) for g in grid
     ):
         raise ConfigError(f"grid: expected a list of honest powers, got {grid!r}")
-    grid = tuple(float(g) for g in grid)
+    values["grid"] = tuple(float(g) for g in grid)
     if mode != "single" and len(grid) < (2 if mode == "threshold" else 1):
         raise ConfigError(f"grid: {mode} mode needs at least two grid points")
 
-    def _num(key, default, kind, low=None):
-        value = raw.get(key, default)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"{key}: expected {kind[0].__name__ if isinstance(kind, tuple) else kind.__name__}, got {value!r}")
-        if low is not None and value < low:
-            raise ConfigError(f"{key}: must be >= {low}, got {value}")
-        return value
+    for key, (kind, low) in _NUMBERS.items():
+        if key != "workers" or values[key] is not None:  # workers=None means all cores
+            values[key] = _number(key, values[key], kind, low)
 
-    gamma = float(_num("gamma", 10.0, (int, float)))
-    mean_block_time = float(_num("mean_block_time", 15.0, (int, float)))
-    lead_threshold = _num("lead_threshold", 2, int)
-    rounds = _num("rounds", 10_000, int, 1)
-    replications = _num("replications", 1, int, 1)
-    seed = _num("seed", 0, int, 0)
+    if not isinstance(values["emit_rounds"], bool):
+        raise ConfigError(f"emit_rounds: expected a boolean, got {values['emit_rounds']!r}")
+    if not isinstance(values["out_dir"], str) or not values["out_dir"]:
+        raise ConfigError(f"out_dir: expected a non-empty string, got {values['out_dir']!r}")
 
-    release_policy = raw.get("release_policy", "release-all")
-
-    workers = raw.get("workers")
-    if workers is not None:
-        workers = _num("workers", None, int, 1)
-
-    emit_rounds = raw.get("emit_rounds", False)
-    if not isinstance(emit_rounds, bool):
-        raise ConfigError(f"emit_rounds: expected a boolean, got {emit_rounds!r}")
-
-    out_dir = raw.get("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"out_dir: expected a non-empty string, got {out_dir!r}")
-
-    spec = ExperimentSpec(
-        mode=mode,
-        alphas=tuple(float(a) for a in alphas),
-        gamma=gamma,
-        mean_block_time=mean_block_time,
-        lead_threshold=lead_threshold,
-        release_policy=release_policy,
-        grid=grid,
-        rounds=rounds,
-        replications=replications,
-        seed=seed,
-        workers=workers,
-        emit_rounds=emit_rounds,
-        out_dir=out_dir,
-    )
+    spec = ExperimentSpec(**values)
     try:
         spec.point_configs()  # the simulator's own checks: powers, grid points, rates, threshold, policy
     except ValueError as exc:
@@ -196,11 +171,8 @@ def parse_config(path: Optional[str] = None, overrides: Optional[Dict] = None) -
 
 # -- replication workers -------------------------------------------------------
 
-
-def replication_seed(master_seed: int, grid_idx: int, rep_idx: int) -> int:
-    """Stable per-replication seed fingerprint, for logs and CSV."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(grid_idx, rep_idx))
-    return int(seq.generate_state(1, np.uint64)[0])
+TRACE_COLUMNS = ("gridIndex", "alphaH", "replication", "round", "winner", "honestLen", "released",
+                 "reserved", "duration", "nUncles", "cQ", "rM", "rO", "rU", "rS")  # then reward<i> per pool
 
 
 def _trace_row(grid_idx: float, alpha_h: float, rep_idx: int, record) -> list:
@@ -214,39 +186,30 @@ def _trace_row(grid_idx: float, alpha_h: float, rep_idx: int, record) -> list:
     ]
 
 
-def _replication_task(args) -> Tuple[int, int, EstimatorBank, Optional[List[list]]]:
-    spec, config, grid_idx, alpha_h, rep_idx, trace_cap = args
-    seed = np.random.SeedSequence(spec.seed, spawn_key=(grid_idx, rep_idx))
-    rows: Optional[List[list]] = [] if trace_cap else None
+def _replication_task(
+    config: SimConfig, seed, grid_idx: int, rep_idx: int, rounds: int, trace_cap: int
+) -> Tuple[EstimatorBank, Optional[List[list]]]:
+    """One replication's bank, and its first trace_cap trace rows when it is
+    replication 0 and trace_cap > 0."""
+    rows: Optional[List[list]] = [] if trace_cap and rep_idx == 0 else None
+    alpha_h = config.alphas[0]
 
     def on_record(record):
-        if rows is not None and len(rows) < trace_cap:
+        if len(rows) < trace_cap:
             rows.append(_trace_row(grid_idx, alpha_h, rep_idx, record))
 
     bank, _ = simulate_rounds(
-        config, spec.rounds, seed=seed,
+        config, rounds, seed=seed,
         on_record=on_record if rows is not None else None,
     )
-    return grid_idx, rep_idx, bank, rows
+    return bank, rows
 
 
-def _run_replications(spec: ExperimentSpec):
-    points = spec.points()
-    configs = spec.point_configs()
-    trace_per_grid = MAX_TRACE_ROWS // len(points) if spec.emit_rounds else 0
-    tasks = [
-        (spec, configs[g], g, alpha_h, r, trace_per_grid if r == 0 else 0)
-        for g, alpha_h in enumerate(points)
-        for r in range(spec.replications)
-    ]
-    workers = spec.workers or os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, tasks, chunksize=1))
-    else:
-        results = [_replication_task(t) for t in tasks]
-    results.sort(key=lambda item: (item[0], item[1]))
-    return points, results
+def _run_replications(spec: ExperimentSpec, configs: Sequence[SimConfig]) -> List[list]:
+    """(bank, trace rows) of every replication, as results[g][r]."""
+    trace_cap = MAX_TRACE_ROWS // len(configs) if spec.emit_rounds else 0
+    task = partial(_replication_task, rounds=spec.rounds, trace_cap=trace_cap)
+    return run_grid(task, configs, spec.replications, spec.seed, spec.workers or os.cpu_count())
 
 
 # -- output writers -------------------------------------------------------------
@@ -277,16 +240,10 @@ def _rep_scalars(bank: EstimatorBank) -> Dict[str, float]:
     return out
 
 
-def csv_columns(num_dishonest: int, threshold_mode: bool) -> List[str]:
-    cols = ["alphaH", "alphaList", "gamma", "rounds", "replication", "seed", "pH"]
-    cols += [f"p{i}" for i in range(1, num_dishonest + 1)]
-    cols += ["cQ", "rM", "rO", "rU", "rS", "growthDirect", "growthDecomp",
-             "rewardRateH_direct", "rewardRateH_decomp"]
-    for i in range(1, num_dishonest + 1):
-        cols += [f"rewardRate{i}_direct", f"rewardRate{i}_decomp"]
-    if threshold_mode:
-        cols += ["alphaStar", "alphaStarLo95", "alphaStarHi95"]
-    return cols
+# gridpoint.csv columns: these, then _rep_scalars' keys, then in threshold
+# mode the crossing.
+CSV_PREFIX = ("alphaH", "alphaList", "gamma", "rounds", "replication", "seed")
+THRESHOLD_COLUMNS = ("alphaStar", "alphaStarLo95", "alphaStarHi95")
 
 
 def _threshold_block(points, per_rep_scalars) -> Dict:
@@ -331,42 +288,34 @@ def run_experiment(spec: ExperimentSpec) -> int:
         return 2
 
     try:
-        points, results = _run_replications(spec)
+        results = _run_replications(spec, configs)
         os.makedirs(spec.out_dir, exist_ok=True)
 
-        # Results come sorted by (grid point, replication).
-        banks = [[bank for g_, _, bank, _ in results if g_ == g] for g in range(len(points))]
-        trace_rows = [row for *_, rows in results if rows for row in rows]
-        per_rep_scalars = [[_rep_scalars(bank) for bank in reps] for reps in banks]
-        merged_banks = [reduce(EstimatorBank.merge, reps) for reps in banks]
+        points = [config.alphas[0] for config in configs]
+        seeds = [
+            [int(replication_seed(spec.seed, g, r).generate_state(1, np.uint64)[0]) for r in range(spec.replications)]
+            for g in range(len(points))
+        ]
+        trace_rows = [row for reps in results for _, rows in reps if rows for row in rows]
+        per_rep_scalars = [[_rep_scalars(bank) for bank, _ in reps] for reps in results]
+        merged_banks = [reduce(EstimatorBank.merge, [bank for bank, _ in reps]) for reps in results]
 
         threshold = None
         if spec.mode == "threshold":
             threshold = _threshold_block(points, per_rep_scalars)
 
-        num_dishonest = len(spec.alphas) - 1
-        columns = csv_columns(num_dishonest, threshold is not None)
         csv_path = os.path.join(spec.out_dir, "gridpoint.csv")
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(columns)
+            writer.writerow([*CSV_PREFIX, *per_rep_scalars[0][0], *(THRESHOLD_COLUMNS if threshold is not None else ())])
             for g, alpha_h in enumerate(points):
-                alphas = configs[g].alphas
+                alpha_list = ";".join(f"{a:.6g}" for a in configs[g].alphas)
                 for r, scalars in enumerate(per_rep_scalars[g]):
-                    row = {
-                        "alphaH": f"{alpha_h:.6g}",
-                        "alphaList": ";".join(f"{a:.6g}" for a in alphas),
-                        "gamma": f"{spec.gamma:.6g}",
-                        "rounds": spec.rounds,
-                        "replication": r,
-                        "seed": replication_seed(spec.seed, g, r),
-                    }
-                    row.update({k: repr(v) for k, v in scalars.items()})
+                    row = [f"{alpha_h:.6g}", alpha_list, f"{spec.gamma:.6g}", spec.rounds, r, seeds[g][r]]
+                    row += [repr(v) for v in scalars.values()]
                     if threshold is not None:
-                        row["alphaStar"] = repr(threshold["alpha_star"])
-                        row["alphaStarLo95"] = repr(threshold["ci95"][0])
-                        row["alphaStarHi95"] = repr(threshold["ci95"][1])
-                    writer.writerow([row[c] for c in columns])
+                        row += [repr(threshold["alpha_star"]), *(repr(x) for x in threshold["ci95"])]
+                    writer.writerow(row)
 
         grid_blocks = []
         for g, alpha_h in enumerate(points):
@@ -376,7 +325,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             grid_blocks.append({
                 "alpha_honest": alpha_h,
                 "alphas": list(configs[g].alphas),
-                "seeds": [replication_seed(spec.seed, g, r) for r in range(spec.replications)],
+                "seeds": seeds[g],
                 "merged": merged_banks[g].summary(),
                 "replication_mean_ci95": {k: _ci_or_none(v) for k, v in series.items()},
             })
@@ -387,14 +336,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             "master_seed": spec.seed,
             "rounds": spec.rounds,
             "replications": spec.replications,
-            "config": {
-                "alphas": list(spec.alphas),
-                "gamma": spec.gamma,
-                "mean_block_time": spec.mean_block_time,
-                "lead_threshold": spec.lead_threshold,
-                "release_policy": spec.release_policy,
-                "grid": list(points),
-            },
+            "config": {**{name: getattr(spec, name) for name in SIM_FIELDS}, "grid": points},
             "grid": grid_blocks,
             "threshold": threshold,
             "wall_clock_seconds": time.time() - started,
@@ -408,11 +350,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             rounds_path = os.path.join(spec.out_dir, "rounds.csv")
             with open(rounds_path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                header = ["gridIndex", "alphaH", "replication", "round", "winner",
-                          "honestLen", "released", "reserved", "duration", "nUncles",
-                          "cQ", "rM", "rO", "rU", "rS"]
-                header += [f"reward{i}" for i in range(len(spec.alphas))]
-                writer.writerow(header)
+                writer.writerow([*TRACE_COLUMNS, *(f"reward{i}" for i in range(len(spec.alphas)))])
                 writer.writerows(trace_rows)
     except NoCrossing as exc:
         print(f"threshold failed: {exc}", file=sys.stderr)
@@ -447,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pool powers, honest pool first")
     parser.add_argument("--grid", type=_parse_float_list, metavar="G0,G1,...",
                         help="honest-power grid for sweep/threshold modes")
-    parser.add_argument("--gamma", type=float, help="communication rate (default 10)")
+    parser.add_argument("--gamma", type=float, help=f"communication rate (default {SimConfig.gamma:g})")
     parser.add_argument("--mean-block-time", type=float, dest="mean_block_time",
-                        help="mean block time in seconds (default 15)")
+                        help=f"mean block time in seconds (default {SimConfig.mean_block_time:g})")
     parser.add_argument("--lead-threshold", type=int, dest="lead_threshold",
-                        help="blocks of lead that end a round (default 2)")
+                        help=f"blocks of lead that end a round (default {SimConfig.lead_threshold})")
     parser.add_argument("--release-policy", choices=RELEASE_POLICIES, dest="release_policy",
-                        help="dishonest winner's release rule (default release-all)")
+                        help=f"dishonest winner's release rule (default {SimConfig.release_policy})")
     parser.add_argument("--rounds", type=int, help="rounds per replication")
     parser.add_argument("--replications", type=int, help="replications per grid point")
     parser.add_argument("--seed", type=int, help="master seed")

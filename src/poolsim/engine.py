@@ -40,30 +40,22 @@ class ScriptExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PoolSpec:
-    pool: int
-    alpha: float
-
-
-@dataclass(frozen=True)
 class SimConfig:
-    pools: Tuple[PoolSpec, ...]
+    alphas: Tuple[float, ...]  # mining power per pool, honest pool first
     gamma: float = 10.0
     mean_block_time: float = 15.0
     lead_threshold: int = 2
     release_policy: str = RELEASE_ALL
-    seed: int = 0
     fork_rule: str = FORK_ANCHORED
 
     def __post_init__(self):
-        if len(self.pools) < 2:
+        object.__setattr__(self, "alphas", tuple(self.alphas))  # any sequence in, a hashable tuple kept
+        if len(self.alphas) < 2:
             raise ValueError("need the honest pool plus at least one dishonest pool")
-        for want, spec in enumerate(self.pools):
-            if spec.pool != want:
-                raise ValueError(f"pools must be indexed 0..m in order, got {spec.pool} at {want}")
-            if not 0.0 <= spec.alpha <= 1.0:  # NaN fails every comparison
-                raise ValueError(f"alphas[{spec.pool}]: must be a number in [0, 1], got {spec.alpha!r}")
-        total = sum(spec.alpha for spec in self.pools)
+        for pool, alpha in enumerate(self.alphas):
+            if not 0.0 <= alpha <= 1.0:  # NaN fails every comparison
+                raise ValueError(f"alphas[{pool}]: must be a number in [0, 1], got {alpha!r}")
+        total = sum(self.alphas)
         if total > 1.0 + ALPHA_SLACK:
             raise ValueError(f"pool alphas sum to {total:.6f} > 1")
         if total <= 0.0:
@@ -82,15 +74,11 @@ class SimConfig:
 
     @classmethod
     def from_alphas(cls, alphas: Sequence[float], **kwargs) -> "SimConfig":
-        return cls(pools=tuple(PoolSpec(i, a) for i, a in enumerate(alphas)), **kwargs)
+        return cls(alphas, **kwargs)
 
     @property
     def num_dishonest(self) -> int:
-        return len(self.pools) - 1
-
-    @property
-    def alphas(self) -> Tuple[float, ...]:
-        return tuple(spec.alpha for spec in self.pools)
+        return len(self.alphas) - 1
 
 
 class PoolRoundStat(NamedTuple):
@@ -186,14 +174,12 @@ class MiningClock:
     one clock per replication and reuse it across rounds.
     """
 
-    def __init__(self, config: SimConfig, seed=None, batch: int = 1024):
-        if seed is None:
-            seed = config.seed
+    def __init__(self, config: SimConfig, seed=0, batch: int = 1024):
         seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = seed_seq.spawn(len(config.pools))
+        children = seed_seq.spawn(len(config.alphas))
         self._streams = [
-            _PoolStream(child, interarrival_scale(spec.alpha, config.gamma, config.mean_block_time), batch)
-            for child, spec in zip(children, config.pools)
+            _PoolStream(child, interarrival_scale(alpha, config.gamma, config.mean_block_time), batch)
+            for child, alpha in zip(children, config.alphas)
         ]
         self._next: list = []
 

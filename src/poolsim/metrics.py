@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .classify import UNITS_PER_BLOCK, Classification, RoundRatios, ratio_floats, ratio_numerators, round_columns
 from .engine import (
-    ALPHA_SLACK, HONEST, Carryover, MiningClock, PoolSpec, RoundOutcome, SimConfig, make_carryover, run_round,
+    ALPHA_SLACK, HONEST, Carryover, MiningClock, RoundOutcome, SimConfig, make_carryover, run_round,
 )
 from .rewards import ClosedRounds, RewardVector
 
@@ -392,7 +393,7 @@ def grid_config(base: SimConfig, alpha_honest: float) -> SimConfig:
             f"grid point {alpha_honest} leaves pool 1 with negative power {alpha_first:.4f}"
         )
     alphas = (alpha_honest, max(alpha_first, 0.0)) + base.alphas[2:]
-    return replace(base, pools=tuple(PoolSpec(i, a) for i, a in enumerate(alphas)))
+    return replace(base, alphas=alphas)
 
 
 def win_fraction_run(config: SimConfig, rounds: int, seed) -> Tuple[float, ...]:
@@ -401,8 +402,10 @@ def win_fraction_run(config: SimConfig, rounds: int, seed) -> Tuple[float, ...]:
     Fast path for probability-only experiments: plays the rounds without
     classification or reward booking, which cannot change who wins.
     """
+    if rounds < 1:
+        raise ValueError("need at least one round")
     clock = MiningClock(config, seed=seed)
-    counts = [0] * len(config.pools)
+    counts = [0] * len(config.alphas)
     carry: Optional[Carryover] = None
     for _ in range(rounds):
         outcome = run_round(config, carry, clock)
@@ -411,11 +414,37 @@ def win_fraction_run(config: SimConfig, rounds: int, seed) -> Tuple[float, ...]:
     return tuple(c / rounds for c in counts)
 
 
-def _threshold_task(args) -> Tuple[int, int, Tuple[float, ...]]:
-    base, grid_idx, alpha_honest, rep_idx, rounds, master_seed = args
-    config = grid_config(base, alpha_honest)
-    seed = np.random.SeedSequence(master_seed, spawn_key=(grid_idx, rep_idx))
-    return grid_idx, rep_idx, win_fraction_run(config, rounds, seed)
+def replication_seed(master_seed: int, grid_idx: int, rep_idx: int) -> np.random.SeedSequence:
+    """Child seed of one (grid point, replication) pair of a master seed."""
+    return np.random.SeedSequence(master_seed, spawn_key=(grid_idx, rep_idx))
+
+
+def run_grid(
+    task: Callable, points: Sequence, replications: int, master_seed: int, workers: Optional[int] = None
+) -> List[list]:
+    """results[g][r] = task(points[g], seed, g, r) for every grid point g and
+    replication r, where seed is replication_seed(master_seed, g, r).
+
+    With more than one worker and more than one task the pairs run in a
+    process pool, so task and points must pickle. Every pair has its own
+    seed, so results are identical for any worker count.
+    """
+    calls = [
+        (point, replication_seed(master_seed, g, r), g, r)
+        for g, point in enumerate(points)
+        for r in range(replications)
+    ]
+    if (workers or 1) > 1 and len(calls) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            flat = list(pool.map(task, *zip(*calls), chunksize=1))
+    else:
+        flat = [task(*call) for call in calls]
+    return [flat[g * replications:(g + 1) * replications] for g in range(len(points))]
+
+
+def _threshold_task(config: SimConfig, seed, grid_idx: int, rep_idx: int, rounds: int) -> Tuple[float, ...]:
+    """run_grid task of the threshold search; module-level, so it pickles."""
+    return win_fraction_run(config, rounds, seed)
 
 
 def find_power_threshold(
@@ -423,7 +452,7 @@ def find_power_threshold(
     alpha_grid: Sequence[float],
     replications: int,
     rounds_per_run: int,
-    master_seed: Optional[int] = None,
+    master_seed: int = 0,
     workers: Optional[int] = None,
 ) -> ThresholdEstimate:
     """Honest power at which pool 1 wins rounds as often as the honest pool.
@@ -432,28 +461,19 @@ def find_power_threshold(
     power (pools 2..m keep base_config's values). Each grid point is run
     `replications` times with child seeds of master_seed; the crossing of
     the averaged win-probability curves is located by linear interpolation,
-    and the 95% interval comes from the per-replication crossings.
+    and the 95% interval comes from the per-replication crossings. With
+    workers > 1 the runs go to a process pool; by default they run here.
     """
     if len(alpha_grid) < 2:
         raise ValueError("alpha_grid needs at least two points")
-    if master_seed is None:
-        master_seed = base_config.seed
+    if replications < 1 or rounds_per_run < 1:
+        raise ValueError(f"need at least one replication and one round, got {replications} and {rounds_per_run}")
     grid = tuple(float(a) for a in alpha_grid)
-
-    tasks = [
-        (base_config, g, alpha, r, rounds_per_run, master_seed)
-        for g, alpha in enumerate(grid)
-        for r in range(replications)
-    ]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_threshold_task, tasks, chunksize=1))
-    else:
-        results = [_threshold_task(t) for t in tasks]
-
-    fractions = {(g, r): f for g, r, f in results}
-    p_honest = [[fractions[g, r][HONEST] for r in range(replications)] for g in range(len(grid))]
-    p_first = [[fractions[g, r][1] for r in range(replications)] for g in range(len(grid))]
+    configs = [grid_config(base_config, alpha) for alpha in grid]
+    task = partial(_threshold_task, rounds=rounds_per_run)
+    fractions = run_grid(task, configs, replications, master_seed, workers)
+    p_honest = [[f[HONEST] for f in reps] for reps in fractions]
+    p_first = [[f[1] for f in reps] for reps in fractions]
     return crossing_estimate(grid, p_honest, p_first)
 
 

@@ -106,7 +106,7 @@ def simulate_rounds(
     config: SimConfig,
     rounds: int,
     clock=None,
-    seed=None,
+    seed=0,
     bank: Optional[EstimatorBank] = None,
     termination_policy: Optional[TerminationPolicy] = None,
     on_record: Optional[Callable[[RoundRecord], None]] = None,

@@ -101,11 +101,11 @@ def trend_sweep():
         seed=771_000,
         workers=WORKERS,
     )
-    points, results = _run_replications(spec)
-    per_grid_banks: Dict[int, List[EstimatorBank]] = {}
-    for grid_idx, rep_idx, bank, _rows in results:
-        per_grid_banks.setdefault(grid_idx, []).append(bank)
-    return points, per_grid_banks
+    results = _run_replications(spec, spec.point_configs())
+    per_grid_banks: Dict[int, List[EstimatorBank]] = {
+        grid_idx: [bank for bank, _rows in reps] for grid_idx, reps in enumerate(results)
+    }
+    return spec.grid, per_grid_banks
 
 
 def endpoint_ci(per_grid_banks, grid_idx, extract):

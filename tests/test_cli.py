@@ -5,6 +5,7 @@ import os
 import re
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from poolsim import cli
@@ -12,11 +13,11 @@ from poolsim.cli import (
     ConfigError,
     ExperimentSpec,
     build_parser,
-    csv_columns,
     main,
     parse_config,
     run_experiment,
 )
+from poolsim.pipeline import simulate_rounds
 
 GOLDEN_COLUMNS_M2 = [
     "alphaH", "alphaList", "gamma", "rounds", "replication", "seed",
@@ -103,6 +104,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"alphas\[1\]: expected a number"):
             parse_config(overrides={"alphas": [0.6, alpha]})
 
+    @pytest.mark.parametrize("key", ["gamma", "mean_block_time"])
+    def test_non_numeric_rate_rejected(self, key):
+        # Both fields take any number, so the message must not say "expected int".
+        with pytest.raises(ConfigError, match=f"^{key}: expected a number, got 'fast'$"):
+            parse_config(overrides={"alphas": [0.6, 0.4], key: "fast"})
+
     def test_every_flag_is_a_spec_field(self):
         flags = set(vars(build_parser().parse_args([]))) - {"config"}
         assert flags == {f.name for f in dataclasses.fields(ExperimentSpec)}
@@ -165,11 +172,9 @@ class TestRunExperiment:
         assert 0.42 < data["threshold"]["alpha_star"] < 0.58
         lo, hi = data["threshold"]["ci95"]
         assert lo < hi
-        columns = csv_columns(2, True)
         with open(os.path.join(spec.out_dir, "gridpoint.csv")) as fh:
             header = next(csv.reader(fh))
-        assert header == columns
-        assert header[-3:] == ["alphaStar", "alphaStarLo95", "alphaStarHi95"]
+        assert header == GOLDEN_COLUMNS_M2 + ["alphaStar", "alphaStarLo95", "alphaStarHi95"]
 
     def test_threshold_without_crossing_fails_cleanly(self, tmp_path):
         spec = self.spec(
@@ -196,6 +201,22 @@ class TestRunExperiment:
         csv1 = open(os.path.join(spec1.out_dir, "gridpoint.csv")).read()
         csv2 = open(os.path.join(spec2.out_dir, "gridpoint.csv")).read()
         assert csv1 == csv2
+
+    def test_seed_column_reproduces_its_row(self, tmp_path):
+        # Grid point g, replication r runs on SeedSequence(seed, spawn_key=(g, r));
+        # the seed column is that sequence's first 64-bit state word.
+        spec = self.spec(tmp_path, mode="sweep", grid=(0.55, 0.65), rounds=300, replications=2, workers=2)
+        assert run_experiment(spec) == 0
+        with open(os.path.join(spec.out_dir, "gridpoint.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for k, row in enumerate(rows):
+            g, r = divmod(k, 2)
+            assert int(row["replication"]) == r
+            seed = np.random.SeedSequence(77, spawn_key=(g, r))
+            assert int(row["seed"]) == seed.generate_state(1, np.uint64)[0]
+            bank, _ = simulate_rounds(spec.point_configs()[g], 300, seed=seed)
+            assert [row["pH"], row["p1"], row["p2"]] == [repr(p) for p in bank.win_fractions()]
 
     def test_grid_float_dust_clamped_to_zero(self, tmp_path):
         # 1 - 0.8 - 0.2 leaves pool 1 with -5.55e-17; it runs with power 0.

@@ -9,7 +9,6 @@ from poolsim.engine import (
     RELEASE_MIN,
     Carryover,
     MiningClock,
-    PoolSpec,
     ScriptClock,
     ScriptExhausted,
     SimConfig,
@@ -75,7 +74,13 @@ class TestSimConfig:
 
     def test_needs_two_pools(self):
         with pytest.raises(ValueError):
-            SimConfig(pools=(PoolSpec(0, 1.0),))
+            SimConfig(alphas=(1.0,))
+
+    def test_alphas_kept_as_a_tuple(self):
+        # grid_config extends alphas by tuple concatenation, and a frozen config must hash.
+        config = SimConfig(alphas=[0.6, 0.4])
+        assert config.alphas == (0.6, 0.4) and config == SimConfig.from_alphas((0.6, 0.4))
+        assert hash(config) == hash(SimConfig.from_alphas([0.6, 0.4]))
 
     def test_fork_rule_defaults_to_anchored(self):
         assert SimConfig.from_alphas([0.6, 0.4]).fork_rule == "anchored"
@@ -303,10 +308,10 @@ class TestMiningClock:
         assert (pool, at) == (1, 5.0)
 
     def test_batch_size_does_not_change_the_stream(self):
-        config = SimConfig.from_alphas([0.6, 0.3, 0.1], seed=13)
+        config = SimConfig.from_alphas([0.6, 0.3, 0.1])
         seqs = []
         for batch in (1, 7, 1024):
-            clock = MiningClock(config, batch=batch)
+            clock = MiningClock(config, seed=13, batch=batch)
             clock.begin_round()
             seqs.append([clock.next_event() for _ in range(200)])
         assert seqs[0] == seqs[1] == seqs[2]
@@ -314,10 +319,10 @@ class TestMiningClock:
 
 class TestStochasticRounds:
     def test_determinism_same_seed_same_outcomes(self):
-        config = SimConfig.from_alphas([0.6, 0.3, 0.1], seed=42)
+        config = SimConfig.from_alphas([0.6, 0.3, 0.1])
         runs = []
         for _ in range(2):
-            clock = MiningClock(config)
+            clock = MiningClock(config, seed=42)
             carry = None
             outcomes = []
             for _ in range(50):
@@ -351,8 +356,8 @@ class TestStochasticRounds:
         assert out.duration == 4.0 and out.events == 4
 
     def test_eager_rounds_end_at_exactly_two_lead(self):
-        config = SimConfig.from_alphas([0.5, 0.37, 0.13], seed=9)
-        clock = MiningClock(config)
+        config = SimConfig.from_alphas([0.5, 0.37, 0.13])
+        clock = MiningClock(config, seed=9)
         for _ in range(2000):
             out = run_round(config, None, clock)
             assert out.longest - out.second == 2
@@ -361,8 +366,8 @@ class TestStochasticRounds:
     def test_per_pool_stats_match_tree_snapshot(self):
         # Each stochastic round, replayed from its events through the
         # oracle's block tree, leaves every dishonest chain as counted.
-        config = SimConfig.from_alphas([0.55, 0.3, 0.15], seed=3)
-        clock = RecordingClock(MiningClock(config))
+        config = SimConfig.from_alphas([0.55, 0.3, 0.15])
+        clock = RecordingClock(MiningClock(config, seed=3))
         for _ in range(300):
             clock.events = []
             out = run_round(config, None, clock)

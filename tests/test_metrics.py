@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poolsim import metrics
 from poolsim.engine import HONEST, SimConfig
 from poolsim.metrics import (
     EstimatorBank,
@@ -9,6 +10,7 @@ from poolsim.metrics import (
     NoData,
     ThresholdEstimate,
     find_power_threshold,
+    grid_config,
     interpolate_crossing,
     mean_ci95,
     win_fraction_run,
@@ -265,6 +267,37 @@ class TestPowerThreshold:
         anchored = find_power_threshold(SimConfig.from_alphas([0.6, 0.3, 0.1]), workers=2, **kwargs)
         assert anchored.mean_p_honest != one.mean_p_honest
         assert anchored.alpha_star < 0.6 < one.alpha_star
+
+    def test_pool_means_equal_in_process_runs_on_child_seeds(self):
+        # Grid point g, replication r runs on SeedSequence(master, spawn_key=(g, r)),
+        # whichever process runs it; the benchmark's re-run check relies on this.
+        config = SimConfig.from_alphas([0.6, 0.3, 0.1])
+        grid, reps, rounds, master = (0.42, 0.50, 0.58), 3, 600, 12
+        est = find_power_threshold(config, grid, reps, rounds, master_seed=master, workers=2)
+        for g, alpha in enumerate(grid):
+            runs = [
+                win_fraction_run(grid_config(config, alpha), rounds, np.random.SeedSequence(master, spawn_key=(g, r)))
+                for r in range(reps)
+            ]
+            assert est.mean_p_honest[g] == sum(f[HONEST] for f in runs) / reps
+            assert est.mean_p_first[g] == sum(f[1] for f in runs) / reps
+
+    @pytest.mark.parametrize("field,message", [
+        ("rounds_per_run", "got 2 and 0"), ("replications", "got 0 and 300"),
+    ])
+    def test_zero_rounds_or_replications_rejected_before_any_run(self, monkeypatch, field, message):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("runs started")
+
+        monkeypatch.setattr(metrics, "run_grid", no_runs)
+        kwargs = dict(alpha_grid=[0.42, 0.58], replications=2, rounds_per_run=300, master_seed=1, workers=2)
+        kwargs[field] = 0
+        with pytest.raises(ValueError, match=message):
+            find_power_threshold(SimConfig.from_alphas([0.6, 0.3, 0.1]), **kwargs)
+
+    def test_win_fraction_run_rejects_zero_rounds(self):
+        with pytest.raises(ValueError, match="at least one round"):
+            win_fraction_run(SimConfig.from_alphas([0.6, 0.3, 0.1]), 0, np.random.SeedSequence(1))
 
     def test_win_fraction_run_is_seed_stable(self):
         config = SimConfig.from_alphas([0.6, 0.3, 0.1])
