@@ -10,9 +10,9 @@ block. Counts and ratio numerators are integers computed from the round's
 counters without visiting a block. Uncle rewards are integers in units of
 1/32 (4 * (8 - d) at distance d), so the per-round identities hold exactly.
 
-The rules work on columns: RoundColumns holds a buffer of consecutive
-rounds, one row each, and nephew_columns, uncle_columns and block_counts
-classify every row at once. determine_nephew, find_uncles and
+The rules work on columns: RoundColumns (from the engine) holds a buffer
+of consecutive rounds, one row each, and nephew_columns, uncle_columns and
+block_counts classify every row at once. determine_nephew, find_uncles and
 classify_round are their one-row case.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import RoundOutcome
+from .engine import RoundColumns, RoundOutcome
 
 MAX_UNCLE_DISTANCE = 6
 UNITS_PER_BLOCK = 32  # reward units of one regular block
@@ -104,21 +104,6 @@ class RoundRatios(NamedTuple):
 def uncle_units(distance: int) -> int:
     """Reward of an uncle at a generation distance, in units of 1/32."""
     return 4 * (8 - distance)
-
-
-class RoundColumns(NamedTuple):
-    """Consecutive finished rounds as columns, one row per round. Matrices
-    have one column per pool: column 0 is the honest pool, whose fork
-    position is 0 and whose length is the honest chain length."""
-
-    winner: np.ndarray
-    fork_pos: np.ndarray  # (rounds, pools)
-    length: np.ndarray  # (rounds, pools)
-    released: np.ndarray
-    reserved: np.ndarray
-    pegged: np.ndarray
-    duration: np.ndarray  # float
-    first_owner: np.ndarray
 
 
 def round_columns(outcomes: Sequence[RoundOutcome]) -> RoundColumns:

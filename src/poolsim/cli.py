@@ -86,13 +86,20 @@ _NUMBERS = {
 }
 
 
-def _number(key: str, value, kind: type, low=None):
-    """value as a JSON number of the given kind, at least low; an int passes as a float."""
+def _number(key: str, value, kind: type):
+    """value as a JSON number of the given kind; an int passes as a float."""
     if not isinstance(value, (int, float) if kind is float else int) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected {'a number' if kind is float else 'int'}, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(f"{key}: must be >= {low}, got {value}")
     return kind(value)
+
+
+def _check_run_bounds(spec: ExperimentSpec) -> None:
+    """The run-only lower bounds, for a parsed spec or one built directly;
+    workers=None means all cores."""
+    for key, (_, low) in _NUMBERS.items():
+        value = getattr(spec, key)
+        if low is not None and value is not None and value < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {value}")
 
 
 def _validate(raw: Dict) -> ExperimentSpec:
@@ -129,9 +136,9 @@ def _validate(raw: Dict) -> ExperimentSpec:
     if mode != "single" and len(grid) < (2 if mode == "threshold" else 1):
         raise ConfigError(f"grid: {mode} mode needs at least two grid points")
 
-    for key, (kind, low) in _NUMBERS.items():
+    for key, (kind, _) in _NUMBERS.items():
         if key != "workers" or values[key] is not None:  # workers=None means all cores
-            values[key] = _number(key, values[key], kind, low)
+            values[key] = _number(key, values[key], kind)
 
     if not isinstance(values["emit_rounds"], bool):
         raise ConfigError(f"emit_rounds: expected a boolean, got {values['emit_rounds']!r}")
@@ -139,6 +146,7 @@ def _validate(raw: Dict) -> ExperimentSpec:
         raise ConfigError(f"out_dir: expected a non-empty string, got {values['out_dir']!r}")
 
     spec = ExperimentSpec(**values)
+    _check_run_bounds(spec)
     try:
         spec.point_configs()  # the simulator's own checks: powers, grid points, rates, threshold, policy
     except ValueError as exc:
@@ -274,14 +282,16 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """Run the experiment and write summary.json / gridpoint.csv / rounds.csv.
 
     Exit codes: 0 on success, 2 for configuration errors, 3 for any failure
-    once the simulation has started (runtime, worker or I/O). Every
-    per-point config is built before the first round runs, so a config the
-    simulator rejects is a configuration error. Identical spec and seed
-    produce identical numeric output for any worker count; only the
-    wall-clock field differs.
+    once the simulation has started (runtime, worker or I/O). The run-only
+    bounds are checked and every per-point config is built before the first
+    round runs, so a spec out of bounds, parsed or built directly, or a
+    config the simulator rejects is a configuration error. Identical spec
+    and seed produce identical numeric output for any worker count; only
+    the wall-clock field differs.
     """
     started = time.time()
     try:
+        _check_run_bounds(spec)
         configs = spec.point_configs()
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

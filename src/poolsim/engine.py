@@ -9,12 +9,32 @@ rule says whether that fork position stays fixed ("anchored", the default)
 or every forked dishonest chain rides the honest tip, moving up with each
 honest block ("tip"). A dishonest winner may hold back part of its chain as
 a private lead for the next round.
+
+There are two engines over the same rules. run_round plays one round at a
+time from an event source (MiningClock, ScriptClock) and takes a carryover
+and a termination policy; it runs withholding runs and the oracle's checks.
+play_lanes plays a block of eager rounds (no policy) side by side as lanes
+of numpy state and returns them as RoundColumns, the form the columnar close
+consumes. Eager rounds never reserve a block, so each starts afresh and the
+rounds are i.i.d.; since the clocks are exponential and restart each round,
+the miner of each block is an independent categorical draw with
+p_i proportional to 1 / interarrival_scale(alpha_i, gamma, T), and a round
+of k blocks lasts Gamma(k, 1 / sum of those rates).
+
+LaneDraws draws everything a lane run needs from one Philox generator on
+the run's seed, in this order: for each block of up to LANES rounds, one
+uniform per live lane and step (live lanes in lane order, the block's first
+step covering every lane), then one Gamma duration per round in lane order;
+lane_blocks plays the blocks in round order, and simulate_rounds draws one
+more uniform after the last block, for the block that closes the last
+round. Results therefore depend on the seed alone, never on how runs are
+scheduled.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +133,21 @@ class RoundOutcome(NamedTuple):
         return self.per_pool[self.winner - 1].fork_position + self.released
 
 
+class RoundColumns(NamedTuple):
+    """Consecutive finished rounds as columns, one row per round. Matrices
+    have one column per pool: column 0 is the honest pool, whose fork
+    position is 0 and whose length is the honest chain length."""
+
+    winner: np.ndarray
+    fork_pos: np.ndarray  # (rounds, pools)
+    length: np.ndarray  # (rounds, pools)
+    released: np.ndarray
+    reserved: np.ndarray
+    pegged: np.ndarray
+    duration: np.ndarray  # float
+    first_owner: np.ndarray
+
+
 @dataclass(frozen=True)
 class Carryover:
     """Private blocks a dishonest winner brings into the next round.
@@ -129,6 +164,18 @@ class Carryover:
             raise ValueError("only a dishonest pool can reserve blocks")
         if self.private_blocks < 1:
             raise ValueError("carryover requires at least one private block")
+
+
+def release_count(config: SimConfig, own, second, fork_pos):
+    """Blocks a dishonest winner pegs out of its `own` this round, given the
+    runner-up's generalized length `second` and its fork position: all of
+    them under release-all; under release-min the smallest release, at least
+    one, that keeps the pegged part a full lead ahead. Takes ints, or numpy
+    columns of many rounds."""
+    if config.release_policy == RELEASE_ALL:
+        return own
+    need = second + config.lead_threshold - fork_pos
+    return np.clip(need, 1, own) if isinstance(need, np.ndarray) else min(max(1, need), own)
 
 
 def interarrival_scale(alpha: float, gamma: float, mean_block_time: float) -> float:
@@ -316,12 +363,7 @@ def run_round(
         reserved = 0
     else:
         own = length[winner]
-        if config.release_policy == RELEASE_ALL:
-            released = own
-        else:
-            # Smallest release that keeps the pegged part a full lead ahead.
-            released = max(1, second + threshold - fork_pos[winner])
-            released = min(released, own)
+        released = release_count(config, own, second, fork_pos[winner])
         reserved = own - released
 
     return RoundOutcome(
@@ -344,3 +386,150 @@ def make_carryover(outcome: RoundOutcome) -> Optional[Carryover]:
     if outcome.reserved < 1:
         return None
     return Carryover(owner=outcome.winner, private_blocks=outcome.reserved)
+
+
+# -- lockstep lanes ---------------------------------------------------------------
+
+LANES = 4096  # rounds a lane block plays side by side
+
+
+class LaneDraws:
+    """Event source for play_lanes: every draw of a run from one Philox generator.
+
+    pools(lanes, step) gives the miner of the next block of each listed lane,
+    one uniform each; a zero-power pool is never drawn. durations(events)
+    gives each round's duration from its block count, one Gamma draw each.
+    """
+
+    def __init__(self, config: SimConfig, seed=0):
+        rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
+        self._mining = np.flatnonzero(rates > 0.0)  # a zero-power pool's rate is 1/inf = 0
+        # Uniforms below edges[k] fall to the first k mining pools.
+        self._edges = np.cumsum(rates[self._mining])[:-1] / rates.sum()
+        self._mean_gap = 1.0 / rates.sum()
+        self._gen = np.random.Generator(np.random.Philox(seed))
+
+    def pools(self, lanes: np.ndarray, step: int) -> np.ndarray:
+        return self._mining[self._edges.searchsorted(self._gen.random(len(lanes)), side="right")]
+
+    def durations(self, events: np.ndarray) -> np.ndarray:
+        return self._gen.gamma(events, self._mean_gap)
+
+
+class LaneRounds(NamedTuple):
+    """A block of eager rounds played as lanes, one row each: their columns,
+    and what only per-round outcomes need."""
+
+    columns: RoundColumns
+    events: np.ndarray
+    longest: np.ndarray
+    second: np.ndarray
+    fork_at: np.ndarray  # (rounds, pools): event number of each pool's first block, 0 if none
+
+    def outcomes(self) -> List[RoundOutcome]:
+        """The rows as the RoundOutcomes run_round gives for the same events."""
+        c = self.columns
+        pools = range(1, c.length.shape[1])
+        rows = zip(
+            c.winner.tolist(), c.length.tolist(), c.fork_pos.tolist(), self.fork_at.tolist(),
+            c.released.tolist(), c.reserved.tolist(), c.duration.tolist(), c.first_owner.tolist(),
+            self.longest.tolist(), self.second.tolist(), self.events.tolist(),
+        )
+        return [
+            RoundOutcome(
+                winner, length[0], tuple([PoolRoundStat(length[i] > 0, fork_pos[i], length[i]) for i in pools]),
+                released, reserved, duration, first_owner,
+                tuple(sorted([i for i in pools if fork_at[i]], key=fork_at.__getitem__)),
+                longest, second, events,
+            )
+            for winner, length, fork_pos, fork_at, released, reserved, duration, first_owner, longest, second, events
+            in rows
+        ]
+
+
+def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
+    """Play `rounds` eager rounds side by side, one lane each, by run_round's
+    rules, and return them in lane order.
+
+    Every step draws the next block of every live lane from draws.pools;
+    a lane retires when its round ends, and the arrays shrink to the live
+    lanes. Lengths, fork positions and generalized lengths are (lanes,
+    pools) matrices whose column 0 is the honest pool. The generalized
+    length is fork position plus own length: a pool that has not forked has
+    both 0, and under the tip rule a forked pool's fork position is the
+    honest length. The top two come from sorting each row; the winner is
+    the first pool with the longest, so ties go to the honest pool, then
+    to the lowest index.
+    """
+    num_pools = len(config.alphas)
+    tip = config.fork_rule == FORK_TIP
+    lane = np.arange(rounds)  # the block row each live lane fills
+    # Live state in int32, which no round's block count comes near; the
+    # retired rows are int64 columns like round_columns gives.
+    own = np.zeros((rounds, num_pools), dtype=np.int32)  # column 0: the honest length
+    fork_pos = np.zeros_like(own)
+    fork_at = np.zeros_like(own)
+    offsets = np.arange(0, rounds * num_pools, num_pools)  # flat index of each lane's column 0
+
+    winner = np.empty(rounds, dtype=np.int64)
+    events = np.empty_like(winner)
+    longest = np.empty_like(winner)
+    second = np.empty_like(winner)
+    length = np.empty((rounds, num_pools), dtype=np.int64)
+    fork_pos_out = np.empty_like(length)
+    fork_at_out = np.empty_like(length)
+
+    first_owner = draws.pools(lane, 0)
+    pool = first_owner
+    step = 0
+    while True:
+        step += 1
+        at = offsets[:len(lane)] + pool
+        count = own.ravel()[at]  # the state arrays are C-contiguous, so ravel() is a view
+        fresh = (count == 0) & (pool != HONEST)
+        fork_pos.ravel()[at[fresh]] = own[fresh, HONEST]  # a new fork sits on the honest tip
+        fork_at.ravel()[at[fresh]] = step
+        own.ravel()[at] = count + 1
+        if tip:
+            fork_pos[:, 1:] = own[:, :1] * (own[:, 1:] > 0)
+        gen = fork_pos + own
+        top = np.sort(gen, axis=1)
+        done = top[:, -1] - top[:, -2] >= config.lead_threshold
+        if done.any():
+            ended = np.flatnonzero(done)
+            rows = lane[ended]
+            winner[rows] = gen[ended].argmax(axis=1)
+            events[rows] = step
+            longest[rows] = top[ended, -1]
+            second[rows] = top[ended, -2]
+            length[rows] = own[ended]
+            fork_pos_out[rows] = fork_pos[ended]
+            fork_at_out[rows] = fork_at[ended]
+            live = np.flatnonzero(~done)
+            if not len(live):
+                break
+            lane, own, fork_pos, fork_at = lane[live], own[live], fork_pos[live], fork_at[live]
+        pool = draws.pools(lane, step)
+
+    ids = np.arange(rounds)
+    own_win = length[ids, winner]
+    fork_win = fork_pos_out[ids, winner]
+    dishonest = winner != HONEST
+    released = np.where(dishonest, release_count(config, own_win, second, fork_win), 0)
+    columns = RoundColumns(
+        winner=winner,
+        fork_pos=fork_pos_out,
+        length=length,
+        released=released,
+        reserved=np.where(dishonest, own_win - released, 0),
+        pegged=np.where(dishonest, fork_win + released, length[:, HONEST]),
+        duration=draws.durations(events),
+        first_owner=first_owner,
+    )
+    return LaneRounds(columns, events, longest, second, fork_at_out)
+
+
+def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[LaneRounds]:
+    """`rounds` eager rounds as consecutive blocks of up to LANES lanes."""
+    for start in range(0, rounds, LANES):
+        yield play_lanes(config, min(LANES, rounds - start), draws)

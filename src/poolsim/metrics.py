@@ -26,8 +26,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classify import UNITS_PER_BLOCK, Classification, RoundRatios, ratio_floats, ratio_numerators, round_columns
-from .engine import (
-    ALPHA_SLACK, HONEST, Carryover, MiningClock, RoundOutcome, SimConfig, make_carryover, run_round,
+# MiningClock and run_round are not called here; the benchmark's tracer
+# patches them in this module, so they stay importable from it.
+from .engine import (  # noqa: F401
+    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, RoundOutcome, SimConfig, lane_blocks, run_round,
 )
 from .rewards import ClosedRounds, RewardVector
 
@@ -399,19 +401,18 @@ def grid_config(base: SimConfig, alpha_honest: float) -> SimConfig:
 def win_fraction_run(config: SimConfig, rounds: int, seed) -> Tuple[float, ...]:
     """Fraction of rounds each pool wins over one seeded run.
 
-    Fast path for probability-only experiments: plays the rounds without
-    classification or reward booking, which cannot change who wins.
+    Fast path for probability-only experiments: a win-only close of the lane
+    engine, which counts each block's winners and skips classification and
+    reward booking, neither of which can change who wins. It plays the same
+    blocks on the same stream as simulate_rounds(config, rounds, seed=seed),
+    so the two agree on every winner.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    clock = MiningClock(config, seed=seed)
-    counts = [0] * len(config.alphas)
-    carry: Optional[Carryover] = None
-    for _ in range(rounds):
-        outcome = run_round(config, carry, clock)
-        carry = make_carryover(outcome)
-        counts[outcome.winner] += 1
-    return tuple(c / rounds for c in counts)
+    counts = np.zeros(len(config.alphas), dtype=np.int64)
+    for block in lane_blocks(config, rounds, LaneDraws(config, seed)):
+        counts += np.bincount(block.columns.winner, minlength=len(counts))
+    return tuple(c / rounds for c in counts.tolist())
 
 
 def replication_seed(master_seed: int, grid_idx: int, rep_idx: int) -> np.random.SeedSequence:

@@ -1,14 +1,17 @@
 """Multi-round simulation driver.
 
-Chains rounds through carryover and closes them in buffers of up to
-CLOSE_ROWS consecutive rounds: one columnar pass finds every round's nephew
-and uncles, counts its blocks, books its rewards with the one-round-late
-nephew reference, and hands the buffer to the estimator bank. A round's
-nephew is its first reserved block, or else the next round's first block,
-so the newest round waits in the buffer until the next round has been
-played; the uncle count the next nephew reference needs carries across
-buffers. After the last round one extra first-block event is drawn just to
-close it when it reserved nothing; that block books nothing.
+Plays rounds and closes them in buffers of consecutive rounds: one columnar
+pass finds every round's nephew and uncles, counts its blocks, books its
+rewards with the one-round-late nephew reference, and hands the buffer to
+the estimator bank. An eager run (no termination policy) plays its rounds
+as lane blocks of the engine and closes each block as it is; a run with a
+policy plays them one at a time with run_round, chained through carryover,
+and closes them in buffers of up to CLOSE_ROWS. A round's nephew is its
+first reserved block, or else the next round's first block, so the newest
+buffer waits until the next round has been played; the uncle count the
+next nephew reference needs carries across buffers. After the last round
+one extra first-block event is drawn just to close it when it reserved
+nothing; that block books nothing.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ import numpy as np
 from .classify import (  # noqa: F401
     Classification,
     NephewRecord,
-    RoundColumns,
     RoundRatios,
     block_counts,
     classify_round,
@@ -34,7 +36,10 @@ from .classify import (  # noqa: F401
     uncle_columns,
     uncle_records,
 )
-from .engine import Carryover, MiningClock, RoundOutcome, SimConfig, TerminationPolicy, make_carryover, run_round
+from .engine import (
+    Carryover, LaneDraws, MiningClock, RoundColumns, RoundOutcome, SimConfig, TerminationPolicy, lane_blocks,
+    make_carryover, run_round,
+)
 from .metrics import EstimatorBank
 from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, reward_columns  # noqa: F401
 
@@ -105,7 +110,6 @@ def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_
 def simulate_rounds(
     config: SimConfig,
     rounds: int,
-    clock=None,
     seed=0,
     bank: Optional[EstimatorBank] = None,
     termination_policy: Optional[TerminationPolicy] = None,
@@ -118,12 +122,12 @@ def simulate_rounds(
     of closed-round records. on_record is called once per closed round, in
     round order, as each buffer closes, for callers that want to inspect
     rounds without holding them all in memory. Records are built only when
-    one of the two asks.
+    one of the two asks. Without a termination policy the rounds are lane
+    blocks on LaneDraws(config, seed); with one, they are played by run_round
+    on MiningClock(config, seed).
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    if clock is None:
-        clock = MiningClock(config, seed=seed)
     if bank is None:
         bank = EstimatorBank(config.num_dishonest)
     records: Optional[List[RoundRecord]] = [] if collect else None
@@ -131,19 +135,31 @@ def simulate_rounds(
     closed_rounds = 0
     prev_uncles = 0
 
-    def close(outcomes: List[RoundOutcome], next_owner: Optional[int]) -> None:
+    def close(columns: RoundColumns, outcomes: Callable[[], Sequence[RoundOutcome]], next_owner: Optional[int]) -> None:
         nonlocal closed_rounds, prev_uncles
-        closed = close_columns(round_columns(outcomes), next_owner, prev_uncles)
+        closed = close_columns(columns, next_owner, prev_uncles)
         bank.add(closed)
         if want_records:
-            for record in round_records(closed, outcomes, closed_rounds + 1):
+            for record in round_records(closed, outcomes(), closed_rounds + 1):
                 if on_record is not None:
                     on_record(record)
                 if records is not None:
                     records.append(record)
-        closed_rounds += len(outcomes)
+        closed_rounds += len(columns.winner)
         prev_uncles = int(closed.uncle_count[-1])
 
+    if termination_policy is None:
+        draws = LaneDraws(config, seed)
+        pending = None
+        for block in lane_blocks(config, rounds, draws):
+            if pending is not None:
+                close(pending.columns, pending.outcomes, int(block.columns.first_owner[0]))
+            pending = block
+        # Eager rounds reserve nothing: one extra first-block draw closes the last.
+        close(pending.columns, pending.outcomes, int(draws.pools(range(1), 0)[0]))
+        return bank, records
+
+    clock = MiningClock(config, seed=seed)
     buffer: List[RoundOutcome] = []
     carry: Optional[Carryover] = None
     for _ in range(rounds):
@@ -152,7 +168,8 @@ def simulate_rounds(
         buffer.append(outcome)
         if len(buffer) > CLOSE_ROWS:
             # The newest round's first block closes the buffer's last round.
-            close(buffer[:-1], outcome.first_block_owner)
+            done = buffer[:-1]
+            close(round_columns(done), lambda: done, outcome.first_block_owner)
             del buffer[:-1]
 
     next_owner = None
@@ -160,5 +177,5 @@ def simulate_rounds(
         # One extra first-block draw closes the last round; it books nothing.
         clock.begin_round()
         next_owner, _ = clock.next_event()
-    close(buffer, next_owner)
+    close(round_columns(buffer), lambda: buffer, next_owner)
     return bank, records

@@ -18,8 +18,8 @@ from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Classification, RoundColumns, round_columns, uncle_units
-from .engine import RoundOutcome
+from .classify import UNITS_PER_BLOCK, Classification, round_columns, uncle_units
+from .engine import RoundColumns, RoundOutcome
 
 
 def exact(units: int) -> Union[int, Fraction]:

@@ -236,6 +236,19 @@ class TestRunExperiment:
         assert run_experiment(spec) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("replications", 0), ("rounds", 0), ("seed", -1), ("workers", 0),
+    ])
+    def test_run_bounds_hold_for_a_directly_built_spec(self, tmp_path, capsys, field, value):
+        # A spec built directly skips parse_config. Unchecked, replications=0
+        # fails in reduce() of an empty list and rounds=0 in the pipeline,
+        # each as exit 3 with a traceback.
+        spec = self.spec(tmp_path, alphas=(0.6, 0.4), **{field: value})
+        assert run_experiment(spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: must be >=") and "Traceback" not in err, err
+        assert not os.path.exists(spec.out_dir)
+
     @pytest.mark.parametrize("error", [ValueError("bad draw"), BrokenProcessPool("worker died")])
     def test_failure_after_start_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, error):
         def failing(*args, **kwargs):
