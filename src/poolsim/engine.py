@@ -10,25 +10,32 @@ or every forked dishonest chain rides the honest tip, moving up with each
 honest block ("tip"). A dishonest winner may hold back part of its chain as
 a private lead for the next round.
 
-There are two engines over the same rules. run_round plays one round at a
-time from an event source (MiningClock, ScriptClock) and takes a carryover
-and a termination policy; it runs withholding runs and the oracle's checks.
-play_lanes plays a block of eager rounds (no policy) side by side as lanes
-of numpy state and returns them as RoundColumns, the form the columnar close
-consumes. Eager rounds never reserve a block, so each starts afresh and the
-rounds are i.i.d.; since the clocks are exponential and restart each round,
-the miner of each block is an independent categorical draw with
-p_i proportional to 1 / interarrival_scale(alpha_i, gamma, T), and a round
-of k blocks lasts Gamma(k, 1 / sum of those rates).
+The clocks are exponential and restart each round, so the race has one
+draw rule: the miner of each block is an independent categorical draw with
+p_i proportional to the rate 1 / interarrival_scale(alpha_i, gamma, T) (a
+zero-power pool's rate is 0, so it never mines), and the gap before it is
+exponential with mean 1 / sum of the rates, so a round of k blocks lasts
+Gamma(k, 1 / sum of the rates). LaneDraws holds that rule on one Philox
+generator on the run's seed, and the two engines read it.
 
-LaneDraws draws everything a lane run needs from one Philox generator on
-the run's seed, in this order: for each block of up to LANES rounds, one
+The engines share one set of round rules. run_round plays one round at a
+time from an event source and takes a carryover and a termination policy;
+it runs withholding runs and the oracle's checks. Its sources are
+MiningClock, which reads the draw rule one event at a time, and
+ScriptClock, which replays a fixed script. play_lanes plays a block of
+eager rounds (no policy) side by side as lanes of numpy state and returns
+them as RoundColumns, the form the columnar close consumes. Eager rounds
+never reserve a block, so each starts afresh and the rounds are i.i.d.
+
+Draw order. A lane run draws, for each block of up to LANES rounds, one
 uniform per live lane and step (live lanes in lane order, the block's first
 step covering every lane), then one Gamma duration per round in lane order;
-lane_blocks plays the blocks in round order, and simulate_rounds draws one
-more uniform after the last block, for the block that closes the last
-round. Results therefore depend on the seed alone, never on how runs are
-scheduled.
+lane_blocks plays the blocks in round order. MiningClock draws CLOCK_BATCH
+events at a time, CLOCK_BATCH uniforms for the miners and then CLOCK_BATCH
+exponential gaps, and hands them out in order across rounds. After the last
+round, if it reserved nothing, simulate_rounds draws one more uniform for
+the miner of the block that closes it. Results therefore depend on the seed
+alone, never on how runs are scheduled.
 """
 from __future__ import annotations
 
@@ -185,63 +192,62 @@ def interarrival_scale(alpha: float, gamma: float, mean_block_time: float) -> fl
     return mean_block_time * (1.0 / alpha + 1.0 / gamma)
 
 
-class _PoolStream:
-    """Batched exponential gaps for one pool, on its own counter-based stream.
+class LaneDraws:
+    """The race's draw rule on one Philox generator on the run's seed.
 
-    A zero-power pool's buffer holds infinite gaps and draws no randomness.
+    miners(n) gives the miners of n blocks, one uniform each, pool i with
+    probability proportional to its rate, so a zero-power pool is never
+    drawn. play_lanes reads it through pools(lanes, step), the miner of the
+    next block of each listed lane, and durations(events), each round's
+    duration from its block count, one Gamma draw each.
     """
 
-    __slots__ = ("_gen", "scale", "_buf", "_pos", "_batch")
+    def __init__(self, config: SimConfig, seed=0):
+        rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
+        self._mining = np.flatnonzero(rates > 0.0)  # a zero-power pool's rate is 1/inf = 0
+        # Uniforms below edges[k] fall to the first k mining pools.
+        self._edges = np.cumsum(rates[self._mining])[:-1] / rates.sum()
+        self._mean_gap = 1.0 / rates.sum()
+        self._gen = np.random.Generator(np.random.Philox(seed))
 
-    def __init__(self, seed_seq: np.random.SeedSequence, scale: float, batch: int = 1024):
-        self._gen = np.random.Generator(np.random.Philox(seed_seq))
-        self.scale = scale
-        self._batch = batch
-        self._buf: list = []
-        self._pos = batch  # empty: the first gap fills the buffer
+    def miners(self, n: int) -> np.ndarray:
+        return self._mining[self._edges.searchsorted(self._gen.random(n), side="right")]
 
-    def next_gap(self) -> float:
-        pos = self._pos
-        if pos == self._batch:
-            if self.scale == math.inf:
-                self._buf = [math.inf] * self._batch
-            else:
-                u = self._gen.random(self._batch)
-                self._buf = (-self.scale * np.log1p(-u)).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
+    def pools(self, lanes: np.ndarray, step: int) -> np.ndarray:
+        return self.miners(len(lanes))
+
+    def durations(self, events: np.ndarray) -> np.ndarray:
+        return self._gen.gamma(events, self._mean_gap)
 
 
-class MiningClock:
-    """Event source for run_round: per-pool timestamps, earliest pool mines.
+CLOCK_BATCH = 1024  # events MiningClock draws at a time
 
-    Each pool draws from its own child stream of the master seed, so results
-    do not depend on how replications are scheduled across workers. Create
-    one clock per replication and reuse it across rounds.
+
+class MiningClock(LaneDraws):
+    """Event source for run_round: the draw rule read one event at a time.
+
+    Each event's miner comes from miners() and the gap before it is
+    exponential with the race's mean gap; the round clock restarts at zero
+    each round. Create one clock per replication and reuse it across rounds.
     """
 
-    def __init__(self, config: SimConfig, seed=0, batch: int = 1024):
-        seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = seed_seq.spawn(len(config.alphas))
-        self._streams = [
-            _PoolStream(child, interarrival_scale(alpha, config.gamma, config.mean_block_time), batch)
-            for child, alpha in zip(children, config.alphas)
-        ]
-        self._next: list = []
+    def __init__(self, config: SimConfig, seed=0):
+        super().__init__(config, seed)
+        self._events: Iterator[Tuple[int, float]] = iter(())
+        self._now = 0.0
 
     def begin_round(self) -> None:
-        # Fresh timestamps each round; the round clock restarts at zero.
-        self._next = [s.next_gap() for s in self._streams]
+        self._now = 0.0
 
     def next_event(self) -> Tuple[int, float]:
-        nxt = self._next
-        at = min(nxt)
-        if at == math.inf:
-            raise RuntimeError("no pool can mine (all alphas zero?)")
-        pool = nxt.index(at)  # the first minimum: ties go to the lowest index
-        nxt[pool] = at + self._streams[pool].next_gap()
-        return pool, at
+        event = next(self._events, None)
+        if event is None:
+            pools = self.miners(CLOCK_BATCH).tolist()
+            self._events = zip(pools, self._gen.exponential(self._mean_gap, CLOCK_BATCH).tolist())
+            event = next(self._events)
+        pool, gap = event
+        self._now += gap
+        return pool, self._now
 
 
 class ScriptClock:
@@ -266,8 +272,8 @@ class ScriptClock:
 
 def run_round(
     config: SimConfig,
-    carryover: Optional[Carryover] = None,
-    clock=None,
+    carryover: Optional[Carryover],
+    clock,
     termination_policy: Optional[TerminationPolicy] = None,
 ) -> RoundOutcome:
     """Play one round of mining competition and return its outcome.
@@ -285,8 +291,6 @@ def run_round(
     with lead_threshold honest blocks, and a dishonest win orphans no honest
     block.
     """
-    if clock is None:
-        clock = MiningClock(config)
     m = config.num_dishonest
     threshold = config.lead_threshold
     tip = config.fork_rule == FORK_TIP
@@ -391,29 +395,6 @@ def make_carryover(outcome: RoundOutcome) -> Optional[Carryover]:
 # -- lockstep lanes ---------------------------------------------------------------
 
 LANES = 4096  # rounds a lane block plays side by side
-
-
-class LaneDraws:
-    """Event source for play_lanes: every draw of a run from one Philox generator.
-
-    pools(lanes, step) gives the miner of the next block of each listed lane,
-    one uniform each; a zero-power pool is never drawn. durations(events)
-    gives each round's duration from its block count, one Gamma draw each.
-    """
-
-    def __init__(self, config: SimConfig, seed=0):
-        rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
-        self._mining = np.flatnonzero(rates > 0.0)  # a zero-power pool's rate is 1/inf = 0
-        # Uniforms below edges[k] fall to the first k mining pools.
-        self._edges = np.cumsum(rates[self._mining])[:-1] / rates.sum()
-        self._mean_gap = 1.0 / rates.sum()
-        self._gen = np.random.Generator(np.random.Philox(seed))
-
-    def pools(self, lanes: np.ndarray, step: int) -> np.ndarray:
-        return self._mining[self._edges.searchsorted(self._gen.random(len(lanes)), side="right")]
-
-    def durations(self, events: np.ndarray) -> np.ndarray:
-        return self._gen.gamma(events, self._mean_gap)
 
 
 class LaneRounds(NamedTuple):

@@ -1,17 +1,16 @@
 """Multi-round simulation driver.
 
-Plays rounds and closes them in buffers of consecutive rounds: one columnar
+Plays rounds and closes them in blocks of consecutive rounds: one columnar
 pass finds every round's nephew and uncles, counts its blocks, books its
-rewards with the one-round-late nephew reference, and hands the buffer to
+rewards with the one-round-late nephew reference, and hands the block to
 the estimator bank. An eager run (no termination policy) plays its rounds
-as lane blocks of the engine and closes each block as it is; a run with a
-policy plays them one at a time with run_round, chained through carryover,
-and closes them in buffers of up to CLOSE_ROWS. A round's nephew is its
-first reserved block, or else the next round's first block, so the newest
-buffer waits until the next round has been played; the uncle count the
-next nephew reference needs carries across buffers. After the last round
-one extra first-block event is drawn just to close it when it reserved
-nothing; that block books nothing.
+as lane blocks of the engine; a run with a policy plays them one at a time
+with run_round, chained through carryover, in blocks of up to CLOSE_ROWS.
+A round's nephew is its first reserved block, or else the next round's
+first block, so each block waits until the next one has been played; the
+uncle count the next nephew reference needs carries across blocks. After
+the last block one extra first-block miner is drawn just to close it when
+its last round reserved nothing; that block books nothing.
 """
 from __future__ import annotations
 
@@ -107,6 +106,31 @@ def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_
         yield RoundRecord(index, outcome, classification, ratio, RewardVector(index, per_pool))
 
 
+class _Played(NamedTuple):
+    """A block of rounds run_round played, read like a lane block."""
+
+    columns: RoundColumns
+    played: List[RoundOutcome]
+
+    def outcomes(self) -> List[RoundOutcome]:
+        return self.played
+
+
+def _played_blocks(
+    config: SimConfig, rounds: int, clock: MiningClock, termination_policy: TerminationPolicy
+) -> Iterator[_Played]:
+    """`rounds` rounds of run_round on one clock, chained through carryover,
+    in blocks of up to CLOSE_ROWS."""
+    carry: Optional[Carryover] = None
+    for start in range(0, rounds, CLOSE_ROWS):
+        played = []
+        for _ in range(min(CLOSE_ROWS, rounds - start)):
+            outcome = run_round(config, carry, clock, termination_policy)
+            carry = make_carryover(outcome)
+            played.append(outcome)
+        yield _Played(round_columns(played), played)
+
+
 def simulate_rounds(
     config: SimConfig,
     rounds: int,
@@ -120,7 +144,7 @@ def simulate_rounds(
 
     Returns the bank (created if not given) and, with collect=True, the list
     of closed-round records. on_record is called once per closed round, in
-    round order, as each buffer closes, for callers that want to inspect
+    round order, as each block closes, for callers that want to inspect
     rounds without holding them all in memory. Records are built only when
     one of the two asks. Without a termination policy the rounds are lane
     blocks on LaneDraws(config, seed); with one, they are played by run_round
@@ -130,52 +154,37 @@ def simulate_rounds(
         raise ValueError("need at least one round")
     if bank is None:
         bank = EstimatorBank(config.num_dishonest)
+    elif bank.num_pools != len(config.alphas):
+        raise ValueError(f"bank holds {bank.num_pools} pools, config has {len(config.alphas)}")
     records: Optional[List[RoundRecord]] = [] if collect else None
     want_records = collect or on_record is not None
     closed_rounds = 0
     prev_uncles = 0
 
-    def close(columns: RoundColumns, outcomes: Callable[[], Sequence[RoundOutcome]], next_owner: Optional[int]) -> None:
+    def close(block, next_owner: Optional[int]) -> None:
         nonlocal closed_rounds, prev_uncles
-        closed = close_columns(columns, next_owner, prev_uncles)
+        closed = close_columns(block.columns, next_owner, prev_uncles)
         bank.add(closed)
         if want_records:
-            for record in round_records(closed, outcomes(), closed_rounds + 1):
+            for record in round_records(closed, block.outcomes(), closed_rounds + 1):
                 if on_record is not None:
                     on_record(record)
                 if records is not None:
                     records.append(record)
-        closed_rounds += len(columns.winner)
+        closed_rounds += len(block.columns.winner)
         prev_uncles = int(closed.uncle_count[-1])
 
     if termination_policy is None:
         draws = LaneDraws(config, seed)
-        pending = None
-        for block in lane_blocks(config, rounds, draws):
-            if pending is not None:
-                close(pending.columns, pending.outcomes, int(block.columns.first_owner[0]))
-            pending = block
-        # Eager rounds reserve nothing: one extra first-block draw closes the last.
-        close(pending.columns, pending.outcomes, int(draws.pools(range(1), 0)[0]))
-        return bank, records
-
-    clock = MiningClock(config, seed=seed)
-    buffer: List[RoundOutcome] = []
-    carry: Optional[Carryover] = None
-    for _ in range(rounds):
-        outcome = run_round(config, carry, clock, termination_policy)
-        carry = make_carryover(outcome)
-        buffer.append(outcome)
-        if len(buffer) > CLOSE_ROWS:
-            # The newest round's first block closes the buffer's last round.
-            done = buffer[:-1]
-            close(round_columns(done), lambda: done, outcome.first_block_owner)
-            del buffer[:-1]
-
-    next_owner = None
-    if carry is None:
-        # One extra first-block draw closes the last round; it books nothing.
-        clock.begin_round()
-        next_owner, _ = clock.next_event()
-    close(round_columns(buffer), lambda: buffer, next_owner)
+        blocks = lane_blocks(config, rounds, draws)
+    else:
+        draws = MiningClock(config, seed)
+        blocks = _played_blocks(config, rounds, draws, termination_policy)
+    pending = None
+    for block in blocks:
+        if pending is not None:
+            # The block's first round's first block closes the pending block's last round.
+            close(pending, int(block.columns.first_owner[0]))
+        pending = block
+    close(pending, None if pending.columns.reserved[-1] else int(draws.miners(1)[0]))
     return bank, records

@@ -198,9 +198,7 @@ class TestRunExperiment:
         assert run_experiment(spec1) == 0
         assert run_experiment(spec2) == 0
         assert read_summary(spec1.out_dir) == read_summary(spec2.out_dir)
-        csv1 = open(os.path.join(spec1.out_dir, "gridpoint.csv")).read()
-        csv2 = open(os.path.join(spec2.out_dir, "gridpoint.csv")).read()
-        assert csv1 == csv2
+        assert (tmp_path / "w1" / "gridpoint.csv").read_text() == (tmp_path / "w2" / "gridpoint.csv").read_text()
 
     def test_seed_column_reproduces_its_row(self, tmp_path):
         # Grid point g, replication r runs on SeedSequence(seed, spawn_key=(g, r));

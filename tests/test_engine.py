@@ -1,9 +1,13 @@
 import math
+import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from poolsim.engine import (
+    CLOCK_BATCH,
+    FORK_ANCHORED,
     FORK_TIP,
     HONEST,
     RELEASE_MIN,
@@ -12,22 +16,11 @@ from poolsim.engine import (
     ScriptClock,
     ScriptExhausted,
     SimConfig,
-    _PoolStream,
     interarrival_scale,
     make_carryover,
     run_round,
 )
 from poolsim.oracle import Block, EventScript, replay_script, select_main_chain
-
-
-class PinnedUniforms:
-    """Generator stub whose every uniform is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n):
-        return np.full(n, self.u)
 
 
 class RecordingClock:
@@ -111,43 +104,69 @@ class TestSimConfig:
             SimConfig.from_alphas([0.6, 0.4], **{field: value})
 
 
-class TestSampleInterarrival:
-    """The gaps production runs draw: _PoolStream, batched on a Philox stream."""
+class PinnedGenerator:
+    """Generator stub: every uniform is u, every exponential draw its mean."""
 
-    MEAN_DRAW = 1.0 - math.exp(-1.0)  # the uniform whose exponential draw is its mean
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+    def exponential(self, scale, n):
+        return np.full(n, scale)
+
+
+def clock_events(clock, n):
+    clock.begin_round()
+    return [clock.next_event() for _ in range(n)]
+
+
+class TestSampleInterarrival:
+    """The events MiningClock draws: miners by rate, gaps of the race's mean."""
 
     def pinned_gap(self, alpha):
-        stream = _PoolStream(np.random.SeedSequence(0), interarrival_scale(alpha, 10.0, 15.0))
-        stream._gen = PinnedUniforms(self.MEAN_DRAW)
-        return stream.next_gap()
+        clock = MiningClock(SimConfig.from_alphas([alpha, 0.0], gamma=10.0, mean_block_time=15.0))
+        clock._gen = PinnedGenerator(0.5)
+        [(_, at)] = clock_events(clock, 1)
+        return at
 
     def test_direct_substitution_half_power(self):
-        # With the exponential draw pinned to its mean (15 s), a pool with
-        # half the power and gamma 10 needs 15 * (2 + 0.1) seconds.
+        # With the exponential draw pinned to its mean, a lone pool with half
+        # the power and gamma 10 needs 15 * (2 + 0.1) seconds.
         assert self.pinned_gap(0.5) == pytest.approx(31.5, rel=1e-12)
 
     def test_direct_substitution_full_power(self):
         assert self.pinned_gap(1.0) == pytest.approx(16.5, rel=1e-12)
 
     def test_zero_power_pool_never_scheduled(self):
-        stream = _PoolStream(np.random.SeedSequence(0), interarrival_scale(0.0, 10.0, 15.0))
-        stream._gen = None  # any draw would fail
-        assert [stream.next_gap() for _ in range(3)] == [math.inf] * 3
+        clock = MiningClock(SimConfig.from_alphas([0.5, 0.0, 0.5]), seed=4)
+        assert {pool for pool, _ in clock_events(clock, 5000)} == {0, 2}
 
     def test_monte_carlo_mean_matches_closed_form(self):
-        stream = _PoolStream(np.random.SeedSequence(7), interarrival_scale(0.6, 10.0, 15.0))
-        draws = [stream.next_gap() for _ in range(10**6)]
-        assert abs(sum(draws) / len(draws) - 26.5) < 0.1
+        clock = MiningClock(SimConfig.from_alphas([0.6, 0.0], gamma=10.0, mean_block_time=15.0), seed=7)
+        n = 10**6
+        clock.begin_round()
+        for _ in range(n):
+            _, now = clock.next_event()
+        assert abs(now / n - 26.5) < 0.1
 
     def test_sampler_matches_vectorized_transform(self):
-        # 2,100 gaps cross two refills of 1024: each is -scale * log1p(-u)
-        # of the next uniform on the stream's own Philox generator.
+        # 2,100 events cross two refills: each takes CLOCK_BATCH uniforms for
+        # the miners, then CLOCK_BATCH exponential gaps, from one Philox
+        # generator on the seed.
+        config = SimConfig.from_alphas([0.5, 0.3, 0.2])
         seed = np.random.SeedSequence(11)
-        scale = interarrival_scale(0.6, 10.0, 15.0)
-        stream = _PoolStream(seed, scale, batch=1024)
-        gaps = [stream.next_gap() for _ in range(2100)]
-        u = np.random.Generator(np.random.Philox(seed)).random(3 * 1024)
-        assert gaps == (-scale * np.log1p(-u))[:2100].tolist()
+        events = clock_events(MiningClock(config, seed), 2100)
+        rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
+        edges = np.cumsum(rates)[:-1] / rates.sum()
+        gen = np.random.Generator(np.random.Philox(seed))
+        pools, gaps = [], []
+        for _ in range(3):
+            pools += edges.searchsorted(gen.random(CLOCK_BATCH), side="right").tolist()
+            gaps += gen.exponential(1.0 / rates.sum(), CLOCK_BATCH).tolist()
+        assert [pool for pool, _ in events] == pools[:2100]
+        assert [at for _, at in events] == list(accumulate(gaps[:2100]))
 
     def test_scale_is_inverse_power_plus_communication(self):
         assert interarrival_scale(0.5, 10.0, 15.0) == pytest.approx(31.5)
@@ -295,26 +314,65 @@ class TestCarryover:
         assert out.events == 1
 
 
-class TestMiningClock:
-    def test_timestamp_ties_break_by_pool_index(self):
-        config = SimConfig.from_alphas([0.5, 0.3, 0.2])
-        clock = MiningClock(config, seed=0)
-        clock.begin_round()
-        clock._next = [7.0, 7.0, 7.0]
-        pool, at = clock.next_event()
-        assert (pool, at) == (0, 7.0)
-        clock._next = [9.0, 5.0, 5.0]
-        pool, at = clock.next_event()
-        assert (pool, at) == (1, 5.0)
+class ReferenceClock:
+    """The race as the model states it, on its own generator: every pool
+    holds an exponential timestamp, all restarted each round; the first
+    minimum mines and draws its next gap."""
 
-    def test_batch_size_does_not_change_the_stream(self):
-        config = SimConfig.from_alphas([0.6, 0.3, 0.1])
-        seqs = []
-        for batch in (1, 7, 1024):
-            clock = MiningClock(config, seed=13, batch=batch)
-            clock.begin_round()
-            seqs.append([clock.next_event() for _ in range(200)])
-        assert seqs[0] == seqs[1] == seqs[2]
+    def __init__(self, config, seed):
+        self.rng = random.Random(seed)
+        self.rates = [1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas]
+
+    def gap(self, rate):
+        return self.rng.expovariate(rate) if rate > 0.0 else math.inf
+
+    def begin_round(self):
+        self.next = [self.gap(rate) for rate in self.rates]
+
+    def next_event(self):
+        at = min(self.next)
+        pool = self.next.index(at)
+        self.next[pool] = at + self.gap(self.rates[pool])
+        return pool, at
+
+
+def z_score(a, b):
+    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    if se == 0.0:  # both samples constant
+        return 0.0 if a.mean() == b.mean() else math.inf
+    return (a.mean() - b.mean()) / se
+
+
+class TestMiningClock:
+    """MiningClock's categorical draw against the per-pool race it stands
+    for: 22 two-sample comparisons, |z| > 4 has probability 6e-5 each."""
+
+    ROUNDS = 40_000
+
+    def samples(self, config, clock):
+        outs = [run_round(config, None, clock) for _ in range(self.ROUNDS)]
+        return (
+            np.array([o.winner for o in outs]),
+            np.array([o.events for o in outs], dtype=float),
+            np.array([o.duration for o in outs]),
+        )
+
+    @pytest.mark.parametrize("alphas,rule", [
+        ((0.55, 0.45), FORK_ANCHORED),
+        ((0.6, 0.0, 0.4), FORK_ANCHORED),
+        ((0.5, 0.25, 0.15, 0.1), FORK_TIP),
+        ((0.5, 0.2, 0.13, 0.1, 0.07), FORK_ANCHORED),
+    ])
+    def test_rounds_match_the_per_pool_race(self, alphas, rule):
+        config = SimConfig.from_alphas(alphas, fork_rule=rule)
+        clock = self.samples(config, MiningClock(config, seed=21))
+        race = self.samples(config, ReferenceClock(config, seed=21))
+        for pool in range(len(alphas)):
+            z = z_score((clock[0] == pool).astype(float), (race[0] == pool).astype(float))
+            assert abs(z) <= 4.0, f"pool {pool} win fraction z={z:.2f}"
+        for name, k in (("events", 1), ("duration", 2)):
+            z = z_score(clock[k], race[k])
+            assert abs(z) <= 4.0, f"mean {name} z={z:.2f}"
 
 
 class TestStochasticRounds:

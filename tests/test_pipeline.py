@@ -58,6 +58,16 @@ class TestSimulateRounds:
         with pytest.raises(ValueError):
             simulate_rounds(config, 0)
 
+    def test_rejects_a_bank_for_another_pool_count_before_playing(self, monkeypatch):
+        def no_rounds(*args):
+            raise AssertionError("a round was played")
+
+        monkeypatch.setattr(pipeline, "lane_blocks", no_rounds)
+        bank = EstimatorBank(2)
+        with pytest.raises(ValueError, match=r"bank holds 3 pools, config has 2"):
+            simulate_rounds(SimConfig.from_alphas([0.6, 0.4]), 10, bank=bank)
+        assert bank.rounds == 0
+
 
 class TestCarryoverChaining:
     def run_with_reserve(self, rounds=400, seed=6):
@@ -95,6 +105,14 @@ class TestCarryoverChaining:
     def test_durations_always_positive(self):
         _, records = self.run_with_reserve()
         assert all(rec.outcome.duration > 0 for rec in records)
+
+    def test_one_seed_object_gives_the_same_run_twice(self):
+        # Seeding must not consume the caller's SeedSequence (no spawn on it).
+        config = SimConfig.from_alphas([0.5, 0.4, 0.1], release_policy=RELEASE_MIN)
+        seed = np.random.SeedSequence(5)
+        first, _ = simulate_rounds(config, 2000, seed=seed, termination_policy=delayed)
+        second, _ = simulate_rounds(config, 2000, seed=seed, termination_policy=delayed)
+        assert first.win_counts == second.win_counts
 
 
 class TestBufferBoundaries:
