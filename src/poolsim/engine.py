@@ -27,6 +27,16 @@ eager rounds (no policy) side by side as lanes of numpy state and returns
 them as RoundColumns, the form the columnar close consumes. Eager rounds
 never reserve a block, so each starts afresh and the rounds are i.i.d.
 
+Top two. A pool's generalized length is its fork position plus its own
+length (the honest pool's is the honest length, 0 before a pool forks). A
+round may end once the top leads the second by lead_threshold, so the
+leader, who wins, is unique. Lengths only grow, so both engines update the
+top two and the leader per block, never scanning the pools: if the mined
+pool leads, the top takes its new value g; a g past the top makes the old
+top the second and the pool the leader; a g past only the second is the
+second. Under tip, an honest block after a fork lifts the honest and every
+forked chain by one: the top two rise by one and nothing else moves.
+
 Draw order. A lane run draws, for each block of up to LANES rounds, one
 uniform per live lane and step (live lanes in lane order, the block's first
 step covering every lane), then one Gamma duration per round in lane order;
@@ -295,31 +305,24 @@ def run_round(
     threshold = config.lead_threshold
     tip = config.fork_rule == FORK_TIP
 
-    v = 0
-    forked = [False] * (m + 1)
+    v = mined = 0
     fork_pos = [0] * (m + 1)
-    length = [0] * (m + 1)
+    length = [0] * (m + 1)  # a dishonest pool has forked once it holds a block
     gen = [0] * (m + 1)  # generalized lengths; gen[0] is unused, v stands in
     fork_order: list = []
     first_owner = -1
+    leader, longest, second = HONEST, 0, 0  # the top two, kept by the module docstring's rule
 
     if carryover is not None:
         z = carryover.owner
         if not 1 <= z <= m:
             raise ValueError(f"carryover owner {z} not a dishonest pool of this config")
-        forked[z] = True
-        length[z] = gen[z] = carryover.private_blocks
+        length[z] = gen[z] = longest = carryover.private_blocks
         fork_order.append(z)
-        first_owner = z
+        first_owner = leader = z
 
     clock.begin_round()
     next_event = clock.next_event
-    pools = range(1, m + 1)
-    mined = 0
-    now = 0.0
-    winner = -1
-    longest = 0
-    second = 0
 
     while True:
         pool, now = next_event()
@@ -328,52 +331,43 @@ def run_round(
             first_owner = pool
         if pool == HONEST:
             v += 1
-            if tip:
+            g = v
+            if tip and fork_order:
                 for i in fork_order:
                     fork_pos[i] = v
                     gen[i] += 1
+                longest += 1
+                second += 1
+                g = 0  # a forked pool leads, so the rule below moves nothing
         else:
-            if not forked[pool]:
-                forked[pool] = True
+            if not length[pool]:
                 fork_pos[pool] = gen[pool] = v
                 fork_order.append(pool)
             length[pool] += 1
             gen[pool] += 1
+            g = gen[pool]
+        if pool == leader:
+            longest = g
+        elif g > longest:
+            second, longest, leader = longest, g, pool
+        elif g > second:
+            second = g
 
-        # Top-two scan over generalized lengths; starting from the honest
-        # pool with strict > keeps the honest-first, lowest-index tie-break.
-        longest = v
-        leader = HONEST
-        second = 0
-        for i in pools:
-            g = gen[i]
-            if g > longest:
-                second = longest
-                longest = g
-                leader = i
-            elif g > second:
-                second = g
+        if longest - second >= threshold and (
+            leader == HONEST or termination_policy is None or termination_policy(longest, second, mined)
+        ):
+            break
 
-        if longest - second >= threshold:
-            if leader == HONEST:
-                winner = leader
-                break
-            if termination_policy is None or termination_policy(longest, second, mined):
-                winner = leader
-                break
-
-    if winner == HONEST:
-        released = 0
-        reserved = 0
-    else:
-        own = length[winner]
-        released = release_count(config, own, second, fork_pos[winner])
+    released = reserved = 0
+    if leader != HONEST:
+        own = length[leader]
+        released = release_count(config, own, second, fork_pos[leader])
         reserved = own - released
 
     return RoundOutcome(
-        winner=winner,
+        winner=leader,
         honest_length=v,
-        per_pool=tuple([PoolRoundStat(forked[i], fork_pos[i], length[i]) for i in pools]),
+        per_pool=tuple([PoolRoundStat(length[i] > 0, fork_pos[i], length[i]) for i in range(1, m + 1)]),
         released=released,
         reserved=reserved,
         duration=now,
@@ -432,74 +426,77 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
     """Play `rounds` eager rounds side by side, one lane each, by run_round's
     rules, and return them in lane order.
 
-    Every step draws the next block of every live lane from draws.pools;
-    a lane retires when its round ends, and the arrays shrink to the live
-    lanes. Lengths, fork positions and generalized lengths are (lanes,
-    pools) matrices whose column 0 is the honest pool. The generalized
-    length is fork position plus own length: a pool that has not forked has
-    both 0, and under the tip rule a forked pool's fork position is the
-    honest length. The top two come from sorting each row; the winner is
-    the first pool with the longest, so ties go to the honest pool, then
-    to the lowest index.
+    A block's state never moves: own lengths (row 0 is the honest length),
+    fork positions and the step of each pool's first block are (pools,
+    rounds) arrays, and each step draws the next block of every live lane
+    from draws.pools and touches only the mined pool's cell, at flat index
+    pool * rounds + lane. The live lanes and their top two and leader are
+    1-D arrays that shrink as rounds end; a round that ends writes only its
+    winner, event count and top two. The (rounds, pools) columns come from
+    one transpose at the end, and so do tip fork positions (the honest
+    length wherever a pool forked).
     """
     num_pools = len(config.alphas)
     tip = config.fork_rule == FORK_TIP
-    lane = np.arange(rounds)  # the block row each live lane fills
-    # Live state in int32, which no round's block count comes near; the
-    # retired rows are int64 columns like round_columns gives.
-    own = np.zeros((rounds, num_pools), dtype=np.int32)  # column 0: the honest length
-    fork_pos = np.zeros_like(own)
-    fork_at = np.zeros_like(own)
-    offsets = np.arange(0, rounds * num_pools, num_pools)  # flat index of each lane's column 0
+    # int32 live state (no round's block count comes near it); int64 columns out.
+    own, fork_pos, fork_at = np.zeros((3, num_pools, rounds), dtype=np.int32)
+    own_at, fork_pos_at, fork_at_at = own.ravel(), fork_pos.ravel(), fork_at.ravel()  # views
+    lane = np.arange(rounds)  # the live lanes in lane order; top, second and leader follow them
+    top, second = np.zeros((2, rounds), dtype=np.int32)
+    leader = np.full(rounds, HONEST, dtype=np.int64)
+    winner, events, longest, runner_up = np.empty((4, rounds), dtype=np.int64)
 
-    winner = np.empty(rounds, dtype=np.int64)
-    events = np.empty_like(winner)
-    longest = np.empty_like(winner)
-    second = np.empty_like(winner)
-    length = np.empty((rounds, num_pools), dtype=np.int64)
-    fork_pos_out = np.empty_like(length)
-    fork_at_out = np.empty_like(length)
-
-    first_owner = draws.pools(lane, 0)
-    pool = first_owner
+    pool = first_owner = draws.pools(lane, 0)
     step = 0
     while True:
         step += 1
-        at = offsets[:len(lane)] + pool
-        count = own.ravel()[at]  # the state arrays are C-contiguous, so ravel() is a view
-        fresh = (count == 0) & (pool != HONEST)
-        fork_pos.ravel()[at[fresh]] = own[fresh, HONEST]  # a new fork sits on the honest tip
-        fork_at.ravel()[at[fresh]] = step
-        own.ravel()[at] = count + 1
+        at = pool * rounds + lane
+        count = own_at[at]
+        grown = count + 1
+        own_at[at] = grown
+        honest = pool == HONEST
+        fresh = at[(count == 0) & ~honest]
+        fork_at_at[fresh] = step
         if tip:
-            fork_pos[:, 1:] = own[:, :1] * (own[:, 1:] > 0)
-        gen = fork_pos + own
-        top = np.sort(gen, axis=1)
-        done = top[:, -1] - top[:, -2] >= config.lead_threshold
-        if done.any():
-            ended = np.flatnonzero(done)
+            # A forked chain's generalized length is the honest length plus
+            # its own. An honest block after a fork gets value 0 (a forked
+            # pool leads, so the rule below moves nothing); the top two rise.
+            rise = honest & (top > count)
+            gen = np.where(honest, grown * ~rise, grown + own_at[lane])
+        else:
+            fork_pos_at[fresh] = own_at[fresh % rounds]  # a new fork sits on the honest tip, row 0
+            gen = grown + fork_pos_at[at]
+        second = np.where(pool == leader, second, np.maximum(second, np.minimum(gen, top)))
+        leader = np.where(gen > top, pool, leader)
+        top = np.maximum(top, gen)
+        if tip:
+            top += rise
+            second += rise
+        done = top - second >= config.lead_threshold
+        ended = np.flatnonzero(done)
+        if len(ended):
             rows = lane[ended]
-            winner[rows] = gen[ended].argmax(axis=1)
+            winner[rows] = leader[ended]
             events[rows] = step
-            longest[rows] = top[ended, -1]
-            second[rows] = top[ended, -2]
-            length[rows] = own[ended]
-            fork_pos_out[rows] = fork_pos[ended]
-            fork_at_out[rows] = fork_at[ended]
+            longest[rows] = top[ended]
+            runner_up[rows] = second[ended]
             live = np.flatnonzero(~done)
             if not len(live):
                 break
-            lane, own, fork_pos, fork_at = lane[live], own[live], fork_pos[live], fork_at[live]
+            lane, top, second, leader = lane[live], top[live], second[live], leader[live]
         pool = draws.pools(lane, step)
 
+    if tip:
+        fork_pos[1:] = own[HONEST] * (own[1:] > 0)
+    length, fork_pos, fork_at = (np.ascontiguousarray(a.T, dtype=np.int64) for a in (own, fork_pos, fork_at))
     ids = np.arange(rounds)
     own_win = length[ids, winner]
-    fork_win = fork_pos_out[ids, winner]
+    fork_win = fork_pos[ids, winner]
     dishonest = winner != HONEST
-    released = np.where(dishonest, release_count(config, own_win, second, fork_win), 0)
+    released = np.where(dishonest, release_count(config, own_win, runner_up, fork_win), 0)
     columns = RoundColumns(
         winner=winner,
-        fork_pos=fork_pos_out,
+        fork_pos=fork_pos,
         length=length,
         released=released,
         reserved=np.where(dishonest, own_win - released, 0),
@@ -507,7 +504,7 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
         duration=draws.durations(events),
         first_owner=first_owner,
     )
-    return LaneRounds(columns, events, longest, second, fork_at_out)
+    return LaneRounds(columns, events, longest, runner_up, fork_at)
 
 
 def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[LaneRounds]:

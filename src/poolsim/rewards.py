@@ -14,6 +14,7 @@ rounds at once; allocate is its one-row case.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Tuple, Union
 
 import numpy as np
@@ -22,6 +23,7 @@ from .classify import UNITS_PER_BLOCK, Classification, round_columns, uncle_unit
 from .engine import RoundColumns, RoundOutcome
 
 
+@lru_cache(maxsize=4096)  # values are immutable; a round's unit counts are few and small
 def exact(units: int) -> Union[int, Fraction]:
     """Units of 1/32 as an exact number of blocks: an int when whole."""
     whole, rest = divmod(units, UNITS_PER_BLOCK)

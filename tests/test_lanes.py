@@ -3,11 +3,14 @@
 Both engines read one draw rule (engine.LaneDraws); what the lanes add is
 playing many rounds at once, so these tests tie play_lanes to run_round.
 Script equivalence does it round by round: both play the same event
-scripts, and every counter of every round must agree. The oracle checks
-run_round against an independent tree replay on the same scripts, so this
-carries that check over to the lanes. The statistical tests compare seeded
-lane runs with run_round runs on MiningClock, seeded apart, on win
-fractions, mean events and mean duration.
+scripts (every short script on up to three rivals, and seeded random ones
+on four, where ties among rival chains are common), and every counter of
+every round must agree. The oracle checks run_round against an independent
+tree replay on the same scripts, so this carries that check over to the
+lanes. The draw-order tests pin down which lanes each step draws for, which
+every seeded eager run rests on. The statistical tests compare seeded lane
+runs with run_round runs on MiningClock, seeded apart, on win fractions,
+mean events and mean duration.
 """
 import math
 from itertools import product
@@ -55,11 +58,11 @@ class ScriptDraws:
         return events.astype(float)
 
 
-def first_rounds(config, depth):
-    """Every script of `depth` events over the config's pools whose first
-    round ends within it, with that round as run_round plays it."""
+def first_rounds(config, candidates):
+    """The candidate scripts whose first round ends within them, with that
+    round as run_round plays it."""
     scripts, outcomes = [], []
-    for script in product(range(len(config.alphas)), repeat=depth):
+    for script in candidates:
         try:
             outcome = run_round(config, None, ScriptClock(script))
         except ScriptExhausted:
@@ -73,6 +76,19 @@ def script_config(pools, **kwargs):
     return SimConfig.from_alphas([1.0 / pools] * pools, **kwargs)
 
 
+def assert_lanes_replay(config, scripts, want):
+    """play_lanes on the scripts gives every round run_round gave on them."""
+    block = play_lanes(config, len(scripts), ScriptDraws(scripts))
+    got = block.outcomes()
+    # Durations come from the event source, not the rules.
+    assert [o._replace(duration=0.0) for o in got] == [o._replace(duration=0.0) for o in want]
+    assert [o.pegged_count for o in got] == [o.pegged_count for o in want]
+    columns, expected = block.columns, round_columns(want)
+    for name in columns._fields:
+        if name != "duration":
+            assert np.array_equal(getattr(columns, name), getattr(expected, name)), name
+
+
 class TestScriptEquivalence:
     @pytest.mark.parametrize("config,depth", [
         *[(script_config(3, fork_rule=rule), 8) for rule in FORK_RULES],
@@ -82,17 +98,23 @@ class TestScriptEquivalence:
     ], ids=lambda v: f"{len(v.alphas) - 1}-rivals-{v.fork_rule}-lead{v.lead_threshold}-{v.release_policy}"
         if isinstance(v, SimConfig) else f"depth{v}")
     def test_lanes_play_every_round_as_run_round(self, config, depth):
-        scripts, want = first_rounds(config, depth)
+        scripts, want = first_rounds(config, product(range(len(config.alphas)), repeat=depth))
         assert len(scripts) > 100
-        block = play_lanes(config, len(scripts), ScriptDraws(scripts))
-        got = block.outcomes()
-        # Durations come from the event source, not the rules.
-        assert [o._replace(duration=0.0) for o in got] == [o._replace(duration=0.0) for o in want]
-        assert [o.pegged_count for o in got] == [o.pegged_count for o in want]
-        columns, expected = block.columns, round_columns(want)
-        for name in columns._fields:
-            if name != "duration":
-                assert np.array_equal(getattr(columns, name), getattr(expected, name)), name
+        assert_lanes_replay(config, scripts, want)
+
+    # Four rivals tie and overtake one another far more often than the
+    # exhaustive depths above reach; the incremental top two must follow.
+    @pytest.mark.parametrize("rule", FORK_RULES)
+    @pytest.mark.parametrize("lead", [2, 3])
+    @pytest.mark.parametrize("alphas", [(0.2,) * 5, (0.25, 0.25, 0.0, 0.25, 0.25)], ids=["all-mine", "zero-power"])
+    def test_random_scripts_on_four_rivals(self, rule, lead, alphas):
+        config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
+        mining = [pool for pool, alpha in enumerate(alphas) if alpha > 0.0]
+        candidates = np.random.default_rng(lead).choice(mining, size=(3000, 40)).tolist()
+        scripts, want = first_rounds(config, candidates)
+        assert len(scripts) > 2000
+        assert max(len(o.fork_order) for o in want) == len(config.alphas) - 1 - alphas.count(0.0)
+        assert_lanes_replay(config, scripts, want)
 
     def test_tip_forks_ride_the_honest_tip(self):
         config = script_config(3, fork_rule=FORK_TIP)
@@ -184,6 +206,48 @@ class TestStatisticalAgreement:
             won = c.winner != HONEST
             assert not c.reserved.any()
             assert np.array_equal(c.released[won], c.length[won, c.winner[won]])
+
+
+class RecordingDraws(LaneDraws):
+    """LaneDraws that records which lanes each step asks for and every
+    durations call."""
+
+    def __init__(self, config, seed):
+        super().__init__(config, seed)
+        self.asked, self.timed = [], []
+
+    def pools(self, lanes, step):
+        self.asked.append((step, lanes.tolist()))
+        return super().pools(lanes, step)
+
+    def durations(self, events):
+        self.timed.append(events.tolist())
+        return super().durations(events)
+
+
+class TestDrawOrder:
+    """The order in which play_lanes reads its draws, which the engine
+    docstring states and every seeded eager run rests on."""
+
+    @pytest.mark.parametrize("alphas,rule,lead", [
+        ((0.6, 0.3, 0.1), FORK_RULES[0], 2),
+        ((0.6, 0.3, 0.1), FORK_TIP, 2),
+        ((0.5, 0.2, 0.0, 0.13, 0.17), FORK_TIP, 3),
+    ])
+    def test_each_step_asks_for_the_live_lanes_in_lane_order(self, alphas, rule, lead):
+        config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
+        draws = RecordingDraws(config, 3)
+        block = play_lanes(config, 3000, draws)
+        events = block.events
+        assert [step for step, _ in draws.asked] == list(range(events.max()))
+        for step, lanes in draws.asked:
+            # A round of k events draws at steps 0 .. k-1.
+            assert lanes == np.flatnonzero(events > step).tolist()
+        assert draws.timed == [events.tolist()]
+        # The recorder changes nothing the block holds.
+        plain = play_lanes(config, 3000, LaneDraws(config, 3))
+        for name in block.columns._fields:
+            assert np.array_equal(getattr(block.columns, name), getattr(plain.columns, name)), name
 
 
 class TopUniforms:
