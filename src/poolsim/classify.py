@@ -13,17 +13,17 @@ counters without visiting a block. Uncle rewards are integers in units of
 The rules work on columns: RoundColumns (from the engine) holds a buffer
 of consecutive rounds, one row each, and nephew_columns, uncle_columns and
 block_counts classify every row at once. determine_nephew, find_uncles and
-classify_round are their one-row case.
+classify_round are their one-row case, on round_columns of one outcome.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .engine import RoundColumns, RoundOutcome
+from .engine import RoundColumns, RoundOutcome, round_columns
 
 MAX_UNCLE_DISTANCE = 6
 UNITS_PER_BLOCK = 32  # reward units of one regular block
@@ -50,12 +50,10 @@ class UncleRecord(NamedTuple):
 class NephewRecord(NamedTuple):
     owner: int
     height: int  # in the closed round's local heights (main chain length + 1)
-    uncle_count: int
     from_reserve: bool
 
 
 class Classification(NamedTuple):
-    round_index: int
     regular_count: int
     orphan_count: int
     uncles: Tuple[UncleRecord, ...]
@@ -104,28 +102,6 @@ class RoundRatios(NamedTuple):
 def uncle_units(distance: int) -> int:
     """Reward of an uncle at a generation distance, in units of 1/32."""
     return 4 * (8 - distance)
-
-
-def round_columns(outcomes: Sequence[RoundOutcome]) -> RoundColumns:
-    """Columns of a run of consecutive round outcomes."""
-    winner, honest, per_pool, released, reserved, duration, first_owner = list(zip(*outcomes))[:7]
-    stats = np.fromiter(chain.from_iterable(chain.from_iterable(per_pool)), dtype=np.int64)
-    stats = stats.reshape(len(outcomes), -1, 3)  # (forked, fork position, length) per dishonest pool
-    fork_pos = np.zeros((len(outcomes), stats.shape[1] + 1), dtype=np.int64)
-    fork_pos[:, 1:] = stats[:, :, 1]
-    length = fork_pos.copy()
-    length[:, 0] = honest
-    length[:, 1:] = stats[:, :, 2]
-    return RoundColumns(
-        winner=np.array(winner, dtype=np.int64),
-        fork_pos=fork_pos,
-        length=length,
-        released=np.array(released, dtype=np.int64),
-        reserved=np.array(reserved, dtype=np.int64),
-        pegged=np.array([o.pegged_count for o in outcomes], dtype=np.int64),
-        duration=np.array(duration, dtype=np.float64),
-        first_owner=np.array(first_owner, dtype=np.int64),
-    )
 
 
 def nephew_columns(
@@ -218,10 +194,9 @@ def determine_nephew(
     outcome: RoundOutcome, next_first_owner: Optional[int] = None
 ) -> NephewRecord:
     """The nephew block that closes this round's classification; the
-    one-row case of nephew_columns. The uncle count is filled in by
-    classify_round."""
+    one-row case of nephew_columns."""
     owner, height, from_reserve = nephew_columns(round_columns([outcome]), next_first_owner)
-    return NephewRecord(int(owner[0]), int(height[0]), 0, bool(from_reserve[0]))
+    return NephewRecord(int(owner[0]), int(height[0]), bool(from_reserve[0]))
 
 
 def find_uncles(
@@ -238,19 +213,11 @@ def classify_round(
     outcome: RoundOutcome,
     nephew: NephewRecord,
     uncles: Tuple[UncleRecord, ...],
-    round_index: int = 0,
 ) -> Classification:
     """Count the regular, uncle and stale blocks of a closed round; the
     one-row case of block_counts."""
     orphan, stale = block_counts(round_columns([outcome]), np.array([len(uncles)]))
-    return Classification(
-        round_index=round_index,
-        regular_count=outcome.pegged_count,
-        orphan_count=int(orphan[0]),
-        uncles=uncles,
-        stale_count=int(stale[0]),
-        nephew=NephewRecord(nephew.owner, nephew.height, len(uncles), nephew.from_reserve),
-    )
+    return Classification(outcome.pegged, int(orphan[0]), uncles, int(stale[0]), nephew)
 
 
 def round_ratios(outcome: RoundOutcome, classification: Classification) -> RoundRatios:

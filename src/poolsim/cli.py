@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classify import UNITS_PER_BLOCK
-from .engine import RELEASE_POLICIES, SimConfig
+from .engine import HONEST, RELEASE_POLICIES, SimConfig
 from .metrics import (
-    EstimatorBank, NoCrossing, crossing_estimate, grid_config, mean_ci95, replication_seed, run_grid,
+    EstimatorBank, NoCrossing, ci95, crossing_estimate, grid_config, replication_seed, run_grid,
 )
 from .pipeline import simulate_rounds
 
@@ -187,7 +187,7 @@ def _trace_row(grid_idx: float, alpha_h: float, rep_idx: int, record) -> list:
     out = record.outcome
     return [
         grid_idx, f"{alpha_h:.6g}", rep_idx, record.index, out.winner,
-        out.honest_length, out.released, out.reserved, f"{out.duration!r}",
+        out.length[HONEST], out.released, out.reserved, f"{out.duration!r}",
         record.classification.uncle_count,
     ] + [f"{x!r}" for x in record.ratios.as_floats()] + [
         f"{p.total_units / UNITS_PER_BLOCK!r}" for p in record.rewards.per_pool
@@ -263,19 +263,12 @@ def _threshold_block(points, per_rep_scalars) -> Dict:
     )
     return {
         "alpha_star": est.alpha_star,
-        "ci95": list(est.ci95),
+        "ci95": est.ci95,
         "crossings": list(est.crossings),
         "skipped_replications": est.skipped,
         "mean_p_honest": list(est.mean_p_honest),
         "mean_p_first": list(est.mean_p_first),
     }
-
-
-def _ci_or_none(values: Sequence[float]):
-    if len(values) < 2:
-        return None
-    _, lo, hi = mean_ci95(values)
-    return [lo, hi]
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
@@ -324,7 +317,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
                     row = [f"{alpha_h:.6g}", alpha_list, f"{spec.gamma:.6g}", spec.rounds, r, seeds[g][r]]
                     row += [repr(v) for v in scalars.values()]
                     if threshold is not None:
-                        row += [repr(threshold["alpha_star"]), *(repr(x) for x in threshold["ci95"])]
+                        ci = threshold["ci95"]  # no interval: empty cells
+                        row += [repr(threshold["alpha_star"]), *(map(repr, ci) if ci else ("", ""))]
                     writer.writerow(row)
 
         grid_blocks = []
@@ -337,7 +331,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 "alphas": list(configs[g].alphas),
                 "seeds": seeds[g],
                 "merged": merged_banks[g].summary(),
-                "replication_mean_ci95": {k: _ci_or_none(v) for k, v in series.items()},
+                "replication_mean_ci95": {k: ci95(v) for k, v in series.items()},
             })
 
         summary = {
@@ -415,13 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = vars(build_parser().parse_args(argv))
     path = overrides.pop("config")  # every other flag's dest is a spec field
-    env_workers = os.environ.get("SIM_WORKERS")
-    if env_workers:
-        try:
-            overrides["workers"] = int(env_workers)
-        except ValueError:
-            print(f"config error: SIM_WORKERS must be an integer, got {env_workers!r}", file=sys.stderr)
-            return 2
     try:
         spec = parse_config(path, overrides)
     except ConfigError as exc:

@@ -27,6 +27,14 @@ eager rounds (no policy) side by side as lanes of numpy state and returns
 them as RoundColumns, the form the columnar close consumes. Eager rounds
 never reserve a block, so each starts afresh and the rounds are i.i.d.
 
+One round format. The paper's round is a tree of m+1 sub-chains, the
+honest chain first, each with a fork position and a length. RoundColumns
+holds consecutive rounds that way, one row each, with one matrix column
+per pool; run_round's RoundOutcome is one such row, with the per-pool
+columns as tuples, followed by what only a single round reports (its
+event count and top two). round_columns turns outcomes into columns and
+LaneRounds.outcomes turns a lane block's columns into outcomes.
+
 Top two. A pool's generalized length is its fork position plus its own
 length (the honest pool's is the honest length, 0 before a pool forks). A
 round may end once the top leads the second by lead_threshold, so the
@@ -118,38 +126,6 @@ class SimConfig:
         return len(self.alphas) - 1
 
 
-class PoolRoundStat(NamedTuple):
-    """Final state of one dishonest sub-chain: forked flag, fork position, length."""
-
-    forked: bool
-    fork_position: int
-    length: int
-
-
-class RoundOutcome(NamedTuple):
-    """A finished round as plain counters; a NamedTuple, like every record
-    built once per round, since those are immutable and cheap to build."""
-
-    winner: int
-    honest_length: int
-    per_pool: Tuple[PoolRoundStat, ...]  # index i-1 holds dishonest pool i
-    released: int  # winner's own blocks pegged this round (0 on an honest win)
-    reserved: int  # winner's blocks held back as next round's private lead
-    duration: float
-    first_block_owner: int  # owner of the round's first block (carried or mined)
-    fork_order: Tuple[int, ...]  # dishonest pools in the order they forked
-    longest: int  # leader's generalized length at termination
-    second: int  # runner-up generalized length at termination
-    events: int  # blocks mined this round (carryover blocks excluded)
-
-    @property
-    def pegged_count(self) -> int:
-        """Main-chain length: honest length, or fork position plus released."""
-        if self.winner == HONEST:
-            return self.honest_length
-        return self.per_pool[self.winner - 1].fork_position + self.released
-
-
 class RoundColumns(NamedTuple):
     """Consecutive finished rounds as columns, one row per round. Matrices
     have one column per pool: column 0 is the honest pool, whose fork
@@ -158,11 +134,38 @@ class RoundColumns(NamedTuple):
     winner: np.ndarray
     fork_pos: np.ndarray  # (rounds, pools)
     length: np.ndarray  # (rounds, pools)
-    released: np.ndarray
-    reserved: np.ndarray
-    pegged: np.ndarray
+    released: np.ndarray  # winner's own blocks pegged (0 on an honest win)
+    reserved: np.ndarray  # winner's blocks held back as next round's private lead
+    pegged: np.ndarray  # main-chain length: honest length, or fork position plus released
     duration: np.ndarray  # float
-    first_owner: np.ndarray
+    first_owner: np.ndarray  # owner of the round's first block (carried or mined)
+
+
+class RoundOutcome(NamedTuple):
+    """A finished round as plain counters: a row of RoundColumns, fork_pos
+    and length as tuples over the pools, then what only a single round
+    reports. A NamedTuple, like every record built once per round, since
+    those are immutable and cheap to build."""
+
+    winner: int
+    fork_pos: Tuple[int, ...]
+    length: Tuple[int, ...]
+    released: int
+    reserved: int
+    pegged: int
+    duration: float
+    first_owner: int
+    events: int  # blocks mined this round (carryover blocks excluded)
+    longest: int  # leader's generalized length at termination
+    second: int  # runner-up generalized length at termination
+
+
+def round_columns(outcomes: Sequence[RoundOutcome]) -> RoundColumns:
+    """Columns of consecutive round outcomes; LaneRounds.outcomes reads them back."""
+    return RoundColumns._make(
+        np.array(column, dtype=np.float64 if name == "duration" else np.int64)
+        for column, name in zip(zip(*outcomes), RoundColumns._fields)
+    )
 
 
 @dataclass(frozen=True)
@@ -307,9 +310,9 @@ def run_round(
 
     v = mined = 0
     fork_pos = [0] * (m + 1)
-    length = [0] * (m + 1)  # a dishonest pool has forked once it holds a block
+    length = [0] * (m + 1)  # a dishonest pool has forked once it holds a block; v stands in for length[0]
     gen = [0] * (m + 1)  # generalized lengths; gen[0] is unused, v stands in
-    fork_order: list = []
+    forked: list = []  # the dishonest pools holding a block, for the tip lift
     first_owner = -1
     leader, longest, second = HONEST, 0, 0  # the top two, kept by the module docstring's rule
 
@@ -318,7 +321,7 @@ def run_round(
         if not 1 <= z <= m:
             raise ValueError(f"carryover owner {z} not a dishonest pool of this config")
         length[z] = gen[z] = longest = carryover.private_blocks
-        fork_order.append(z)
+        forked.append(z)
         first_owner = leader = z
 
     clock.begin_round()
@@ -332,8 +335,8 @@ def run_round(
         if pool == HONEST:
             v += 1
             g = v
-            if tip and fork_order:
-                for i in fork_order:
+            if tip and forked:
+                for i in forked:
                     fork_pos[i] = v
                     gen[i] += 1
                 longest += 1
@@ -342,7 +345,7 @@ def run_round(
         else:
             if not length[pool]:
                 fork_pos[pool] = gen[pool] = v
-                fork_order.append(pool)
+                forked.append(pool)
             length[pool] += 1
             gen[pool] += 1
             g = gen[pool]
@@ -358,24 +361,16 @@ def run_round(
         ):
             break
 
+    length[HONEST] = pegged = v
     released = reserved = 0
     if leader != HONEST:
         own = length[leader]
         released = release_count(config, own, second, fork_pos[leader])
         reserved = own - released
+        pegged = fork_pos[leader] + released
 
     return RoundOutcome(
-        winner=leader,
-        honest_length=v,
-        per_pool=tuple([PoolRoundStat(length[i] > 0, fork_pos[i], length[i]) for i in range(1, m + 1)]),
-        released=released,
-        reserved=reserved,
-        duration=now,
-        first_block_owner=first_owner,
-        fork_order=tuple(fork_order),
-        longest=longest,
-        second=second,
-        events=mined,
+        leader, tuple(fork_pos), tuple(length), released, reserved, pegged, now, first_owner, mined, longest, second
     )
 
 
@@ -399,48 +394,31 @@ class LaneRounds(NamedTuple):
     events: np.ndarray
     longest: np.ndarray
     second: np.ndarray
-    fork_at: np.ndarray  # (rounds, pools): event number of each pool's first block, 0 if none
 
     def outcomes(self) -> List[RoundOutcome]:
         """The rows as the RoundOutcomes run_round gives for the same events."""
-        c = self.columns
-        pools = range(1, c.length.shape[1])
-        rows = zip(
-            c.winner.tolist(), c.length.tolist(), c.fork_pos.tolist(), self.fork_at.tolist(),
-            c.released.tolist(), c.reserved.tolist(), c.duration.tolist(), c.first_owner.tolist(),
-            self.longest.tolist(), self.second.tolist(), self.events.tolist(),
-        )
-        return [
-            RoundOutcome(
-                winner, length[0], tuple([PoolRoundStat(length[i] > 0, fork_pos[i], length[i]) for i in pools]),
-                released, reserved, duration, first_owner,
-                tuple(sorted([i for i in pools if fork_at[i]], key=fork_at.__getitem__)),
-                longest, second, events,
-            )
-            for winner, length, fork_pos, fork_at, released, reserved, duration, first_owner, longest, second, events
-            in rows
-        ]
+        columns = (*self.columns, self.events, self.longest, self.second)
+        return list(map(RoundOutcome, *(map(tuple, c.tolist()) if c.ndim == 2 else c.tolist() for c in columns)))
 
 
 def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
     """Play `rounds` eager rounds side by side, one lane each, by run_round's
     rules, and return them in lane order.
 
-    A block's state never moves: own lengths (row 0 is the honest length),
-    fork positions and the step of each pool's first block are (pools,
-    rounds) arrays, and each step draws the next block of every live lane
-    from draws.pools and touches only the mined pool's cell, at flat index
-    pool * rounds + lane. The live lanes and their top two and leader are
-    1-D arrays that shrink as rounds end; a round that ends writes only its
-    winner, event count and top two. The (rounds, pools) columns come from
-    one transpose at the end, and so do tip fork positions (the honest
-    length wherever a pool forked).
+    A block's state never moves: own lengths (row 0 is the honest length)
+    and fork positions are (pools, rounds) arrays, and each step draws the
+    next block of every live lane from draws.pools and touches only the
+    mined pool's cell, at flat index pool * rounds + lane. The live lanes
+    and their top two and leader are 1-D arrays that shrink as rounds end;
+    a round that ends writes only its winner, event count and top two. The
+    (rounds, pools) columns come from one transpose at the end, and so do
+    tip fork positions (the honest length wherever a pool forked).
     """
     num_pools = len(config.alphas)
     tip = config.fork_rule == FORK_TIP
     # int32 live state (no round's block count comes near it); int64 columns out.
-    own, fork_pos, fork_at = np.zeros((3, num_pools, rounds), dtype=np.int32)
-    own_at, fork_pos_at, fork_at_at = own.ravel(), fork_pos.ravel(), fork_at.ravel()  # views
+    own, fork_pos = np.zeros((2, num_pools, rounds), dtype=np.int32)
+    own_at, fork_pos_at = own.ravel(), fork_pos.ravel()  # views
     lane = np.arange(rounds)  # the live lanes in lane order; top, second and leader follow them
     top, second = np.zeros((2, rounds), dtype=np.int32)
     leader = np.full(rounds, HONEST, dtype=np.int64)
@@ -455,8 +433,6 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
         grown = count + 1
         own_at[at] = grown
         honest = pool == HONEST
-        fresh = at[(count == 0) & ~honest]
-        fork_at_at[fresh] = step
         if tip:
             # A forked chain's generalized length is the honest length plus
             # its own. An honest block after a fork gets value 0 (a forked
@@ -464,6 +440,7 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
             rise = honest & (top > count)
             gen = np.where(honest, grown * ~rise, grown + own_at[lane])
         else:
+            fresh = at[(count == 0) & ~honest]
             fork_pos_at[fresh] = own_at[fresh % rounds]  # a new fork sits on the honest tip, row 0
             gen = grown + fork_pos_at[at]
         second = np.where(pool == leader, second, np.maximum(second, np.minimum(gen, top)))
@@ -488,7 +465,7 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
 
     if tip:
         fork_pos[1:] = own[HONEST] * (own[1:] > 0)
-    length, fork_pos, fork_at = (np.ascontiguousarray(a.T, dtype=np.int64) for a in (own, fork_pos, fork_at))
+    length, fork_pos = (np.ascontiguousarray(a.T, dtype=np.int64) for a in (own, fork_pos))
     ids = np.arange(rounds)
     own_win = length[ids, winner]
     fork_win = fork_pos[ids, winner]
@@ -504,7 +481,7 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
         duration=draws.durations(events),
         first_owner=first_owner,
     )
-    return LaneRounds(columns, events, longest, runner_up, fork_at)
+    return LaneRounds(columns, events, longest, runner_up)
 
 
 def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[LaneRounds]:

@@ -25,11 +25,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Classification, RoundRatios, ratio_floats, ratio_numerators, round_columns
+from .classify import UNITS_PER_BLOCK, Classification, RoundRatios, ratio_floats, ratio_numerators
 # MiningClock and run_round are not called here; the benchmark's tracer
 # patches them in this module, so they stay importable from it.
 from .engine import (  # noqa: F401
-    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, RoundOutcome, SimConfig, lane_blocks, run_round,
+    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, RoundOutcome, SimConfig, lane_blocks, round_columns, run_round,
 )
 from .rewards import ClosedRounds, RewardVector
 
@@ -50,17 +50,24 @@ class NoCrossing(RuntimeError):
     """The win-probability curves do not cross on the given grid."""
 
 
-def mean_ci95(values: Sequence[float]) -> Tuple[float, float, float]:
-    """Sample mean with a normal-approximation 95% interval."""
+def mean_ci95(values: Sequence[float]) -> Tuple[float, Optional[float], Optional[float]]:
+    """Sample mean with a normal-approximation 95% interval. An interval
+    needs two values, so with one value its bounds are None."""
     n = len(values)
     if n == 0:
         raise NoData("no values")
     mean = sum(values) / n
     if n < 2:
-        return mean, mean, mean
+        return mean, None, None
     var = sum((x - mean) ** 2 for x in values) / (n - 1)
     half = Z_95 * math.sqrt(var / n)
     return mean, mean - half, mean + half
+
+
+def ci95(values: Sequence[float]) -> Optional[Tuple[float, float]]:
+    """mean_ci95's interval as a (low, high) pair, or None when it has none."""
+    _, lo, hi = mean_ci95(values)
+    return None if lo is None else (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -361,7 +368,7 @@ class EstimatorBank:
 @dataclass(frozen=True)
 class ThresholdEstimate:
     alpha_star: float  # crossing of the replication-averaged curves
-    ci95: Tuple[float, float]  # from the spread of per-replication crossings
+    ci95: Optional[Tuple[float, float]]  # from the spread of per-replication crossings; None for fewer than two
     crossings: Tuple[float, ...]  # one interpolated crossing per replication
     grid: Tuple[float, ...]
     mean_p_honest: Tuple[float, ...]
@@ -505,10 +512,9 @@ def crossing_estimate(
     if alpha_star is None or not crossings:
         raise NoCrossing(f"win-probability curves do not cross on grid {grid}")
 
-    _, lo, hi = mean_ci95(crossings)
     return ThresholdEstimate(
         alpha_star=alpha_star,
-        ci95=(lo, hi),
+        ci95=ci95(crossings),
         crossings=tuple(crossings),
         grid=grid,
         mean_p_honest=mean_h,

@@ -29,18 +29,18 @@ from itertools import product
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .classify import find_uncles, round_columns
+from .classify import find_uncles
 from .engine import (
     FORK_TIP,
     HONEST,
     RELEASE_ALL,
     Carryover,
-    PoolRoundStat,
     RoundOutcome,
     ScriptClock,
     ScriptExhausted,
     SimConfig,
     make_carryover,
+    round_columns,
     run_round,
 )
 from .pipeline import RoundRecord, close_columns, round_records
@@ -295,25 +295,21 @@ def _snapshot(
     released: int,
     duration: float,
     first_owner: int,
-    fork_order: Tuple[int, ...],
     lengths: SortedLengths,
 ) -> RoundOutcome:
     own = state.subchain(winner).length if winner != HONEST else 0
     return RoundOutcome(
         winner=winner,
-        honest_length=state.honest_length,
-        per_pool=tuple(
-            PoolRoundStat(s.forked, s.fork_position if s.forked else 0, len(s.blocks))
-            for s in state.dishonest
-        ),
+        fork_pos=(0,) + tuple(s.fork_position if s.forked else 0 for s in state.dishonest),
+        length=(state.honest_length,) + tuple(len(s.blocks) for s in state.dishonest),
         released=released if winner != HONEST else 0,
         reserved=(own - released) if winner != HONEST else 0,
+        pegged=len(select_main_chain(state, winner, released)),
         duration=duration,
-        first_block_owner=first_owner,
-        fork_order=fork_order,
+        first_owner=first_owner,
+        events=int(duration),
         longest=lengths.omega1,
         second=lengths.omega2,
-        events=int(duration),
     )
 
 
@@ -333,13 +329,11 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
 
     while pos < len(events):
         state = RoundTree.empty(m)
-        fork_order: List[int] = []
         first_owner = -1
         if carry is not None:
             state = fork_subchain(state, carry.owner, 0)
             for _ in range(carry.private_blocks):
                 state = append_block(state, carry.owner)
-            fork_order.append(carry.owner)
             first_owner = carry.owner
         mined = 0
         closed = None
@@ -351,7 +345,6 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
                 first_owner = pool
             if pool != HONEST and not state.subchain(pool).forked:
                 state = fork_subchain(state, pool, state.honest_length)
-                fork_order.append(pool)
             state = append_block(state, pool)
             if pool == HONEST and tip:
                 state = ride_tip(state)
@@ -375,7 +368,7 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
         if closed is None:
             break  # script exhausted mid-round
         winner, released, lengths = closed
-        outcome = _snapshot(state, winner, released, float(mined), first_owner, tuple(fork_order), lengths)
+        outcome = _snapshot(state, winner, released, float(mined), first_owner, lengths)
         rounds.append(ScriptRound(outcome, state))
         carry = make_carryover(outcome)
 
@@ -413,22 +406,23 @@ def reference_analysis(
     plain counters, kept free of any code shared with the production
     classifier or allocator so it can serve as their oracle.
     """
-    n_pools = len(outcome.per_pool) + 1
-    v = outcome.honest_length
+    n_pools = len(outcome.length)
+    v = outcome.length[HONEST]
+    fork_pos, length = outcome.fork_pos, outcome.length
     winner = outcome.winner
 
     # Observed blocks as (owner, height) pairs; reserved blocks are unseen.
     observed: List[Tuple[int, int]] = [(HONEST, h) for h in range(1, v + 1)]
-    for i, stat in enumerate(outcome.per_pool, start=1):
-        count = outcome.released if i == winner else stat.length
+    for i in range(1, n_pools):
+        count = outcome.released if i == winner else length[i]
         for j in range(1, count + 1):
-            observed.append((i, stat.fork_position + j))
+            observed.append((i, fork_pos[i] + j))
 
     if winner == HONEST:
         main = {(HONEST, h) for h in range(1, v + 1)}
         main_len = v
     else:
-        k = outcome.per_pool[winner - 1].fork_position
+        k = fork_pos[winner]
         main = {(HONEST, h) for h in range(1, k + 1)}
         main |= {(winner, k + j) for j in range(1, outcome.released + 1)}
         main_len = k + outcome.released
@@ -440,21 +434,21 @@ def reference_analysis(
     # knocks out dishonest first blocks forked at or above it.
     candidates: List[Tuple[int, int]] = []  # (owner, height)
     if winner == HONEST:
-        for i, stat in enumerate(outcome.per_pool, start=1):
-            if stat.length >= 1:
-                candidates.append((i, stat.fork_position + 1))
+        for i in range(1, n_pools):
+            if length[i] >= 1:
+                candidates.append((i, fork_pos[i] + 1))
     else:
-        k = outcome.per_pool[winner - 1].fork_position
+        k = fork_pos[winner]
         honest_is_uncle = False
         if v >= k + 1:
             honest_is_uncle = 1 <= nephew_height - (k + 1) <= max_distance
             candidates.append((HONEST, k + 1))
-        for i, stat in enumerate(outcome.per_pool, start=1):
-            if i == winner or stat.length == 0:
+        for i in range(1, n_pools):
+            if i == winner or length[i] == 0:
                 continue
-            if honest_is_uncle and stat.fork_position >= k + 1:
+            if honest_is_uncle and fork_pos[i] >= k + 1:
                 continue
-            candidates.append((i, stat.fork_position + 1))
+            candidates.append((i, fork_pos[i] + 1))
 
     uncles: List[Tuple[int, int, int]] = []  # (owner, height, distance)
     for owner, height in candidates:
@@ -478,7 +472,7 @@ def reference_analysis(
     if winner == HONEST:
         quality = Fraction(1)
     else:
-        k = outcome.per_pool[winner - 1].fork_position
+        k = fork_pos[winner]
         quality = Fraction(k, k + outcome.released)
     main_ratio = Fraction(main_len, total)
     orphan_ratio = Fraction(total - main_len, total)
@@ -491,11 +485,11 @@ def reference_analysis(
         regular[HONEST] = Fraction(v)
     else:
         regular[winner] = Fraction(outcome.released)
-        regular[HONEST] = Fraction(outcome.per_pool[winner - 1].fork_position)
+        regular[HONEST] = Fraction(fork_pos[winner])
     for owner, _height, distance in uncles:
         uncle_pay[owner] += Fraction(8 - distance, 8)
     if prev_uncle_count:
-        nephew_pay[outcome.first_block_owner] += Fraction(prev_uncle_count, 32)
+        nephew_pay[outcome.first_owner] += Fraction(prev_uncle_count, 32)
 
     return {
         "labels": labels,
@@ -560,21 +554,24 @@ def _check_round(report: ViolationReport, events, record: RoundRecord, ref: dict
     report.rounds_checked += 1
     outcome = record.outcome
 
+    fork_pos, length = outcome.fork_pos, outcome.length
+    forked = [i for i in range(1, len(length)) if length[i]]
     if config.fork_rule == FORK_TIP:
-        for i, stat in enumerate(outcome.per_pool, start=1):
-            if stat.forked and stat.fork_position != outcome.honest_length:
-                report.add(events, f"pool {i} at {stat.fork_position}, off the honest tip {outcome.honest_length}")
-    elif outcome.fork_order:
-        first_fork = outcome.fork_order[0]
-        pos = outcome.per_pool[first_fork - 1].fork_position
-        # Before any dishonest block the honest pool leads by its length, so
-        # it has won by the time that length reaches the threshold.
+        for i in forked:
+            if fork_pos[i] != length[HONEST]:
+                report.add(events, f"pool {i} at {fork_pos[i]}, off the honest tip {length[HONEST]}")
+    elif forked:
+        # Fork positions only grow within a round, so the lowest is the first
+        # fork's. Before any dishonest block the honest pool leads by its
+        # length, so it has won by the time that length reaches the threshold.
+        first_fork = min(forked, key=fork_pos.__getitem__)
+        pos = fork_pos[first_fork]
         if not 0 <= pos < config.lead_threshold:
             report.add(events, f"first fork of pool {first_fork} at {pos}, not below {config.lead_threshold}")
     # The leading criterion and the pegged main chain must measure from one
     # base: a round that reserves nothing pegs its leader's generalized length.
-    if outcome.reserved == 0 and outcome.pegged_count != outcome.longest:
-        report.add(events, f"pegged {outcome.pegged_count} blocks, leader measured {outcome.longest}")
+    if outcome.reserved == 0 and outcome.pegged != outcome.longest:
+        report.add(events, f"pegged {outcome.pegged} blocks, leader measured {outcome.longest}")
 
     c = record.classification
 
@@ -603,7 +600,7 @@ def _check_round(report: ViolationReport, events, record: RoundRecord, ref: dict
     got_rewards = [(p.regular, p.uncle, p.nephew) for p in per_pool]
     if got_rewards != ref["rewards"]:
         report.add(events, f"rewards differ: {got_rewards} != {ref['rewards']}")
-    if sum(p.regular for p in per_pool) != outcome.pegged_count:
+    if sum(p.regular for p in per_pool) != outcome.pegged:
         report.add(events, "regular rewards != pegged count")
     for uncle in c.uncles:
         if uncle.reward not in UNCLE_REWARDS.values():
@@ -662,15 +659,13 @@ def enumerate_and_check(
         engine_rounds = _engine_outcomes(events, config, script.carryover)
         if len(engine_rounds) != len(rounds):
             report.add(events, f"engine closed {len(engine_rounds)} rounds, replay closed {len(rounds)}")
+        # The replay's pegged count is the length of its selected main chain.
         for got, want in zip(engine_rounds, rounds):
             for name in RoundOutcome._fields:
                 a, b = getattr(got, name), getattr(want.outcome, name)
                 if a != b:
                     report.add(events, f"engine {name}={a!r} != replay {b!r}")
                     break
-            pegged = select_main_chain(want.tree, want.outcome.winner, want.outcome.released)
-            if got.pegged_count != len(pegged):
-                report.add(events, f"engine pegged_count {got.pegged_count} != replay main chain {len(pegged)}")
 
         refs = []
         prev_uncles = 0  # the reference chains its own uncle counts

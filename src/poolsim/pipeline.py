@@ -30,14 +30,13 @@ from .classify import (  # noqa: F401
     find_uncles,
     nephew_columns,
     ratio_numerators,
-    round_columns,
     round_ratios,
     uncle_columns,
     uncle_records,
 )
 from .engine import (
     Carryover, LaneDraws, MiningClock, RoundColumns, RoundOutcome, SimConfig, TerminationPolicy, lane_blocks,
-    make_carryover, run_round,
+    make_carryover, round_columns, run_round,
 )
 from .metrics import EstimatorBank
 from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, reward_columns  # noqa: F401
@@ -90,7 +89,7 @@ def _shared(build: Callable, *columns: np.ndarray) -> Iterator:
 def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_index: int) -> Iterator[RoundRecord]:
     """One record per closed round, read from the buffer's rows."""
     rounds = closed.rounds
-    nephews = _shared(NephewRecord, closed.nephew_owner, closed.nephew_height, closed.uncle_count, closed.from_reserve)
+    nephews = _shared(NephewRecord, closed.nephew_owner, closed.nephew_height, closed.from_reserve)
     ratios = _shared(RoundRatios, *ratio_numerators(rounds.pegged, closed.orphan, rounds.released, closed.uncle_count))
     # One PoolReward per pool and round, regrouped into each round's tuple.
     pools = _shared(PoolReward, *(m.ravel() for m in (closed.regular_units, closed.uncle_units, closed.nephew_units)))
@@ -102,8 +101,8 @@ def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_
     for index, (outcome, regular, orphan, stale, uncles, nephew, ratio, per_pool) in enumerate(
         columns, start=first_index
     ):
-        classification = Classification(index, regular, orphan, uncles, stale, nephew)
-        yield RoundRecord(index, outcome, classification, ratio, RewardVector(index, per_pool))
+        classification = Classification(regular, orphan, uncles, stale, nephew)
+        yield RoundRecord(index, outcome, classification, ratio, RewardVector(per_pool))
 
 
 class _Played(NamedTuple):

@@ -19,8 +19,8 @@ from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Classification, round_columns, uncle_units
-from .engine import RoundColumns, RoundOutcome
+from .classify import UNITS_PER_BLOCK, Classification, uncle_units
+from .engine import RoundColumns, RoundOutcome, round_columns
 
 
 @lru_cache(maxsize=4096)  # values are immutable; a round's unit counts are few and small
@@ -57,7 +57,6 @@ class PoolReward(NamedTuple):
 
 
 class RewardVector(NamedTuple):
-    round_index: int
     per_pool: Tuple[PoolReward, ...]  # indexed by pool id
 
 
@@ -112,4 +111,4 @@ def allocate(
         distance[0, record.owner] = record.distance
     regular, uncle, nephew = reward_columns(rounds, distance, np.array([prev_uncle_count]))
     per_pool = map(PoolReward, regular[0].tolist(), uncle[0].tolist(), nephew[0].tolist())
-    return RewardVector(classification.round_index, tuple(per_pool))
+    return RewardVector(tuple(per_pool))

@@ -176,6 +176,18 @@ class TestRunExperiment:
             header = next(csv.reader(fh))
         assert header == GOLDEN_COLUMNS_M2 + ["alphaStar", "alphaStarLo95", "alphaStarHi95"]
 
+    def test_threshold_with_one_crossing_reports_no_interval(self, tmp_path):
+        # An interval needs two crossings; one replication gives one.
+        spec = self.spec(
+            tmp_path, mode="threshold", grid=(0.4, 0.5, 0.6, 0.7, 0.8), replications=1, rounds=2000, seed=1
+        )
+        assert run_experiment(spec) == 0
+        threshold = read_summary(spec.out_dir)["threshold"]
+        assert len(threshold["crossings"]) == 1 and threshold["ci95"] is None
+        with open(os.path.join(spec.out_dir, "gridpoint.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["alphaStarLo95"] == row["alphaStarHi95"] == "" for row in rows)
+
     def test_threshold_without_crossing_fails_cleanly(self, tmp_path):
         spec = self.spec(
             tmp_path, mode="threshold", grid=(0.70, 0.80), replications=2, rounds=200
@@ -308,19 +320,6 @@ class TestMain:
 
     def test_missing_alphas_exit_code(self, capsys):
         assert main([]) == 2
-
-    def test_env_workers_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIM_WORKERS", "1")
-        code = main([
-            "--mode", "single", "--alphas", "0.6,0.4", "--rounds", "50",
-            "--replications", "1", "--seed", "3", "--out", str(tmp_path / "o"),
-            "--workers", "4",
-        ])
-        assert code == 0
-
-    def test_bad_env_workers_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("SIM_WORKERS", "many")
-        assert main(["--alphas", "0.6,0.4"]) == 2
 
     def test_parser_rejects_bad_float_list(self, capsys):
         with pytest.raises(SystemExit):

@@ -177,28 +177,28 @@ class TestRunRoundScripted:
     def test_two_honest_blocks_end_the_round(self):
         out = scripted_round([0, 0])
         assert out.winner == HONEST
-        assert out.honest_length == 2
+        assert out.length[HONEST] == 2
         assert replay_pegged([0, 0], out) == (Block(0, 1, 1), Block(0, 2, 2))
-        assert out.pegged_count == 2
+        assert out.pegged == 2
         assert out.released == 0 and out.reserved == 0
         assert out.duration == 2.0
-        assert out.first_block_owner == HONEST
+        assert out.first_owner == HONEST
 
     def test_two_dishonest_blocks_claim_the_round(self):
         out = scripted_round([1, 1])
         assert out.winner == 1
-        assert out.per_pool[0].fork_position == 0
-        assert out.per_pool[0].length == 2
+        assert out.fork_pos[1] == 0
+        assert out.length[1] == 2
         assert out.released == 2 and out.reserved == 0
-        assert out.fork_order == (1,)
+        assert out.length[2] == 0  # pool 1 alone forked
 
     def test_fork_position_fixed_at_first_own_block(self):
         # Pool 1 mines its first block when the honest chain has one block:
         # its chain rides position 1 and stays there while honest grows.
         out = scripted_round([0, 1, 0, 0, 0])
         assert out.winner == HONEST
-        assert out.honest_length == 4
-        assert (out.per_pool[0].forked, out.per_pool[0].fork_position, out.per_pool[0].length) == (True, 1, 1)
+        assert out.length[HONEST] == 4
+        assert (out.fork_pos[1], out.length[1]) == (1, 1)
         assert (out.longest, out.second) == (4, 2)
 
     def test_script_exhaustion_raises(self):
@@ -211,7 +211,7 @@ class TestRunRoundScripted:
         policy = lambda longest, second, mined: longest - second >= 4
         out = scripted_round([1, 0, 1, 1, 1, 1], policy=policy, release_policy=RELEASE_MIN)
         assert out.winner == 1
-        assert out.per_pool[0].length == 5
+        assert out.length[1] == 5
         assert out.second == 1
         assert out.released == 3  # second + 2 with fork position 0
         assert out.reserved == 2
@@ -237,14 +237,14 @@ class TestTipForkRule:
     def test_two_honest_blocks_still_win(self):
         out = scripted_round([0, 0], fork_rule=FORK_TIP)
         assert out.winner == HONEST
-        assert (out.honest_length, out.longest, out.second) == (2, 2, 0)
+        assert (out.length[HONEST], out.longest, out.second) == (2, 2, 0)
 
     def test_fork_at_one_closes_for_pool_one(self):
         out = scripted_round([0, 1, 1], fork_rule=FORK_TIP)
         assert out.winner == 1
-        assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (1, 2)
+        assert (out.fork_pos[1], out.length[1]) == (1, 2)
         assert (out.longest, out.second) == (3, 1)
-        assert out.pegged_count == 3 and out.released == 2
+        assert out.pegged == 3 and out.released == 2
 
     def test_late_win_pegs_the_whole_honest_chain(self):
         # m=1: pool 1 forks at 0, four honest blocks follow. Anchored, the
@@ -255,13 +255,13 @@ class TestTipForkRule:
         assert scripted_round([1, 0, 0, 0], alphas=(0.5, 0.5)).winner == HONEST
         out = scripted_round([1, 0, 0, 0, 0, 1], alphas=(0.5, 0.5), fork_rule=FORK_TIP)
         assert out.winner == 1
-        assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (4, 2)
+        assert (out.fork_pos[1], out.length[1]) == (4, 2)
         assert (out.longest, out.second) == (6, 4)
         pegged = replay_pegged([1, 0, 0, 0, 0, 1], out, (0.5, 0.5), fork_rule=FORK_TIP)
         assert [(b.owner, b.height) for b in pegged] == [
             (HONEST, 1), (HONEST, 2), (HONEST, 3), (HONEST, 4), (1, 5), (1, 6),
         ]
-        assert out.pegged_count == 6
+        assert out.pegged == 6
 
     def test_release_min_measures_from_the_tip(self):
         # Pool 1 forks at 0 and waits for a four-block lead: four own blocks
@@ -274,7 +274,7 @@ class TestTipForkRule:
         )
         assert out.winner == 1
         assert (out.longest, out.second) == (5, 1)
-        assert out.per_pool[0].fork_position == 1
+        assert out.fork_pos[1] == 1
         assert out.released == 2 and out.reserved == 2
 
 
@@ -297,10 +297,10 @@ class TestCarryover:
         # Pool 1 starts with two private blocks at fork position 0; honest
         # must reach a two-block lead over that to win.
         assert out.winner == HONEST
-        assert out.honest_length == 4
-        assert (out.per_pool[0].forked, out.per_pool[0].fork_position, out.per_pool[0].length) == (True, 0, 2)
-        assert out.first_block_owner == 1
-        assert out.fork_order == (1,)
+        assert out.length[HONEST] == 4
+        assert (out.fork_pos[1], out.length[1]) == (0, 2)
+        assert out.first_owner == 1
+        assert out.length[2] == 0  # pool 1 alone forked
 
     def test_big_carryover_claims_after_one_mined_block(self):
         out = scripted_round([0], carry=Carryover(1, 3))
@@ -396,7 +396,7 @@ class TestStochasticRounds:
         for _ in range(200):
             out = run_round(config, None, clock)
             assert out.winner == HONEST
-            assert out.honest_length == 2
+            assert out.length[HONEST] == 2
             assert out.duration > 0.0
 
     def test_degenerate_mean_duration_near_closed_form(self):
@@ -430,8 +430,8 @@ class TestStochasticRounds:
             clock.events = []
             out = run_round(config, None, clock)
             [(_, tree)] = replay_script(EventScript(tuple(clock.events)), config)
-            for stat, sub in zip(out.per_pool, tree.dishonest):
-                assert stat.forked == sub.forked
-                assert stat.length == len(sub.blocks)
+            for pool, sub in enumerate(tree.dishonest, start=1):
+                assert (out.length[pool] > 0) == sub.forked
+                assert out.length[pool] == len(sub.blocks)
                 if sub.forked:
-                    assert stat.fork_position == sub.fork_position
+                    assert out.fork_pos[pool] == sub.fork_position

@@ -18,7 +18,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from poolsim.classify import round_columns
 from poolsim.engine import (
     FORK_RULES,
     FORK_TIP,
@@ -26,11 +25,14 @@ from poolsim.engine import (
     RELEASE_MIN,
     LaneDraws,
     MiningClock,
+    RoundColumns,
+    RoundOutcome,
     ScriptClock,
     ScriptExhausted,
     SimConfig,
     lane_blocks,
     play_lanes,
+    round_columns,
     run_round,
 )
 from poolsim.metrics import win_fraction_run
@@ -82,7 +84,7 @@ def assert_lanes_replay(config, scripts, want):
     got = block.outcomes()
     # Durations come from the event source, not the rules.
     assert [o._replace(duration=0.0) for o in got] == [o._replace(duration=0.0) for o in want]
-    assert [o.pegged_count for o in got] == [o.pegged_count for o in want]
+    assert [o.pegged for o in got] == [o.pegged for o in want]
     columns, expected = block.columns, round_columns(want)
     for name in columns._fields:
         if name != "duration":
@@ -113,7 +115,7 @@ class TestScriptEquivalence:
         candidates = np.random.default_rng(lead).choice(mining, size=(3000, 40)).tolist()
         scripts, want = first_rounds(config, candidates)
         assert len(scripts) > 2000
-        assert max(len(o.fork_order) for o in want) == len(config.alphas) - 1 - alphas.count(0.0)
+        assert max(sum(n > 0 for n in o.length[1:]) for o in want) == len(config.alphas) - 1 - alphas.count(0.0)
         assert_lanes_replay(config, scripts, want)
 
     def test_tip_forks_ride_the_honest_tip(self):
@@ -121,8 +123,29 @@ class TestScriptEquivalence:
         # Pool 1 forks at 0 and rides to 1; pool 2 forks at 1; pool 1 then
         # leads pool 2 by two.
         [out] = play_lanes(config, 1, ScriptDraws([(1, 0, 2, 1, 1)])).outcomes()
-        assert out.winner == 1 and out.fork_order == (1, 2)
-        assert [(s.forked, s.fork_position, s.length) for s in out.per_pool] == [(True, 1, 3), (True, 1, 1)]
+        assert out.winner == 1
+        assert (out.fork_pos, out.length) == ((0, 1, 1), (1, 3, 1))
+
+
+class TestRoundFormat:
+    """A RoundOutcome is a row of RoundColumns: round_columns and
+    LaneRounds.outcomes are inverse maps."""
+
+    def test_outcome_fields_begin_with_the_columns(self):
+        assert RoundOutcome._fields[:len(RoundColumns._fields)] == RoundColumns._fields
+
+    @pytest.mark.parametrize("config", [
+        *[SimConfig.from_alphas(alphas, fork_rule=rule)
+          for alphas in [(0.6, 0.4), (0.6, 0.3, 0.1), (0.5, 0.25, 0.15, 0.1), (0.5, 0.2, 0.13, 0.1, 0.07)]
+          for rule in FORK_RULES],
+        SimConfig.from_alphas((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN, lead_threshold=3),
+    ], ids=lambda c: f"m{c.num_dishonest}-{c.fork_rule}-lead{c.lead_threshold}-{c.release_policy}")
+    def test_outcomes_convert_back_to_the_columns(self, config):
+        block = play_lanes(config, 600, LaneDraws(config, 7))
+        back = round_columns(block.outcomes())
+        for name in RoundColumns._fields:
+            got, want = getattr(back, name), getattr(block.columns, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def scalar_samples(config, rounds, seed):
@@ -293,4 +316,4 @@ class TestLaneCallers:
         assert [r.outcome for r in records] == [o for block in blocks for o in block.outcomes()]
         # Every round's nephew is the next round's first block.
         for prev, cur in zip(records, records[1:]):
-            assert prev.classification.nephew.owner == cur.outcome.first_block_owner
+            assert prev.classification.nephew.owner == cur.outcome.first_owner

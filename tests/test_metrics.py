@@ -9,6 +9,8 @@ from poolsim.metrics import (
     NoCrossing,
     NoData,
     ThresholdEstimate,
+    ci95,
+    crossing_estimate,
     find_power_threshold,
     grid_config,
     interpolate_crossing,
@@ -72,14 +74,14 @@ class TestBankTotals:
             out, w = rec.outcome, rec.outcome.winner
             wins[w] += 1
             if w == HONEST:
-                length[w] += out.honest_length
+                length[w] += out.length[HONEST]
             else:
-                fork[w] += out.per_pool[w - 1].fork_position
-                length[w] += out.per_pool[w - 1].length
+                fork[w] += out.fork_pos[w]
+                length[w] += out.length[w]
                 released[w] += out.released
             for p, pay in enumerate(rec.rewards.per_pool):
                 units[p] += pay.total_units
-            holder = out.first_block_owner
+            holder = out.first_owner
             nephew_count[w][holder] += 1
             nephew_units[w][holder] += rec.rewards.per_pool[holder].nephew_units
             for uncle in rec.classification.uncles:
@@ -89,7 +91,7 @@ class TestBankTotals:
             ratio_total = [t + x for t, x in zip(ratio_total, rec.ratios.as_floats())]
         assert bank.win_counts == wins
         assert (bank.fork_pos_total, bank.length_total, bank.released_total) == (fork, length, released)
-        assert bank.pegged_total == sum(rec.outcome.pegged_count for rec in records)
+        assert bank.pegged_total == sum(rec.outcome.pegged for rec in records)
         assert bank.reward_units == units
         assert (bank.nephew_count, bank.nephew_units) == (nephew_count, nephew_units)
         assert (bank.uncle_count, bank.uncle_units) == (uncle_count, uncle_units)
@@ -248,6 +250,18 @@ class TestPowerThreshold:
         assert estimate.skipped == 0
         assert len(estimate.crossings) == 4
 
+    def test_one_replication_has_no_interval(self):
+        config = SimConfig.from_alphas([0.6, 0.3, 0.1])
+        estimate = find_power_threshold(config, [0.4, 0.5, 0.6, 0.7, 0.8], replications=1, rounds_per_run=2000)
+        assert len(estimate.crossings) == 1
+        assert estimate.ci95 is None
+
+    def test_one_crossing_of_two_replications_has_no_interval(self):
+        # Replication 0 crosses at 0.5; replication 1 stays below, so it is skipped.
+        estimate = crossing_estimate((0.0, 1.0), [[0.5, 0.5], [0.5, 0.5]], [[0.25, 0.25], [0.75, 0.375]])
+        assert (estimate.crossings, estimate.skipped) == ((0.5,), 1)
+        assert estimate.ci95 is None
+
     def test_deterministic_in_master_seed(self):
         config = SimConfig.from_alphas([0.6, 0.3, 0.1])
         a = find_power_threshold(config, [0.42, 0.58], replications=2, rounds_per_run=500, master_seed=3)
@@ -315,7 +329,9 @@ class TestMeanCi95:
         assert mean == 2.5
 
     def test_single_value_degenerate(self):
-        assert mean_ci95([5.0]) == (5.0, 5.0, 5.0)
+        assert mean_ci95([5.0]) == (5.0, None, None)
+        assert ci95([5.0]) is None
+        assert ci95([1.0, 2.0, 3.0, 4.0]) == mean_ci95([1.0, 2.0, 3.0, 4.0])[1:]
 
     def test_no_values_raises(self):
         with pytest.raises(NoData):

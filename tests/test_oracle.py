@@ -33,13 +33,13 @@ def one_round(events, config=CFG2, carry=None):
 class TestReplayBasics:
     def test_two_honest_blocks_close_immediately(self):
         out = one_round([H, H])
-        assert out.winner == HONEST and out.honest_length == 2
+        assert out.winner == HONEST and out.length[H] == 2
 
     def test_two_private_blocks_claim_the_round(self):
         out = one_round([D1, D1])
         assert out.winner == D1
-        assert out.per_pool[0].fork_position == 0
-        assert out.per_pool[0].length == 2
+        assert out.fork_pos[D1] == 0
+        assert out.length[D1] == 2
         assert out.released == 2
 
     def test_open_race_is_incomplete(self):
@@ -66,12 +66,12 @@ class TestTipReplay:
 
     def test_two_honest_blocks_close_for_honest(self):
         out = one_round([H, H], TIP2)
-        assert out.winner == HONEST and out.honest_length == 2
+        assert out.winner == HONEST and out.length[H] == 2
 
     def test_fork_at_one_closes_for_pool_one(self):
         out = one_round([H, D1, D1], TIP2)
         assert out.winner == D1
-        assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (1, 2)
+        assert (out.fork_pos[D1], out.length[D1]) == (1, 2)
         assert (out.longest, out.second) == (3, 1)
 
     def test_rival_fork_resets_the_race_between_forks(self):
@@ -79,115 +79,111 @@ class TestTipReplay:
         # ties it, so D1 needs two more blocks than D2 to close.
         out = one_round([D1, H, D2, D1, D1], TIP2)
         assert out.winner == D1
-        assert [(s.fork_position, s.length) for s in out.per_pool] == [(1, 3), (1, 1)]
+        assert list(zip(out.fork_pos[1:], out.length[1:])) == [(1, 3), (1, 1)]
         assert (out.longest, out.second) == (4, 2)
 
     def test_late_win_orphans_no_honest_block(self):
         out, tree = replay_script(EventScript((D1, H, H, H, H, D1)), TIP2)[0]
-        assert out.winner == D1 and out.per_pool[0].fork_position == 4
-        assert out.pegged_count == out.longest == 6
+        assert out.winner == D1 and out.fork_pos[D1] == 4
+        assert out.pegged == out.longest == 6
         assert tree.honest.blocks == select_main_chain(tree, out.winner, out.released)[:4]
 
 
 class TestHonestWinnerTreeShapes:
     def test_idle_rivals_close_at_two(self):
         out = one_round([H, H])
-        assert out.honest_length == 2
-        assert all(not s.forked for s in out.per_pool)
+        assert out.length[H] == 2
+        assert out.length[1:] == (0, 0)  # no rival forked
 
     def test_single_fork_at_zero_closes_at_two_over(self):
         out = one_round([D1, H, H, H])
-        assert out.winner == H and out.honest_length == 3
-        assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (0, 1)
+        assert out.winner == H and out.length[H] == 3
+        assert (out.fork_pos[D1], out.length[D1]) == (0, 1)
         # chain length equals the rival's blocks plus the two-block lead
-        assert out.honest_length == out.per_pool[0].length + 2
+        assert out.length[H] == out.length[D1] + 2
 
     def test_single_fork_at_one_carries_its_anchor(self):
         out = one_round([H, D1, H, H, H])
-        assert out.winner == H and out.honest_length == 4
-        assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (1, 1)
-        assert out.honest_length == out.per_pool[0].fork_position + out.per_pool[0].length + 2
+        assert out.winner == H and out.length[H] == 4
+        assert (out.fork_pos[D1], out.length[D1]) == (1, 1)
+        assert out.length[H] == out.fork_pos[D1] + out.length[D1] + 2
 
     def test_twin_forks_at_zero(self):
         out = one_round([D1, D2, H, H, H])
-        assert out.winner == H and out.honest_length == 3
-        gens = [s.fork_position + s.length for s in out.per_pool]
-        assert max(gens) == out.honest_length - 2
-        assert all(1 <= g <= out.honest_length - 2 for g in gens)
+        assert out.winner == H and out.length[H] == 3
+        gens = [p + n for p, n in zip(out.fork_pos[1:], out.length[1:])]
+        assert max(gens) == out.length[H] - 2
+        assert all(1 <= g <= out.length[H] - 2 for g in gens)
 
     def test_twin_forks_at_one(self):
         out = one_round([H, D1, D2, H, H, H, H])
-        assert out.winner == H and out.honest_length == 4
-        for stat in out.per_pool:
-            assert stat.fork_position == 1 and stat.length == 1
-        assert out.honest_length == 1 + 1 + 2
+        assert out.winner == H and out.length[H] == 4
+        assert out.fork_pos[1:] == (1, 1) and out.length[1:] == (1, 1)
+        assert out.length[H] == 1 + 1 + 2
 
     def test_staggered_forks(self):
         out = one_round([D1, H, D2, H, H, H])
-        assert out.winner == H and out.honest_length == 4
-        assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (0, 1)
-        assert (out.per_pool[1].fork_position, out.per_pool[1].length) == (1, 1)
-        assert out.per_pool[1].fork_position + out.per_pool[1].length == out.honest_length - 2
+        assert out.winner == H and out.length[H] == 4
+        assert (out.fork_pos[D1], out.length[D1]) == (0, 1)
+        assert (out.fork_pos[D2], out.length[D2]) == (1, 1)
+        assert out.fork_pos[D2] + out.length[D2] == out.length[H] - 2
 
     def test_staggered_forks_shifted_up(self):
         out = one_round([H, D1, H, D2, H, H, H])
-        assert out.winner == H and out.honest_length == 5
-        assert (out.per_pool[0].fork_position, out.per_pool[0].length) == (1, 1)
-        assert (out.per_pool[1].fork_position, out.per_pool[1].length) == (2, 1)
-        assert out.per_pool[1].fork_position + out.per_pool[1].length == out.honest_length - 2
+        assert out.winner == H and out.length[H] == 5
+        assert (out.fork_pos[D1], out.length[D1]) == (1, 1)
+        assert (out.fork_pos[D2], out.length[D2]) == (2, 1)
+        assert out.fork_pos[D2] + out.length[D2] == out.length[H] - 2
 
 
 class TestDishonestWinnerTreeShapes:
     def test_lone_runner_needs_two(self):
         out = one_round([D1, D1])
         assert out.winner == D1
-        assert out.per_pool[0].length == 2 and out.honest_length == 0
+        assert out.length[D1] == 2 and out.length[H] == 0
 
     def test_fork_at_zero_beats_honest_by_two(self):
         out = one_round([D1, H, D1, D1])
-        assert out.winner == D1 and out.honest_length == 1
-        assert out.per_pool[0].length == out.honest_length + 2
+        assert out.winner == D1 and out.length[H] == 1
+        assert out.length[D1] == out.length[H] + 2
 
     def test_fork_at_one_rides_its_anchor(self):
         out = one_round([H, D1, H, D1, D1])
-        assert out.winner == D1 and out.honest_length == 2
-        stat = out.per_pool[0]
-        assert stat.fork_position == 1
-        assert stat.fork_position + stat.length == out.honest_length + 2
+        assert out.winner == D1 and out.length[H] == 2
+        assert out.fork_pos[D1] == 1
+        assert out.fork_pos[D1] + out.length[D1] == out.length[H] + 2
 
     def test_twin_forks_at_zero_race_each_other(self):
         out = one_round([D1, D2, H, D1, D1])
         assert out.winner == D1
-        l1, l2 = out.per_pool[0].length, out.per_pool[1].length
-        assert l1 >= max(out.honest_length + 2, l2 + 2)
+        l1, l2 = out.length[D1], out.length[D2]
+        assert l1 >= max(out.length[H] + 2, l2 + 2)
 
     def test_twin_forks_at_one_race_each_other(self):
         out = one_round([H, D1, D2, D1, D1])
         assert out.winner == D1
-        s1, s2 = out.per_pool
-        assert s1.fork_position == s2.fork_position == 1
-        assert s1.fork_position + s1.length >= max(out.honest_length + 2, s2.fork_position + s2.length + 2)
+        (_, p1, p2), (_, l1, l2) = out.fork_pos, out.length
+        assert p1 == p2 == 1
+        assert p1 + l1 >= max(out.length[H] + 2, p2 + l2 + 2)
 
     def test_staggered_forks_winner_low(self):
         out = one_round([D1, H, D2, D1, D1, D1])
         assert out.winner == D1
-        s1, s2 = out.per_pool
-        assert (s1.fork_position, s2.fork_position) == (0, 1)
-        assert s1.length >= max(out.honest_length + 2, s2.fork_position + s2.length + 2)
+        (_, p1, p2), (_, l1, l2) = out.fork_pos, out.length
+        assert (p1, p2) == (0, 1)
+        assert l1 >= max(out.length[H] + 2, p2 + l2 + 2)
 
     def test_staggered_forks_shifted_up(self):
         out = one_round([H, D1, H, D2, D1, D1, D1])
         assert out.winner == D1
-        s1, s2 = out.per_pool
-        assert (s1.fork_position, s2.fork_position) == (1, 2)
-        assert s1.fork_position + s1.length >= max(
-            out.honest_length + 2, s2.fork_position + s2.length + 2
-        )
+        (_, p1, p2), (_, l1, l2) = out.fork_pos, out.length
+        assert (p1, p2) == (1, 2)
+        assert p1 + l1 >= max(out.length[H] + 2, p2 + l2 + 2)
 
 
 class TestReferenceAnalysis:
     def test_agrees_with_worked_example(self):
-        out = build_outcome(HONEST, 4, [(1, 2), (0, 1)], first_block_owner=HONEST)
+        out = build_outcome(HONEST, 4, [(1, 2), (0, 1)], first_owner=HONEST)
         ref = reference_analysis(out, prev_uncle_count=0)
         assert ref["uncles"] == [(2, 1, 4), (1, 2, 3)]
         assert ref["ratios"]["uncle"] == Fraction(2, 7)
@@ -195,7 +191,7 @@ class TestReferenceAnalysis:
         assert ref["rewards"][1][1] == Fraction(5, 8)
 
     def test_books_reference_reward_to_first_owner(self):
-        out = build_outcome(HONEST, 2, [(False, 0, 0)], first_block_owner=1)
+        out = build_outcome(HONEST, 2, [(False, 0, 0)], first_owner=1)
         ref = reference_analysis(out, prev_uncle_count=3)
         assert ref["rewards"][1][2] == Fraction(3, 32)
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from poolsim import pipeline
-from poolsim.classify import round_columns
-from poolsim.engine import RELEASE_MIN, SimConfig
+from poolsim.engine import RELEASE_MIN, SimConfig, round_columns
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_columns, round_records, simulate_rounds
 
@@ -90,10 +89,9 @@ class TestCarryoverChaining:
         for prev, cur in zip(records, records[1:]):
             if prev.outcome.reserved >= 1:
                 owner = prev.outcome.winner
-                assert cur.outcome.first_block_owner == owner
-                stat = cur.outcome.per_pool[owner - 1]
-                assert stat.forked and stat.fork_position == 0
-                assert stat.length >= prev.outcome.reserved
+                assert cur.outcome.first_owner == owner
+                assert cur.outcome.fork_pos[owner] == 0
+                assert cur.outcome.length[owner] >= prev.outcome.reserved
 
     def test_nephew_booking_follows_reserve(self):
         _, records = self.run_with_reserve()

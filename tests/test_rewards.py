@@ -28,33 +28,33 @@ class TestAllocate:
         assert rewards.per_pool[1].regular == rewards.per_pool[2].regular == 0
 
     def test_dishonest_win_books_release_and_honest_uncle(self):
-        out = build_outcome(1, 2, [(0, 4)], released=4, first_block_owner=HONEST)
+        out = build_outcome(1, 2, [(0, 4)], released=4, first_owner=HONEST)
         _, rewards = closed(out, next_owner=1)
         assert rewards.per_pool[1].regular == 4
         assert rewards.per_pool[0].regular == 0
         assert rewards.per_pool[0].uncle == Fraction(1, 2)
 
     def test_previous_nephew_owner_collects_reference_reward(self):
-        out = build_outcome(HONEST, 2, [(False, 0, 0)], first_block_owner=HONEST)
+        out = build_outcome(HONEST, 2, [(False, 0, 0)], first_owner=HONEST)
         _, rewards = closed(out, next_owner=HONEST, prev_uncles=2)
         assert rewards.per_pool[0].regular == 2
         assert rewards.per_pool[0].nephew == Fraction(1, 16)
         assert rewards.per_pool[0].total == 2 + Fraction(1, 16)
 
     def test_dishonest_first_block_collects_reference_reward(self):
-        out = build_outcome(HONEST, 3, [(0, 1)], first_block_owner=1)
+        out = build_outcome(HONEST, 3, [(0, 1)], first_owner=1)
         _, rewards = closed(out, next_owner=HONEST, prev_uncles=3)
         assert rewards.per_pool[1].nephew == Fraction(3, 32)
         assert rewards.per_pool[0].nephew == 0
 
     def test_honest_prefix_paid_when_dishonest_wins(self):
-        out = build_outcome(1, 3, [(1, 4)], released=4, first_block_owner=HONEST)
+        out = build_outcome(1, 3, [(1, 4)], released=4, first_owner=HONEST)
         _, rewards = closed(out, next_owner=HONEST)
         assert rewards.per_pool[0].regular == 1  # pegged honest prefix
         assert rewards.per_pool[1].regular == 4
 
     def test_reserved_blocks_earn_nothing_now(self):
-        out = build_outcome(1, 2, [(0, 5)], released=3, first_block_owner=1)
+        out = build_outcome(1, 2, [(0, 5)], released=3, first_owner=1)
         _, rewards = closed(out, next_owner=None)
         assert rewards.per_pool[1].regular == 3  # not 5
 
@@ -78,8 +78,8 @@ class TestSettleUncleRewards:
     def test_same_payments_for_reserve_nephew(self):
         # The uncle payments of a round do not depend on which source
         # provided the nephew, only the nephew's height.
-        full = build_outcome(1, 2, [(0, 4), (0, 1)], released=4, first_block_owner=1)
-        held = build_outcome(1, 2, [(0, 5), (0, 1)], released=4, first_block_owner=1)
+        full = build_outcome(1, 2, [(0, 4), (0, 1)], released=4, first_owner=1)
+        held = build_outcome(1, 2, [(0, 5), (0, 1)], released=4, first_owner=1)
         cls_full, _ = closed(full, next_owner=2)
         cls_held, _ = closed(held, next_owner=None)
         assert cls_held.nephew.from_reserve and not cls_full.nephew.from_reserve
@@ -92,7 +92,7 @@ class TestConservation:
         _, records = simulate_rounds(config, 2000, seed=np.random.SeedSequence(17), collect=True)
         for rec in records:
             total = sum(p.regular for p in rec.rewards.per_pool)
-            assert total == rec.outcome.pegged_count
+            assert total == rec.outcome.pegged
 
     def test_uncle_payments_match_classification(self):
         config = SimConfig.from_alphas([0.5, 0.37, 0.13])
@@ -109,7 +109,7 @@ class TestConservation:
             booked = sum(p.nephew for p in cur.rewards.per_pool)
             assert booked == Fraction(prev.classification.uncle_count, 32)
             if prev.classification.uncle_count:
-                holder = cur.outcome.first_block_owner
+                holder = cur.outcome.first_owner
                 assert cur.rewards.per_pool[holder].nephew == booked
 
     def test_all_components_non_negative(self):
