@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lead-threshold", type=int, dest="lead_threshold",
                         help=f"blocks of lead that end a round (default {SimConfig.lead_threshold})")
     parser.add_argument("--release-policy", choices=RELEASE_POLICIES, dest="release_policy",
-                        help=f"dishonest winner's release rule (default {SimConfig.release_policy})")
+                        help=f"dishonest winner's release rule (default {SimConfig.release_policy}); CLI runs"
+                        " are eager, so release-min pegs every block and changes nothing")
     parser.add_argument("--rounds", type=int, help="rounds per replication")
     parser.add_argument("--replications", type=int, help="replications per grid point")
     parser.add_argument("--seed", type=int, help="master seed")

@@ -15,17 +15,19 @@ draw rule: the miner of each block is an independent categorical draw with
 p_i proportional to the rate 1 / interarrival_scale(alpha_i, gamma, T) (a
 zero-power pool's rate is 0, so it never mines), and the gap before it is
 exponential with mean 1 / sum of the rates, so a round of k blocks lasts
-Gamma(k, 1 / sum of the rates). LaneDraws holds that rule on one Philox
-generator on the run's seed, and the two engines read it.
+Gamma(k, 1 / sum of the rates). LaneDraws holds that rule, miners on a
+Philox generator on the run's seed and time on its jump, and the two
+engines read it.
 
 The engines share one set of round rules. run_round plays one round at a
 time from an event source and takes a carryover and a termination policy;
 it runs withholding runs and the oracle's checks. Its sources are
 MiningClock, which reads the draw rule one event at a time, and
 ScriptClock, which replays a fixed script. play_lanes plays a block of
-eager rounds (no policy) side by side as lanes of numpy state and returns
-them as RoundColumns, the form the columnar close consumes. Eager rounds
-never reserve a block, so each starts afresh and the rounds are i.i.d.
+eager rounds (no policy) side by side as lanes of numpy state, admitting
+new rounds as others end, and builds their RoundColumns, the form the
+columnar close consumes, when they are read. Eager rounds never reserve a
+block, so each starts afresh and the rounds are i.i.d.
 
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
@@ -45,20 +47,22 @@ top the second and the pool the leader; a g past only the second is the
 second. Under tip, an honest block after a fork lifts the honest and every
 forked chain by one: the top two rise by one and nothing else moves.
 
-Draw order. A lane run draws, for each block of up to LANES rounds, one
-uniform per live lane and step (live lanes in lane order, the block's first
-step covering every lane), then one Gamma duration per round in lane order;
-lane_blocks plays the blocks in round order. MiningClock draws CLOCK_BATCH
-events at a time, CLOCK_BATCH uniforms for the miners and then CLOCK_BATCH
-exponential gaps, and hands them out in order across rounds. After the last
-round, if it reserved nothing, simulate_rounds draws one more uniform for
-the miner of the block that closes it. Results therefore depend on the seed
-alone, never on how runs are scheduled.
+Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in round
+order. A block's steps draw one miner per live round, in increasing round
+order; whenever fewer than LANES // 2 are live, the next rounds not yet
+begun join at the end first, up to LANES live. Round ids only grow, so a
+block has one drain tail. The time stream gives one Gamma duration per
+round, in round order, when a block's columns are first read. MiningClock
+draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps at a time and
+hands them out in order across rounds. After the last round, if it reserved
+nothing, simulate_rounds draws one more miner, of the block that closes it.
+Results therefore depend on the seed alone, never on scheduling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -206,13 +210,13 @@ def interarrival_scale(alpha: float, gamma: float, mean_block_time: float) -> fl
 
 
 class LaneDraws:
-    """The race's draw rule on one Philox generator on the run's seed.
+    """The race's draw rule: miners on a Philox generator on the run's
+    seed, time on the same generator jumped ahead.
 
     miners(n) gives the miners of n blocks, one uniform each, pool i with
     probability proportional to its rate, so a zero-power pool is never
-    drawn. play_lanes reads it through pools(lanes, step), the miner of the
-    next block of each listed lane, and durations(events), each round's
-    duration from its block count, one Gamma draw each.
+    drawn. Lanes read pools(lanes), the next miner of each listed round,
+    and durations(events), one Gamma draw per round from its block count.
     """
 
     def __init__(self, config: SimConfig, seed=0):
@@ -221,16 +225,18 @@ class LaneDraws:
         # Uniforms below edges[k] fall to the first k mining pools.
         self._edges = np.cumsum(rates[self._mining])[:-1] / rates.sum()
         self._mean_gap = 1.0 / rates.sum()
-        self._gen = np.random.Generator(np.random.Philox(seed))
+        bits = np.random.Philox(seed)
+        self._gen = np.random.Generator(bits)  # miners
+        self._time = np.random.Generator(bits.jumped())  # gaps and durations
 
     def miners(self, n: int) -> np.ndarray:
         return self._mining[self._edges.searchsorted(self._gen.random(n), side="right")]
 
-    def pools(self, lanes: np.ndarray, step: int) -> np.ndarray:
+    def pools(self, lanes: np.ndarray) -> np.ndarray:
         return self.miners(len(lanes))
 
     def durations(self, events: np.ndarray) -> np.ndarray:
-        return self._gen.gamma(events, self._mean_gap)
+        return self._time.gamma(events, self._mean_gap)
 
 
 CLOCK_BATCH = 1024  # events MiningClock draws at a time
@@ -239,9 +245,10 @@ CLOCK_BATCH = 1024  # events MiningClock draws at a time
 class MiningClock(LaneDraws):
     """Event source for run_round: the draw rule read one event at a time.
 
-    Each event's miner comes from miners() and the gap before it is
-    exponential with the race's mean gap; the round clock restarts at zero
-    each round. Create one clock per replication and reuse it across rounds.
+    Each event's miner comes from miners() and the gap before it, on the
+    time stream, is exponential with the race's mean gap; the round clock
+    restarts at zero each round. Create one clock per replication and reuse
+    it across rounds.
     """
 
     def __init__(self, config: SimConfig, seed=0):
@@ -256,7 +263,7 @@ class MiningClock(LaneDraws):
         event = next(self._events, None)
         if event is None:
             pools = self.miners(CLOCK_BATCH).tolist()
-            self._events = zip(pools, self._gen.exponential(self._mean_gap, CLOCK_BATCH).tolist())
+            self._events = zip(pools, self._time.exponential(self._mean_gap, CLOCK_BATCH).tolist())
             event = next(self._events)
         pool, gap = event
         self._now += gap
@@ -383,17 +390,48 @@ def make_carryover(outcome: RoundOutcome) -> Optional[Carryover]:
 
 # -- lockstep lanes ---------------------------------------------------------------
 
-LANES = 4096  # rounds a lane block plays side by side
+LANES = 4096  # most rounds a lane block plays side by side
+BLOCK_ROUNDS = 8 * LANES  # rounds in one lane block, which drains once
 
 
-class LaneRounds(NamedTuple):
-    """A block of eager rounds played as lanes, one row each: their columns,
-    and what only per-round outcomes need."""
+@dataclass(frozen=True, eq=False)
+class LaneRounds:
+    """A block of eager rounds as play_lanes leaves them: pool-major own
+    lengths (row 0 is the honest length) and anchored fork positions, then
+    one entry per round. The columns (transposes, release counts, durations)
+    are built when first read, so a caller that only counts winners never
+    builds them."""
 
-    columns: RoundColumns
+    config: SimConfig
+    draws: LaneDraws
+    own: np.ndarray
+    fork_pos: np.ndarray
+    winner: np.ndarray
     events: np.ndarray
     longest: np.ndarray
     second: np.ndarray
+    first_owner: np.ndarray
+
+    @cached_property
+    def columns(self) -> RoundColumns:
+        own = self.own
+        if self.config.fork_rule == FORK_TIP:
+            self.fork_pos[1:] = own[HONEST] * (own[1:] > 0)  # a forked chain sits on the honest tip
+        length, fork_pos = (np.ascontiguousarray(a.T, dtype=np.int64) for a in (own, self.fork_pos))
+        ids = np.arange(len(self.winner))
+        own_win, fork_win = length[ids, self.winner], fork_pos[ids, self.winner]
+        dishonest = self.winner != HONEST
+        released = np.where(dishonest, release_count(self.config, own_win, self.second, fork_win), 0)
+        return RoundColumns(
+            winner=self.winner,
+            fork_pos=fork_pos,
+            length=length,
+            released=released,
+            reserved=np.where(dishonest, own_win - released, 0),
+            pegged=np.where(dishonest, fork_win + released, length[:, HONEST]),
+            duration=self.draws.durations(self.events),
+            first_owner=self.first_owner,
+        )
 
     def outcomes(self) -> List[RoundOutcome]:
         """The rows as the RoundOutcomes run_round gives for the same events."""
@@ -402,31 +440,42 @@ class LaneRounds(NamedTuple):
 
 
 def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
-    """Play `rounds` eager rounds side by side, one lane each, by run_round's
-    rules, and return them in lane order.
+    """Play `rounds` eager rounds by run_round's rules, at most LANES at a
+    time, and return them in round order.
 
-    A block's state never moves: own lengths (row 0 is the honest length)
-    and fork positions are (pools, rounds) arrays, and each step draws the
-    next block of every live lane from draws.pools and touches only the
-    mined pool's cell, at flat index pool * rounds + lane. The live lanes
-    and their top two and leader are 1-D arrays that shrink as rounds end;
-    a round that ends writes only its winner, event count and top two. The
-    (rounds, pools) columns come from one transpose at the end, and so do
-    tip fork positions (the honest length wherever a pool forked).
+    The state never moves: own lengths and fork positions are (pools,
+    rounds) arrays, and each step draws the next block of every live round
+    from draws.pools and touches only the mined pool's cell, at flat index
+    pool * rounds + round. The live rounds and their top two and leader are
+    1-D arrays in increasing round order. A round that ends leaves them and
+    writes its winner, event count and top two. Whenever fewer than LANES //
+    2 are live, the next rounds join at the end from their starting state
+    (zeros: no blocks, the honest pool leading), so the lanes stay wide until
+    the block's last rounds.
     """
     num_pools = len(config.alphas)
     tip = config.fork_rule == FORK_TIP
     # int32 live state (no round's block count comes near it); int64 columns out.
     own, fork_pos = np.zeros((2, num_pools, rounds), dtype=np.int32)
     own_at, fork_pos_at = own.ravel(), fork_pos.ravel()  # views
-    lane = np.arange(rounds)  # the live lanes in lane order; top, second and leader follow them
-    top, second = np.zeros((2, rounds), dtype=np.int32)
-    leader = np.full(rounds, HONEST, dtype=np.int64)
-    winner, events, longest, runner_up = np.empty((4, rounds), dtype=np.int64)
-
-    pool = first_owner = draws.pools(lane, 0)
-    step = 0
+    winner, events, longest, runner_up, first_owner = np.empty((5, rounds), dtype=np.int64)
+    lane, leader = np.empty((2, 0), dtype=np.int64)  # the live rounds; leader, top and second follow them
+    top, second = np.empty((2, 0), dtype=np.int32)
+    begun = step = 0
     while True:
+        joining = 0
+        if len(lane) < LANES // 2 and begun < rounds:
+            joining = min(rounds - begun, LANES - len(lane))
+            new = np.arange(begun, begun + joining)
+            begun += joining
+            events[new] = step  # the step the round begins at, until it ends
+            lane = np.concatenate((lane, new))
+            top, second, leader = (np.concatenate((a, np.zeros(joining, a.dtype))) for a in (top, second, leader))
+        elif not len(lane):
+            break
+        pool = draws.pools(lane)
+        if joining:
+            first_owner[new] = pool[-joining:]
         step += 1
         at = pool * rounds + lane
         count = own_at[at]
@@ -454,37 +503,15 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
         if len(ended):
             rows = lane[ended]
             winner[rows] = leader[ended]
-            events[rows] = step
+            events[rows] = step - events[rows]
             longest[rows] = top[ended]
             runner_up[rows] = second[ended]
             live = np.flatnonzero(~done)
-            if not len(live):
-                break
             lane, top, second, leader = lane[live], top[live], second[live], leader[live]
-        pool = draws.pools(lane, step)
-
-    if tip:
-        fork_pos[1:] = own[HONEST] * (own[1:] > 0)
-    length, fork_pos = (np.ascontiguousarray(a.T, dtype=np.int64) for a in (own, fork_pos))
-    ids = np.arange(rounds)
-    own_win = length[ids, winner]
-    fork_win = fork_pos[ids, winner]
-    dishonest = winner != HONEST
-    released = np.where(dishonest, release_count(config, own_win, runner_up, fork_win), 0)
-    columns = RoundColumns(
-        winner=winner,
-        fork_pos=fork_pos,
-        length=length,
-        released=released,
-        reserved=np.where(dishonest, own_win - released, 0),
-        pegged=np.where(dishonest, fork_win + released, length[:, HONEST]),
-        duration=draws.durations(events),
-        first_owner=first_owner,
-    )
-    return LaneRounds(columns, events, longest, runner_up)
+    return LaneRounds(config, draws, own, fork_pos, winner, events, longest, runner_up, first_owner)
 
 
 def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[LaneRounds]:
-    """`rounds` eager rounds as consecutive blocks of up to LANES lanes."""
-    for start in range(0, rounds, LANES):
-        yield play_lanes(config, min(LANES, rounds - start), draws)
+    """`rounds` eager rounds as consecutive blocks of up to BLOCK_ROUNDS."""
+    for start in range(0, rounds, BLOCK_ROUNDS):
+        yield play_lanes(config, min(BLOCK_ROUNDS, rounds - start), draws)

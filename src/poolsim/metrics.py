@@ -418,7 +418,7 @@ def win_fraction_run(config: SimConfig, rounds: int, seed) -> Tuple[float, ...]:
         raise ValueError("need at least one round")
     counts = np.zeros(len(config.alphas), dtype=np.int64)
     for block in lane_blocks(config, rounds, LaneDraws(config, seed)):
-        counts += np.bincount(block.columns.winner, minlength=len(counts))
+        counts += np.bincount(block.winner, minlength=len(counts))
     return tuple(c / rounds for c in counts.tolist())
 
 
@@ -434,8 +434,8 @@ def run_grid(
     replication r, where seed is replication_seed(master_seed, g, r).
 
     With more than one worker and more than one task the pairs run in a
-    process pool, so task and points must pickle. Every pair has its own
-    seed, so results are identical for any worker count.
+    pool of at most one process per pair, so task and points must pickle.
+    Every pair has its own seed, so results match for any worker count.
     """
     calls = [
         (point, replication_seed(master_seed, g, r), g, r)
@@ -443,7 +443,7 @@ def run_grid(
         for r in range(replications)
     ]
     if (workers or 1) > 1 and len(calls) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
             flat = list(pool.map(task, *zip(*calls), chunksize=1))
     else:
         flat = [task(*call) for call in calls]

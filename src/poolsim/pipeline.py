@@ -110,6 +110,7 @@ class _Played(NamedTuple):
 
     columns: RoundColumns
     played: List[RoundOutcome]
+    first_owner: np.ndarray
 
     def outcomes(self) -> List[RoundOutcome]:
         return self.played
@@ -127,7 +128,8 @@ def _played_blocks(
             outcome = run_round(config, carry, clock, termination_policy)
             carry = make_carryover(outcome)
             played.append(outcome)
-        yield _Played(round_columns(played), played)
+        columns = round_columns(played)
+        yield _Played(columns, played, columns.first_owner)
 
 
 def simulate_rounds(
@@ -183,7 +185,7 @@ def simulate_rounds(
     for block in blocks:
         if pending is not None:
             # The block's first round's first block closes the pending block's last round.
-            close(pending, int(block.columns.first_owner[0]))
+            close(pending, int(block.first_owner[0]))
         pending = block
     close(pending, None if pending.columns.reserved[-1] else int(draws.miners(1)[0]))
     return bank, records

@@ -127,7 +127,7 @@ class TestSampleInterarrival:
 
     def pinned_gap(self, alpha):
         clock = MiningClock(SimConfig.from_alphas([alpha, 0.0], gamma=10.0, mean_block_time=15.0))
-        clock._gen = PinnedGenerator(0.5)
+        clock._gen = clock._time = PinnedGenerator(0.5)
         [(_, at)] = clock_events(clock, 1)
         return at
 
@@ -153,18 +153,19 @@ class TestSampleInterarrival:
 
     def test_sampler_matches_vectorized_transform(self):
         # 2,100 events cross two refills: each takes CLOCK_BATCH uniforms for
-        # the miners, then CLOCK_BATCH exponential gaps, from one Philox
-        # generator on the seed.
+        # the miners from a Philox generator on the seed, and CLOCK_BATCH
+        # exponential gaps from the same generator jumped ahead.
         config = SimConfig.from_alphas([0.5, 0.3, 0.2])
         seed = np.random.SeedSequence(11)
         events = clock_events(MiningClock(config, seed), 2100)
         rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
         edges = np.cumsum(rates)[:-1] / rates.sum()
-        gen = np.random.Generator(np.random.Philox(seed))
+        miners = np.random.Generator(np.random.Philox(seed))
+        time = np.random.Generator(np.random.Philox(seed).jumped())
         pools, gaps = [], []
         for _ in range(3):
-            pools += edges.searchsorted(gen.random(CLOCK_BATCH), side="right").tolist()
-            gaps += gen.exponential(1.0 / rates.sum(), CLOCK_BATCH).tolist()
+            pools += edges.searchsorted(miners.random(CLOCK_BATCH), side="right").tolist()
+            gaps += time.exponential(1.0 / rates.sum(), CLOCK_BATCH).tolist()
         assert [pool for pool, _ in events] == pools[:2100]
         assert [at for _, at in events] == list(accumulate(gaps[:2100]))
 

@@ -5,10 +5,12 @@ playing many rounds at once, so these tests tie play_lanes to run_round.
 Script equivalence does it round by round: both play the same event
 scripts (every short script on up to three rivals, and seeded random ones
 on four, where ties among rival chains are common), and every counter of
-every round must agree. The oracle checks run_round against an independent
-tree replay on the same scripts, so this carries that check over to the
-lanes. The draw-order tests pin down which lanes each step draws for, which
-every seeded eager run rests on. The statistical tests compare seeded lane
+every round must agree. They run on a narrow lane width, so most rounds
+join the lanes while others are still playing. The oracle checks run_round
+against an independent tree replay on the same scripts, so this carries
+that check over to the lanes. The draw-order tests pin down which rounds
+each step draws for, and when durations are drawn, which every seeded
+eager run rests on. The statistical tests compare seeded lane
 runs with run_round runs on MiningClock, seeded apart, on win fractions,
 mean events and mean duration.
 """
@@ -18,7 +20,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from poolsim import engine, metrics
 from poolsim.engine import (
+    BLOCK_ROUNDS,
     FORK_RULES,
     FORK_TIP,
     HONEST,
@@ -44,17 +48,23 @@ Z_BOUND = 4.0
 # MiningClock and LaneDraws start one seed's stream with the same uniforms;
 # scalar samples take seed + SCALAR_SEED_OFFSET so the two are independent.
 SCALAR_SEED_OFFSET = 1000
+# A lane width far below the script counts, so rounds join mid-block.
+NARROW_LANES = 64
 
 
 class ScriptDraws:
-    """Lane event source replaying one script per lane, with unit gaps like
-    ScriptClock."""
+    """Lane event source replaying one script per round, with unit gaps like
+    ScriptClock. Rounds join the lanes at different steps, so each round
+    reads its own script through its own cursor."""
 
     def __init__(self, scripts):
         self.table = np.array(scripts, dtype=np.int64)
+        self.cursor = np.zeros(len(self.table), dtype=np.int64)
 
-    def pools(self, lanes, step):
-        return self.table[lanes, step]
+    def pools(self, rounds):
+        pools = self.table[rounds, self.cursor[rounds]]
+        self.cursor[rounds] += 1
+        return pools
 
     def durations(self, events):
         return events.astype(float)
@@ -92,6 +102,10 @@ def assert_lanes_replay(config, scripts, want):
 
 
 class TestScriptEquivalence:
+    @pytest.fixture(autouse=True)
+    def narrow_lanes(self, monkeypatch):
+        monkeypatch.setattr(engine, "LANES", NARROW_LANES)
+
     @pytest.mark.parametrize("config,depth", [
         *[(script_config(3, fork_rule=rule), 8) for rule in FORK_RULES],
         *[(script_config(3, fork_rule=rule, lead_threshold=3), 8) for rule in FORK_RULES],
@@ -232,16 +246,16 @@ class TestStatisticalAgreement:
 
 
 class RecordingDraws(LaneDraws):
-    """LaneDraws that records which lanes each step asks for and every
+    """LaneDraws that records which rounds each step asks for and every
     durations call."""
 
     def __init__(self, config, seed):
         super().__init__(config, seed)
         self.asked, self.timed = [], []
 
-    def pools(self, lanes, step):
-        self.asked.append((step, lanes.tolist()))
-        return super().pools(lanes, step)
+    def pools(self, lanes):
+        self.asked.append(lanes.tolist())
+        return super().pools(lanes)
 
     def durations(self, events):
         self.timed.append(events.tolist())
@@ -257,20 +271,43 @@ class TestDrawOrder:
         ((0.6, 0.3, 0.1), FORK_TIP, 2),
         ((0.5, 0.2, 0.0, 0.13, 0.17), FORK_TIP, 3),
     ])
-    def test_each_step_asks_for_the_live_lanes_in_lane_order(self, alphas, rule, lead):
+    def test_each_step_asks_for_the_live_lanes_in_lane_order(self, monkeypatch, alphas, rule, lead):
+        monkeypatch.setattr(engine, "LANES", NARROW_LANES)
         config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
+        rounds = 3000
         draws = RecordingDraws(config, 3)
-        block = play_lanes(config, 3000, draws)
+        block = play_lanes(config, rounds, draws)
         events = block.events
-        assert [step for step, _ in draws.asked] == list(range(events.max()))
-        for step, lanes in draws.asked:
-            # A round of k events draws at steps 0 .. k-1.
-            assert lanes == np.flatnonzero(events > step).tolist()
+        # A round begins at the first step that asks for it.
+        begins = {}
+        for step, asked in enumerate(draws.asked):
+            for r in asked:
+                begins.setdefault(r, step)
+        assert sorted(begins) == list(range(rounds))
+        start = np.array([begins[r] for r in range(rounds)])
+        assert (np.diff(start) >= 0).all() and start[-1] > 0  # rounds begin in round order, many mid-block
+        for step, asked in enumerate(draws.asked):
+            # A round of k events draws at its first k steps, and no step
+            # asks for more rounds than the lanes hold.
+            assert asked == np.flatnonzero((start <= step) & (step < start + events)).tolist()
+            assert len(asked) <= NARROW_LANES
+            # Rounds join exactly when fewer than half the lanes stay live,
+            # and then fill the lanes or take every round left.
+            staying = int(((start < step) & (step < start + events)).sum())
+            joining = int((start == step).sum())
+            if staying < NARROW_LANES // 2:
+                assert joining == min(NARROW_LANES - staying, rounds - int((start < step).sum()))
+            else:
+                assert joining == 0
+        # Durations are drawn once for the block, and only when its columns are read.
+        assert draws.timed == []
+        columns = block.columns
+        assert block.columns is columns
         assert draws.timed == [events.tolist()]
         # The recorder changes nothing the block holds.
-        plain = play_lanes(config, 3000, LaneDraws(config, 3))
-        for name in block.columns._fields:
-            assert np.array_equal(getattr(block.columns, name), getattr(plain.columns, name)), name
+        plain = play_lanes(config, rounds, LaneDraws(config, 3))
+        for name in columns._fields:
+            assert np.array_equal(getattr(columns, name), getattr(plain.columns, name)), name
 
 
 class TopUniforms:
@@ -283,13 +320,13 @@ class TopUniforms:
 class TestLaneDraws:
     def test_zero_power_pools_are_never_drawn(self):
         draws = LaneDraws(SimConfig.from_alphas((0.5, 0.0, 0.5, 0.0)), seed=1)
-        pools = draws.pools(np.arange(100_000), 0)
+        pools = draws.pools(np.arange(100_000))
         assert set(pools.tolist()) == {0, 2}
 
     def test_top_uniform_falls_to_the_last_mining_pool(self):
         draws = LaneDraws(SimConfig.from_alphas((0.3, 0.7, 0.0)), seed=1)
         draws._gen = TopUniforms()
-        assert draws.pools(np.arange(3), 0).tolist() == [1, 1, 1]
+        assert draws.pools(np.arange(3)).tolist() == [1, 1, 1]
 
     def test_blocks_follow_the_seed_alone(self):
         config = SimConfig.from_alphas((0.6, 0.3, 0.1))
@@ -308,6 +345,32 @@ class TestLaneCallers:
         seed = np.random.SeedSequence(12)
         bank, _ = simulate_rounds(config, 9000, seed=seed)
         assert win_fraction_run(config, 9000, seed) == bank.win_fractions()
+
+    def test_win_only_run_matches_the_pipeline_on_every_winner(self, monkeypatch):
+        # Past two full blocks, so rounds join mid-block and the close hands
+        # over between blocks; the win-only run never draws a duration.
+        config = SimConfig.from_alphas((0.6, 0.3, 0.1))
+        rounds, seed = 2 * BLOCK_ROUNDS + 17, np.random.SeedSequence(13)
+        win_only, timed = [], []
+
+        def recording_blocks(*args):
+            for block in lane_blocks(*args):
+                win_only.append(block.winner)
+                yield block
+
+        def durations(draws, events):
+            timed.append(len(events))
+            return np.ones(len(events))
+
+        monkeypatch.setattr(metrics, "lane_blocks", recording_blocks)
+        monkeypatch.setattr(LaneDraws, "durations", durations)
+        fractions = win_fraction_run(config, rounds, seed)
+        assert timed == [] and len(win_only) == 3
+        winners = []
+        bank, _ = simulate_rounds(config, rounds, seed=seed, on_record=lambda r: winners.append(r.outcome.winner))
+        assert timed == [BLOCK_ROUNDS, BLOCK_ROUNDS, 17]
+        assert np.concatenate(win_only).tolist() == winners
+        assert fractions == bank.win_fractions()
 
     def test_records_carry_the_lane_outcomes(self):
         config = SimConfig.from_alphas((0.5, 0.3, 0.2), fork_rule=FORK_TIP)

@@ -15,6 +15,7 @@ from poolsim.metrics import (
     grid_config,
     interpolate_crossing,
     mean_ci95,
+    run_grid,
     win_fraction_run,
 )
 from poolsim.pipeline import simulate_rounds
@@ -320,6 +321,43 @@ class TestPowerThreshold:
         again = win_fraction_run(config, 400, np.random.SeedSequence(5, spawn_key=(1, 2)))
         assert first == again
         assert sum(first) == pytest.approx(1.0)
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count asked
+    for, starts no process and maps in this one."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def grid_pair(point, seed, grid_idx, rep_idx):
+    return point, grid_idx, rep_idx
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize("points,replications,workers,started", [
+        ((0.5,), 2, 64, [2]),
+        ((0.5, 0.6, 0.7), 2, 4, [4]),
+        ((0.5, 0.6, 0.7), 1, 8, [3]),
+        ((0.5,), 1, 8, []),
+        ((0.5, 0.6), 2, 1, []),
+    ])
+    def test_starts_at_most_one_process_per_task(self, monkeypatch, points, replications, workers, started):
+        asked = []
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", lambda max_workers: RecordingExecutor(asked, max_workers))
+        results = run_grid(grid_pair, points, replications, 1, workers)
+        assert asked == started
+        assert results == [[(p, g, r) for r in range(replications)] for g, p in enumerate(points)]
 
 
 class TestMeanCi95:
