@@ -28,7 +28,7 @@ from .classify import (
     round_ratios,
 )
 from .rewards import ClosedRounds, PoolReward, RewardVector, allocate
-from .metrics import EstimatorBank, GrowthRate, RewardRates, ThresholdEstimate, find_power_threshold
+from .metrics import Estimate, EstimatorBank, ThresholdEstimate, find_power_threshold
 from .pipeline import RoundRecord, close_columns, simulate_rounds
 
 __version__ = "0.1.0"

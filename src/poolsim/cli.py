@@ -27,7 +27,7 @@ import numpy as np
 from .classify import UNITS_PER_BLOCK
 from .engine import HONEST, RELEASE_POLICIES, SimConfig
 from .metrics import (
-    EstimatorBank, NoCrossing, ci95, crossing_estimate, grid_config, replication_seed, run_grid,
+    RATIO_NAMES, EstimatorBank, NoCrossing, ci95, crossing_estimate, grid_config, replication_seed, run_grid,
 )
 from .pipeline import simulate_rounds
 
@@ -94,12 +94,17 @@ def _number(key: str, value, kind: type):
 
 
 def _check_run_bounds(spec: ExperimentSpec) -> None:
-    """The run-only lower bounds, for a parsed spec or one built directly;
-    workers=None means all cores."""
+    """The run-only lower bounds and the grid each mode runs on, for a parsed
+    spec or one built directly; workers=None means all cores."""
     for key, (_, low) in _NUMBERS.items():
         value = getattr(spec, key)
         if low is not None and value is not None and value < low:
             raise ConfigError(f"{key}: must be >= {low}, got {value}")
+    if spec.mode == "single" and spec.grid:
+        raise ConfigError(f"grid: single mode runs the base config alone, got {list(spec.grid)}; use sweep mode")
+    need = 2 if spec.mode == "threshold" else 1
+    if spec.mode != "single" and len(spec.grid) < need:
+        raise ConfigError(f"grid: {spec.mode} mode needs at least {need} grid point{'s' if need > 1 else ''}")
 
 
 def _validate(raw: Dict) -> ExperimentSpec:
@@ -133,8 +138,6 @@ def _validate(raw: Dict) -> ExperimentSpec:
     ):
         raise ConfigError(f"grid: expected a list of honest powers, got {grid!r}")
     values["grid"] = tuple(float(g) for g in grid)
-    if mode != "single" and len(grid) < (2 if mode == "threshold" else 1):
-        raise ConfigError(f"grid: {mode} mode needs at least two grid points")
 
     for key, (kind, _) in _NUMBERS.items():
         if key != "workers" or values[key] is not None:  # workers=None means all cores
@@ -179,8 +182,9 @@ def parse_config(path: Optional[str] = None, overrides: Optional[Dict] = None) -
 
 # -- replication workers -------------------------------------------------------
 
+RATIO_COLUMNS = ("cQ", "rM", "rO", "rU", "rS")  # short names of metrics.RATIO_NAMES, in order
 TRACE_COLUMNS = ("gridIndex", "alphaH", "replication", "round", "winner", "honestLen", "released",
-                 "reserved", "duration", "nUncles", "cQ", "rM", "rO", "rU", "rS")  # then reward<i> per pool
+                 "reserved", "duration", "nUncles", *RATIO_COLUMNS)  # then reward<i> per pool
 
 
 def _trace_row(grid_idx: float, alpha_h: float, rep_idx: int, record) -> list:
@@ -225,26 +229,13 @@ def _run_replications(spec: ExperimentSpec, configs: Sequence[SimConfig]) -> Lis
 
 def _rep_scalars(bank: EstimatorBank) -> Dict[str, float]:
     p = bank.win_fractions()
+    out = {"pH": p[0], **{f"p{i}": p[i] for i in range(1, bank.num_pools)}}
     ratios = bank.ratio_averages()
-    growth = bank.growth_rate()
-    rates = bank.reward_rates()
-    out = {"pH": p[0]}
-    for i in range(1, bank.num_pools):
-        out[f"p{i}"] = p[i]
-    out.update(
-        cQ=ratios["chain_quality"]["direct"],
-        rM=ratios["main_chain"]["direct"],
-        rO=ratios["orphan"]["direct"],
-        rU=ratios["uncle"]["direct"],
-        rS=ratios["stale"]["direct"],
-        growthDirect=growth.direct,
-        growthDecomp=growth.decomposition,
-        rewardRateH_direct=rates.direct[0],
-        rewardRateH_decomp=rates.decomposition[0],
-    )
-    for i in range(1, bank.num_pools):
-        out[f"rewardRate{i}_direct"] = rates.direct[i]
-        out[f"rewardRate{i}_decomp"] = rates.decomposition[i]
+    out.update((column, ratios[name].direct) for column, name in zip(RATIO_COLUMNS, RATIO_NAMES))
+    growth, rates = bank.growth_rate(), bank.reward_rates()
+    out.update(growthDirect=growth.direct, growthDecomp=growth.decomposition)
+    for i, pool in enumerate(["H", *range(1, bank.num_pools)]):
+        out[f"rewardRate{pool}_direct"], out[f"rewardRate{pool}_decomp"] = rates.direct[i], rates.decomposition[i]
     return out
 
 

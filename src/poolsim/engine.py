@@ -21,9 +21,10 @@ engines read it.
 
 The engines share one set of round rules. run_round plays one round at a
 time from an event source and takes a carryover and a termination policy;
-it runs withholding runs and the oracle's checks. Its sources are
-MiningClock, which reads the draw rule one event at a time, and
-ScriptClock, which replays a fixed script. play_lanes plays a block of
+it runs withholding runs and the oracle's checks. Its event sources are
+plain iterators of (pool, gap) pairs, and run_round sums the gaps into the
+round's clock from zero: MiningClock reads the draw rule one event at a
+time, and ScriptClock replays a fixed script. play_lanes plays a block of
 eager rounds (no policy) side by side as lanes of numpy state, admitting
 new rounds as others end, and builds their RoundColumns, the form the
 columnar close consumes, when they are read. Eager rounds never reserve a
@@ -63,6 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +87,7 @@ TerminationPolicy = Callable[[int, int, int], bool]
 
 
 class ScriptExhausted(RuntimeError):
-    """A scripted clock ran out of events before the round ended."""
+    """An event source ran out of events before the round ended."""
 
 
 @dataclass(frozen=True)
@@ -245,49 +247,34 @@ CLOCK_BATCH = 1024  # events MiningClock draws at a time
 class MiningClock(LaneDraws):
     """Event source for run_round: the draw rule read one event at a time.
 
-    Each event's miner comes from miners() and the gap before it, on the
-    time stream, is exponential with the race's mean gap; the round clock
-    restarts at zero each round. Create one clock per replication and reuse
-    it across rounds.
+    Iterating gives (pool, gap) events: each miner comes from miners() and
+    the gap before it, on the time stream, is exponential with the race's
+    mean gap. Every iteration continues one stream, so create one clock per
+    replication and reuse it across rounds.
     """
 
     def __init__(self, config: SimConfig, seed=0):
         super().__init__(config, seed)
-        self._events: Iterator[Tuple[int, float]] = iter(())
-        self._now = 0.0
+        self._events = self._refills()
 
-    def begin_round(self) -> None:
-        self._now = 0.0
-
-    def next_event(self) -> Tuple[int, float]:
-        event = next(self._events, None)
-        if event is None:
+    def _refills(self) -> Iterator[Tuple[int, float]]:
+        while True:
             pools = self.miners(CLOCK_BATCH).tolist()
-            self._events = zip(pools, self._time.exponential(self._mean_gap, CLOCK_BATCH).tolist())
-            event = next(self._events)
-        pool, gap = event
-        self._now += gap
-        return pool, self._now
+            yield from zip(pools, self._time.exponential(self._mean_gap, CLOCK_BATCH).tolist())
+
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        return self._events
 
 
 class ScriptClock:
-    """Deterministic event source replaying a fixed pool order with unit gaps."""
+    """Deterministic event source replaying a fixed pool order with unit
+    gaps; a round it cannot finish raises ScriptExhausted."""
 
     def __init__(self, events: Sequence[int]):
-        self._events = list(events)
-        self._pos = 0
-        self._now = 0.0
+        self._events = zip(events, repeat(1.0))
 
-    def begin_round(self) -> None:
-        self._now = 0.0
-
-    def next_event(self) -> Tuple[int, float]:
-        if self._pos >= len(self._events):
-            raise ScriptExhausted(f"script ended after {self._pos} events")
-        pool = self._events[self._pos]
-        self._pos += 1
-        self._now += 1.0
-        return pool, self._now
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        return self._events
 
 
 def run_round(
@@ -296,7 +283,8 @@ def run_round(
     clock,
     termination_policy: Optional[TerminationPolicy] = None,
 ) -> RoundOutcome:
-    """Play one round of mining competition and return its outcome.
+    """Play one round of mining competition from clock's (pool, gap) events
+    and return its outcome.
 
     Termination is re-evaluated after every single-block event; an honest
     leader at the threshold ends the round outright, a dishonest leader ends
@@ -331,11 +319,9 @@ def run_round(
         forked.append(z)
         first_owner = leader = z
 
-    clock.begin_round()
-    next_event = clock.next_event
-
-    while True:
-        pool, now = next_event()
+    now = 0.0
+    for pool, gap in clock:
+        now += gap
         mined += 1
         if first_owner < 0:
             first_owner = pool
@@ -367,6 +353,8 @@ def run_round(
             leader == HONEST or termination_policy is None or termination_policy(longest, second, mined)
         ):
             break
+    else:
+        raise ScriptExhausted(f"event source ran out {mined} events into the round")
 
     length[HONEST] = pegged = v
     released = reserved = 0

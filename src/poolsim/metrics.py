@@ -10,10 +10,11 @@ ratios are float sums. Banks from different workers merge exactly on the
 integer totals and to rounding on the float ones, so results cannot depend
 on scheduling.
 
-Long-run rates come out two ways on purpose: a direct estimate (sample mean
-of per-round totals over mean duration) and a decomposition through the win
-frequencies and conditional means. The two agree up to floating point; both
-are reported so the consistency is observable.
+Long-run rates come out two ways on purpose, as one Estimate pair: a direct
+estimate (sample mean of per-round totals over mean duration) and the
+renewal decomposition E[X] = sum over winners w of P(w) E[X | w], which one
+method computes for growth, rewards and ratios alike. The two agree up to
+floating point; both are reported so the consistency is observable.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,16 +71,12 @@ def ci95(values: Sequence[float]) -> Optional[Tuple[float, float]]:
     return None if lo is None else (lo, hi)
 
 
-@dataclass(frozen=True)
-class GrowthRate:
-    direct: float  # pegged blocks per second, totals ratio
-    decomposition: float  # through win fractions and conditional means
+class Estimate(NamedTuple):
+    """A long-run quantity by both estimators: direct, from totals over all
+    rounds, and through the decomposition over the round's winner."""
 
-
-@dataclass(frozen=True)
-class RewardRates:
-    direct: Tuple[float, ...]  # per pool, booked totals over time
-    decomposition: Tuple[float, ...]
+    direct: Any
+    decomposition: Any
 
 
 def _add(total, part):
@@ -219,25 +216,16 @@ class EstimatorBank:
         self._require_data()
         return tuple(c / self.rounds for c in self.win_counts)
 
-    def nephew_rates(self, conditional: bool = True) -> List[List[float]]:
-        """(winner, holder) nephew-ownership frequencies.
-
-        Conditional rates divide by the winner's round count (what the rate
-        decompositions need); joint rates divide by all rounds.
-        """
+    def event_rates(self, table: List[List[int]]) -> Dict[str, List[List[float]]]:
+        """Frequencies of a (winner, holder) event table, such as nephew_count
+        or uncle_count: joint rates divide by all rounds, conditional rates
+        by the winner's round count (what the rate decompositions need)."""
         self._require_data()
-        return self._event_rates(self.nephew_count, conditional)
 
-    def uncle_rates(self, conditional: bool = True) -> List[List[float]]:
-        self._require_data()
-        return self._event_rates(self.uncle_count, conditional)
+        def over(bases: List[int]) -> List[List[float]]:
+            return [[count / base if base else 0.0 for count in row] for row, base in zip(table, bases)]
 
-    def _event_rates(self, table, conditional: bool) -> List[List[float]]:
-        out = []
-        for w in range(self.num_pools):
-            base = self.win_counts[w] if conditional else self.rounds
-            out.append([table[w][p] / base if base else 0.0 for p in range(self.num_pools)])
-        return out
+        return {"joint": over([self.rounds] * self.num_pools), "conditional": over(self.win_counts)}
 
     def conditional_mean(self, totals: List[int], winner: int) -> Optional[float]:
         """Mean of a winner-conditional total over that winner's rounds; None
@@ -257,84 +245,67 @@ class EstimatorBank:
         self._require_data()
         return tuple(units / (UNITS_PER_BLOCK * self.rounds) for units in self.reward_units)
 
-    def expected_pegged(self) -> float:
-        """Mean pegged blocks per round via the win-fraction decomposition."""
-        self._require_data()
-        total = self.win_counts[HONEST] * _mean(self.length_total[HONEST], self.win_counts[HONEST], 0.0)
-        for pool in range(1, self.num_pools):
-            if self.win_counts[pool]:
-                total += self.win_counts[pool] * (
-                    self.conditional_mean(self.fork_pos_total, pool)
-                    + self.conditional_mean(self.released_total, pool)
-                )
-        return total / self.rounds
-
-    def growth_rate(self) -> GrowthRate:
-        """Long-run pegged blocks per second, both estimators."""
-        mean_duration = self.duration_mean()
-        return GrowthRate(
-            direct=self.pegged_mean() / mean_duration,
-            decomposition=self.expected_pegged() / mean_duration,
-        )
-
-    def expected_round_reward(self, pool: int) -> float:
-        """Mean booked reward per round for one pool, via the decomposition."""
-        self._require_data()
+    def _decomposed(self, given_winner: Callable[[int], float]) -> float:
+        """Mean of a per-round X through the round's winner: the sum of
+        wins_w * E[X | w] over the winners w that won, over all rounds.
+        given_winner(w) is E[X | w]."""
         total = 0.0
-        for w in range(self.num_pools):
-            wins = self.win_counts[w]
-            if not wins:
-                continue
-            if w == HONEST and pool == HONEST:
-                base = self.conditional_mean(self.length_total, w)
-            elif w != HONEST and pool == HONEST:
-                base = self.conditional_mean(self.fork_pos_total, w)
-            elif w == pool:
-                base = self.conditional_mean(self.released_total, w)
-            else:
-                base = 0.0
-            # Event rate times the mean reward given the event, per table.
-            nephew, uncle = (
-                (count[w][pool] / wins) * _mean(units[w][pool], UNITS_PER_BLOCK * count[w][pool], 0.0)
-                for count, units in ((self.nephew_count, self.nephew_units), (self.uncle_count, self.uncle_units))
-            )
-            total += wins * (base + nephew + uncle)
+        for w, wins in enumerate(self.win_counts):
+            if wins:
+                total += wins * given_winner(w)
         return total / self.rounds
 
-    def reward_rates(self) -> RewardRates:
-        """Long-run reward per second for every pool, both estimators."""
-        mean_duration = self.duration_mean()
-        direct = tuple(mean / mean_duration for mean in self.reward_means())
-        decomposition = tuple(
-            self.expected_round_reward(p) / mean_duration for p in range(self.num_pools)
+    def _pegged_given(self, w: int) -> float:
+        """Mean pegged blocks of the rounds w won: the honest length, or a
+        dishonest winner's fork position plus its released blocks."""
+        if w == HONEST:
+            return self.conditional_mean(self.length_total, w)
+        return self.conditional_mean(self.fork_pos_total, w) + self.conditional_mean(self.released_total, w)
+
+    def _reward_given(self, pool: int, w: int) -> float:
+        """Mean reward of one pool, in blocks, over the rounds w won."""
+        wins = self.win_counts[w]
+        if pool == HONEST:
+            base = self.conditional_mean(self.length_total if w == HONEST else self.fork_pos_total, w)
+        elif w == pool:
+            base = self.conditional_mean(self.released_total, w)
+        else:
+            base = 0.0
+        # Event rate times the mean reward given the event, per table.
+        nephew, uncle = (
+            (count[w][pool] / wins) * _mean(units[w][pool], UNITS_PER_BLOCK * count[w][pool], 0.0)
+            for count, units in ((self.nephew_count, self.nephew_units), (self.uncle_count, self.uncle_units))
         )
-        return RewardRates(direct=direct, decomposition=decomposition)
+        return base + nephew + uncle
 
-    def ratio_averages(self) -> Dict[str, Dict[str, float]]:
-        """Means of the per-round ratios, direct and decomposed.
+    def growth_rate(self) -> Estimate:
+        """Long-run pegged blocks per second."""
+        mean_duration = self.duration_mean()
+        return Estimate(self.pegged_mean() / mean_duration, self._decomposed(self._pegged_given) / mean_duration)
 
-        The decomposed form weighs the per-winner conditional means by the
-        win fractions; on the same data the two agree to float tolerance.
-        """
+    def reward_rates(self) -> Estimate:
+        """Long-run reward per second for every pool, as tuples over the pools."""
+        mean_duration = self.duration_mean()
+        return Estimate(
+            tuple(mean / mean_duration for mean in self.reward_means()),
+            tuple(self._decomposed(partial(self._reward_given, p)) / mean_duration for p in range(self.num_pools)),
+        )
+
+    def ratio_averages(self) -> Dict[str, Estimate]:
+        """Means of the per-round ratios, by name; on the same data the two
+        estimators agree to float tolerance."""
         self._require_data()
-        out: Dict[str, Dict[str, float]] = {}
-        for k, name in enumerate(RATIO_NAMES):
-            decomposed = 0.0
-            for w in range(self.num_pools):
-                wins = self.win_counts[w]
-                if wins:
-                    decomposed += wins * (self.ratio_by_winner[w][k] / wins)
-            out[name] = {
-                "direct": self.ratio_total[k] / self.rounds,
-                "decomposition": decomposed / self.rounds,
-            }
-        return out
+        return {
+            name: Estimate(
+                self.ratio_total[k] / self.rounds,
+                self._decomposed(lambda w: self.ratio_by_winner[w][k] / self.win_counts[w]),
+            )
+            for k, name in enumerate(RATIO_NAMES)
+        }
 
     def summary(self) -> dict:
         """Plain-type snapshot of every estimate, for JSON serialization."""
         self._require_data()
-        growth = self.growth_rate()
-        rates = self.reward_rates()
         dishonest = range(1, self.num_pools)
         return {
             "rounds": self.rounds,
@@ -345,20 +316,14 @@ class EstimatorBank:
                 "length": [None] + [self.conditional_mean(self.length_total, p) for p in dishonest],
                 "released": [None] + [self.conditional_mean(self.released_total, p) for p in dishonest],
             },
-            "ratios": self.ratio_averages(),
+            "ratios": {name: both._asdict() for name, both in self.ratio_averages().items()},
             "duration_mean": self.duration_mean(),
             "pegged_mean": self.pegged_mean(),
-            "growth_rate": {"direct": growth.direct, "decomposition": growth.decomposition},
+            "growth_rate": self.growth_rate()._asdict(),
             "reward_mean": list(self.reward_means()),
-            "reward_rate": {"direct": list(rates.direct), "decomposition": list(rates.decomposition)},
-            "nephew_rate": {
-                "joint": self.nephew_rates(conditional=False),
-                "conditional": self.nephew_rates(conditional=True),
-            },
-            "uncle_rate": {
-                "joint": self.uncle_rates(conditional=False),
-                "conditional": self.uncle_rates(conditional=True),
-            },
+            "reward_rate": {kind: list(rates) for kind, rates in self.reward_rates()._asdict().items()},
+            "nephew_rate": self.event_rates(self.nephew_count),
+            "uncle_rate": self.event_rates(self.uncle_count),
         }
 
 

@@ -368,9 +368,10 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
         if closed is None:
             break  # script exhausted mid-round
         winner, released, lengths = closed
-        outcome = _snapshot(state, winner, released, float(mined), first_owner, lengths)
-        rounds.append(ScriptRound(outcome, state))
-        carry = make_carryover(outcome)
+        rounds.append(ScriptRound(_snapshot(state, winner, released, float(mined), first_owner, lengths), state))
+        # The winner's blocks past the released ones stay private for the next round.
+        kept = state.subchain(winner).length - released if winner != HONEST else 0
+        carry = Carryover(winner, kept) if kept else None
 
     if not rounds:
         raise IncompleteScript(f"no round closed within {len(events)} events")

@@ -246,8 +246,8 @@ def test_criterion_8_trend_monotonicity(trend_sweep):
     points, per_grid_banks = trend_sweep
     first, last = 0, len(points) - 1
 
-    quality = lambda bank: bank.ratio_averages()["chain_quality"]["direct"]
-    uncle = lambda bank: bank.ratio_averages()["uncle"]["direct"]
+    quality = lambda bank: bank.ratio_averages()["chain_quality"].direct
+    uncle = lambda bank: bank.ratio_averages()["uncle"].direct
     honest_reward = lambda bank: bank.reward_means()[0]
 
     _, q_lo_first, q_hi_first = endpoint_ci(per_grid_banks, first, quality)
@@ -278,7 +278,7 @@ def test_criterion_8_main_ratio_interior_minimum(trend_sweep):
     points, per_grid_banks = trend_sweep
     means = []
     for g in range(len(points)):
-        values = [bank.ratio_averages()["main_chain"]["direct"] for bank in per_grid_banks[g]]
+        values = [bank.ratio_averages()["main_chain"].direct for bank in per_grid_banks[g]]
         means.append(sum(values) / len(values))
     interior_min = min(means)
     ok = means[0] > interior_min and means[-1] > interior_min
@@ -333,7 +333,7 @@ def test_criterion_9_determinism_and_merge_invariance(tmp_path):
         pairs = [(a.duration_mean(), b.duration_mean()), (a.pegged_mean(), b.pegged_mean())]
         pairs += list(zip(a.reward_means(), b.reward_means()))
         pairs += [
-            (x["direct"], y["direct"]) for x, y in zip(a.ratio_averages().values(), b.ratio_averages().values())
+            (x.direct, y.direct) for x, y in zip(a.ratio_averages().values(), b.ratio_averages().values())
         ]
         for x, y in pairs:
             if y:

@@ -318,6 +318,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and re.search(message, err), err
 
+    @pytest.mark.parametrize("mode,message", [
+        ("sweep", "sweep mode needs at least 1 grid point"),
+        ("threshold", "threshold mode needs at least 2 grid points"),
+    ])
+    def test_empty_grid_names_the_mode_minimum(self, tmp_path, capsys, mode, message):
+        # A sweep runs on one grid point; only the threshold search needs two.
+        code = main(["--mode", mode, "--alphas", "0.6,0.3,0.1", "--grid=", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: grid: {message}" in capsys.readouterr().err
+
+    def test_grid_in_single_mode_rejected(self, tmp_path, capsys):
+        # Single mode runs the base config alone, so a grid there used to be
+        # dropped silently while summary.json recorded the base point.
+        argv = ["--alphas", "0.6,0.3,0.1", "--rounds", "10", "--workers", "1", "--out", str(tmp_path / "o")]
+        assert main(argv + ["--mode", "single", "--grid", "0.3,0.4"]) == 2
+        assert "config error: grid" in capsys.readouterr().err
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"alphas": [0.6, 0.3, 0.1], "grid": [0.3, 0.4]}))  # mode defaults to single
+        assert main(["--config", str(path), *argv]) == 2
+        assert "config error: grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_alphas_exit_code(self, capsys):
         assert main([]) == 2
 

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import accumulate
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,19 +24,16 @@ from poolsim.oracle import Block, EventScript, replay_script, select_main_chain
 
 
 class RecordingClock:
-    """A clock that logs which pool mines each event."""
+    """An event source that logs which pool mines each event."""
 
     def __init__(self, clock):
         self.clock = clock
         self.events = []
 
-    def begin_round(self):
-        self.clock.begin_round()
-
-    def next_event(self):
-        pool, at = self.clock.next_event()
-        self.events.append(pool)
-        return pool, at
+    def __iter__(self):
+        for pool, gap in self.clock:
+            self.events.append(pool)
+            yield pool, gap
 
 
 def replay_pegged(events, out, alphas=(0.4, 0.3, 0.3), **cfg):
@@ -118,8 +115,7 @@ class PinnedGenerator:
 
 
 def clock_events(clock, n):
-    clock.begin_round()
-    return [clock.next_event() for _ in range(n)]
+    return list(islice(clock, n))
 
 
 class TestSampleInterarrival:
@@ -128,8 +124,8 @@ class TestSampleInterarrival:
     def pinned_gap(self, alpha):
         clock = MiningClock(SimConfig.from_alphas([alpha, 0.0], gamma=10.0, mean_block_time=15.0))
         clock._gen = clock._time = PinnedGenerator(0.5)
-        [(_, at)] = clock_events(clock, 1)
-        return at
+        [(_, gap)] = clock_events(clock, 1)
+        return gap
 
     def test_direct_substitution_half_power(self):
         # With the exponential draw pinned to its mean, a lone pool with half
@@ -146,9 +142,7 @@ class TestSampleInterarrival:
     def test_monte_carlo_mean_matches_closed_form(self):
         clock = MiningClock(SimConfig.from_alphas([0.6, 0.0], gamma=10.0, mean_block_time=15.0), seed=7)
         n = 10**6
-        clock.begin_round()
-        for _ in range(n):
-            _, now = clock.next_event()
+        now = sum(gap for _, gap in islice(clock, n))
         assert abs(now / n - 26.5) < 0.1
 
     def test_sampler_matches_vectorized_transform(self):
@@ -167,7 +161,7 @@ class TestSampleInterarrival:
             pools += edges.searchsorted(miners.random(CLOCK_BATCH), side="right").tolist()
             gaps += time.exponential(1.0 / rates.sum(), CLOCK_BATCH).tolist()
         assert [pool for pool, _ in events] == pools[:2100]
-        assert [at for _, at in events] == list(accumulate(gaps[:2100]))
+        assert [gap for _, gap in events] == gaps[:2100]
 
     def test_scale_is_inverse_power_plus_communication(self):
         assert interarrival_scale(0.5, 10.0, 15.0) == pytest.approx(31.5)
@@ -317,8 +311,9 @@ class TestCarryover:
 
 class ReferenceClock:
     """The race as the model states it, on its own generator: every pool
-    holds an exponential timestamp, all restarted each round; the first
-    minimum mines and draws its next gap."""
+    holds an exponential timestamp, all restarted each round (run_round
+    iterates its source once per round); the first minimum mines and draws
+    its next gap."""
 
     def __init__(self, config, seed):
         self.rng = random.Random(seed)
@@ -327,14 +322,15 @@ class ReferenceClock:
     def gap(self, rate):
         return self.rng.expovariate(rate) if rate > 0.0 else math.inf
 
-    def begin_round(self):
-        self.next = [self.gap(rate) for rate in self.rates]
-
-    def next_event(self):
-        at = min(self.next)
-        pool = self.next.index(at)
-        self.next[pool] = at + self.gap(self.rates[pool])
-        return pool, at
+    def __iter__(self):
+        pending = [self.gap(rate) for rate in self.rates]
+        now = 0.0
+        while True:
+            at = min(pending)
+            pool = pending.index(at)
+            pending[pool] = at + self.gap(self.rates[pool])
+            yield pool, at - now
+            now = at
 
 
 def z_score(a, b):

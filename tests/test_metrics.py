@@ -4,6 +4,7 @@ import pytest
 from poolsim import metrics
 from poolsim.engine import HONEST, SimConfig
 from poolsim.metrics import (
+    Estimate,
     EstimatorBank,
     MergeShapeError,
     NoCrossing,
@@ -121,8 +122,8 @@ class TestBankMerge:
         assert merged.uncle_count == whole.uncle_count
         assert merged.duration_mean() == pytest.approx(whole.duration_mean(), rel=1e-12)
         for name in ("chain_quality", "main_chain", "orphan", "uncle", "stale"):
-            assert merged.ratio_averages()[name]["direct"] == pytest.approx(
-                whole.ratio_averages()[name]["direct"], rel=1e-12
+            assert merged.ratio_averages()[name].direct == pytest.approx(
+                whole.ratio_averages()[name].direct, rel=1e-12
             )
         for p in range(3):
             assert merged.reward_means()[p] == pytest.approx(
@@ -141,8 +142,8 @@ class TestBankMerge:
         backward = banks[2].merge(banks[1]).merge(banks[0])
         assert forward.win_counts == backward.win_counts
         assert forward.duration_mean() == pytest.approx(backward.duration_mean(), rel=1e-12)
-        assert forward.ratio_averages()["uncle"]["direct"] == pytest.approx(
-            backward.ratio_averages()["uncle"]["direct"], rel=1e-12
+        assert forward.ratio_averages()["uncle"].direct == pytest.approx(
+            backward.ratio_averages()["uncle"].direct, rel=1e-12
         )
 
     def test_shape_mismatch_rejected(self):
@@ -195,6 +196,68 @@ class TestRates:
         assert bank.reward_rates().direct[0] == pytest.approx(bank.growth_rate().direct, rel=1e-12)
 
 
+class TestDecomposition:
+    """The decomposition E[X] = sum over winners w of P(w) E[X | w], on
+    hand-set totals of four rounds: the honest pool won three, pool 1 one,
+    and pool 2 none, so its conditional means are undefined and it must add
+    nothing."""
+
+    def bank(self):
+        bank = EstimatorBank(2)
+        totals = dict(
+            rounds=4,
+            win_counts=[3, 1, 0],
+            fork_pos_total=[0, 2, 0],
+            length_total=[9, 4, 0],
+            released_total=[0, 3, 0],
+            pegged_total=9 + 2 + 3,
+            # 11 honest blocks pegged, a nephew unit per nephew, an uncle at distance 2.
+            reward_units=[11 * 32 + 3 + 24, 3 * 32 + 1 + 28, 0],
+            nephew_count=[[2, 1, 0], [1, 0, 0], [0, 0, 0]],
+            nephew_units=[[2, 1, 0], [1, 0, 0], [0, 0, 0]],
+            uncle_count=[[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+            uncle_units=[[0, 28, 0], [24, 0, 0], [0, 0, 0]],
+            duration_total=8.0,
+            ratio_total=[3.5, 3.15, 0.85, 0.55, 0.3],
+            ratio_by_winner=[[3.0, 2.4, 0.6, 0.3, 0.3], [0.5, 0.75, 0.25, 0.25, 0.0], [0.0] * 5],
+        )
+        assert set(totals) == set(EstimatorBank.TOTALS)
+        for name, value in totals.items():
+            setattr(bank, name, value)
+        return bank
+
+    def test_growth_by_hand(self):
+        # (3 * 9/3 + 1 * (2/1 + 3/1)) / 4 rounds = 3.5 blocks per round, over 2 s.
+        assert self.bank().growth_rate() == Estimate(1.75, 1.75)
+
+    def test_rewards_by_hand(self):
+        # Honest: given its wins, 3 blocks + (2/3) nephews of 1/32; given
+        # pool 1's, its 2 blocks under the fork + a nephew of 1/32 + an
+        # uncle of 24/32. Pool 1: given honest wins, (1/3) nephews of 1/32 +
+        # (1/3) uncles of 28/32; given its own, 3 released blocks.
+        honest = (3 * (3 + 2 / 3 / 32) + (2 + 1 / 32 + 24 / 32)) / 4 / 2
+        first = (3 * (1 / 3 / 32 + 28 / 3 / 32) + 3) / 4 / 2
+        rates = self.bank().reward_rates()
+        assert rates.decomposition == pytest.approx((honest, first, 0.0), rel=1e-12)
+        assert rates.direct == pytest.approx((379 / 32 / 8, 125 / 32 / 8, 0.0), rel=1e-12)
+        assert rates.decomposition == pytest.approx(rates.direct, rel=1e-12)
+
+    def test_ratios_by_hand(self):
+        ratios = self.bank().ratio_averages()
+        assert list(ratios) == list(metrics.RATIO_NAMES)
+        assert ratios["chain_quality"] == Estimate(3.5 / 4, (3 * (3.0 / 3) + 0.5) / 4)
+        assert ratios["uncle"] == pytest.approx(Estimate(0.55 / 4, 0.55 / 4), rel=1e-12)
+
+    def test_summary_reads_the_pairs(self):
+        bank = self.bank()
+        summary = bank.summary()
+        assert summary["growth_rate"] == {"direct": 1.75, "decomposition": 1.75}
+        assert summary["reward_rate"] == {kind: list(v) for kind, v in bank.reward_rates()._asdict().items()}
+        assert summary["ratios"]["orphan"] == bank.ratio_averages()["orphan"]._asdict()
+        assert summary["conditional_means"]["fork_position"] == [None, 2.0, None]
+        assert summary["nephew_rate"]["conditional"][2] == [0.0, 0.0, 0.0]
+
+
 class TestRatioAverages:
     def test_two_round_average(self):
         config = SimConfig.from_alphas([0.5, 0.5])
@@ -202,19 +265,19 @@ class TestRatioAverages:
             config, 400, seed=np.random.SeedSequence(37), collect=True
         )
         values = [float(rec.ratios.chain_quality) for rec in records]
-        got = bank.ratio_averages()["chain_quality"]["direct"]
+        got = bank.ratio_averages()["chain_quality"].direct
         assert got == pytest.approx(sum(values) / len(values), rel=1e-12)
 
     def test_decomposed_equals_direct(self):
         config = SimConfig.from_alphas([0.55, 0.32, 0.13])
         bank, _ = simulate_rounds(config, 10_000, seed=np.random.SeedSequence(41))
         for name, both in bank.ratio_averages().items():
-            assert both["direct"] == pytest.approx(both["decomposition"], rel=1e-11), name
+            assert both.direct == pytest.approx(both.decomposition, rel=1e-11), name
 
     def test_all_honest_rounds_have_unit_quality(self):
         config = SimConfig.from_alphas([1.0, 0.0])
         bank, _ = simulate_rounds(config, 500, seed=np.random.SeedSequence(43))
-        assert bank.ratio_averages()["chain_quality"]["direct"] == 1.0
+        assert bank.ratio_averages()["chain_quality"].direct == 1.0
 
 
 class TestInterpolateCrossing:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poolsim import oracle
 from poolsim.classify import NephewUnavailable
 from poolsim.engine import FORK_TIP, HONEST, RELEASE_MIN, Carryover, SimConfig
 from poolsim.oracle import (
@@ -256,6 +257,18 @@ class TestEnumerateAndCheck:
         )
         assert not mutated.ok
         assert any("uncle" in v for v in mutated.violations)
+
+    def test_carry_one_block_short_is_caught(self, monkeypatch):
+        # The replay chains its rounds from its own trees, so an engine-side
+        # carry rule that drops one private block must disagree with it.
+        def one_short(outcome):
+            return Carryover(outcome.winner, outcome.reserved - 1) if outcome.reserved > 1 else None
+
+        monkeypatch.setattr(oracle, "make_carryover", one_short)
+        config = script_config(2, release_policy=RELEASE_MIN)
+        report = enumerate_and_check(5, 2, config=config, carryover=Carryover(1, 5))
+        assert report.rounds_checked > 0
+        assert not report.ok
 
     def test_report_serializes(self):
         report = enumerate_and_check(3, 1)

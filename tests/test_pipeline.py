@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poolsim import pipeline
-from poolsim.engine import RELEASE_MIN, SimConfig, round_columns
+from poolsim.engine import FORK_TIP, RELEASE_MIN, SimConfig, round_columns
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_columns, round_records, simulate_rounds
 
@@ -157,3 +157,35 @@ class TestBufferBoundaries:
         last_rows = [rec.outcome.reserved for rec in records[6::7]]
         assert any(last_rows) and not all(last_rows)
         self.assert_same(chunked, self.run(monkeypatch, 1, rounds))
+
+
+class TestPinnedStreams:
+    """Fixed-seed totals of three runs, pinned as literals: win counts,
+    pegged blocks and reward units read only the miner stream (Philox on the
+    seed) and the round rules, never the time stream. Eager runs of 40,000
+    rounds cross a lane block; the policy run is the benchmark's four-rival,
+    release-min, lead-3 run. A change to the miner stream or a round rule
+    must update these values and say so."""
+
+    CASES = {
+        "eager": (
+            SimConfig((0.6, 0.3, 0.1)), None, 40_000,
+            [28113, 10607, 1280], 130977, [3253589, 1127598, 260442],
+        ),
+        "eager-tip-four-rivals": (
+            SimConfig((0.4, 0.2, 0.15, 0.15, 0.1), fork_rule=FORK_TIP), None, 40_000,
+            [6273, 15332, 7844, 7798, 2753], 298762, [5442971, 2097369, 1157425, 1161223, 516717],
+        ),
+        "policy-m4": (
+            SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN), delayed, 5_000,
+            [4524, 336, 94, 34, 12], 25475, [765024, 76192, 40959, 30696, 24724],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_totals_match_the_pinned_values(self, case):
+        config, policy, rounds, win_counts, pegged_total, reward_units = self.CASES[case]
+        bank, _ = simulate_rounds(config, rounds, seed=7, termination_policy=policy)
+        assert bank.win_counts == win_counts
+        assert bank.pegged_total == pegged_total
+        assert bank.reward_units == reward_units
