@@ -124,9 +124,7 @@ def nephew_columns(
     return np.where(from_reserve, rounds.winner, following), rounds.pegged + 1, from_reserve
 
 
-def uncle_columns(
-    rounds: RoundColumns, nephew_height: np.ndarray, max_distance: int = MAX_UNCLE_DISTANCE
-) -> Tuple[np.ndarray, np.ndarray]:
+def uncle_columns(rounds: RoundColumns, nephew_height: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Height and distance of each pool's uncle; distance 0 where it has none.
 
     Candidates are the first block of each losing dishonest sub-chain, plus
@@ -143,7 +141,7 @@ def uncle_columns(
     lost[:, 0] -= win_fork
     lost[rows, rounds.winner] = 0
     distance = nephew_height[:, None] - height
-    qualifies = (lost >= 1) & (distance >= 1) & (distance <= max_distance)
+    qualifies = (lost >= 1) & (distance >= 1) & (distance <= MAX_UNCLE_DISTANCE)
     qualifies[:, 1:] &= ~(qualifies[:, :1] & (rounds.fork_pos[:, 1:] >= height[:, :1]))
     return height, np.where(qualifies, distance, 0)
 
@@ -199,14 +197,10 @@ def determine_nephew(
     return NephewRecord(int(owner[0]), int(height[0]), bool(from_reserve[0]))
 
 
-def find_uncles(
-    outcome: RoundOutcome,
-    nephew_height: int,
-    max_distance: int = MAX_UNCLE_DISTANCE,
-) -> Tuple[UncleRecord, ...]:
+def find_uncles(outcome: RoundOutcome, nephew_height: int) -> Tuple[UncleRecord, ...]:
     """Orphans of this round that qualify as uncles of the nephew; the
     one-row case of uncle_columns."""
-    return uncle_records(*uncle_columns(round_columns([outcome]), np.array([nephew_height]), max_distance))[0]
+    return uncle_records(*uncle_columns(round_columns([outcome]), np.array([nephew_height])))[0]
 
 
 def classify_round(

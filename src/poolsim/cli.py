@@ -206,9 +206,9 @@ def _replication_task(
     rows: Optional[List[list]] = [] if trace_cap and rep_idx == 0 else None
     alpha_h = config.alphas[0]
 
-    def on_record(record):
-        if len(rows) < trace_cap:
-            rows.append(_trace_row(grid_idx, alpha_h, rep_idx, record))
+    def on_record(record) -> bool:
+        rows.append(_trace_row(grid_idx, alpha_h, rep_idx, record))
+        return len(rows) >= trace_cap  # no more records once the trace is full
 
     bank, _ = simulate_rounds(
         config, rounds, seed=seed,

@@ -29,7 +29,6 @@ from itertools import product
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .classify import find_uncles
 from .engine import (
     FORK_TIP,
     HONEST,
@@ -396,11 +395,7 @@ def close_replay(
 # -- independent reference analysis -------------------------------------------
 
 
-def reference_analysis(
-    outcome: RoundOutcome,
-    prev_uncle_count: int,
-    max_distance: int = 6,
-) -> dict:
+def reference_analysis(outcome: RoundOutcome, prev_uncle_count: int) -> dict:
     """From-scratch classification, ratios, and rewards for one closed round.
 
     Straight-line transcription of the rules, working only on the outcome's
@@ -442,7 +437,7 @@ def reference_analysis(
         k = fork_pos[winner]
         honest_is_uncle = False
         if v >= k + 1:
-            honest_is_uncle = 1 <= nephew_height - (k + 1) <= max_distance
+            honest_is_uncle = 1 <= nephew_height - (k + 1) <= 6
             candidates.append((HONEST, k + 1))
         for i in range(1, n_pools):
             if i == winner or length[i] == 0:
@@ -454,7 +449,7 @@ def reference_analysis(
     uncles: List[Tuple[int, int, int]] = []  # (owner, height, distance)
     for owner, height in candidates:
         distance = nephew_height - height
-        if 1 <= distance <= max_distance:
+        if 1 <= distance <= 6:
             uncles.append((owner, height, distance))
     uncles.sort(key=lambda u: (u[1], u[0]))
 
@@ -525,14 +520,6 @@ class ViolationReport:
     def add(self, script, message: str) -> None:
         if len(self.violations) < 200:
             self.violations.append(f"{list(script)}: {message}")
-
-    def to_dict(self) -> dict:
-        return {
-            "scripts": self.scripts,
-            "rounds_checked": self.rounds_checked,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
 
 
 def _engine_outcomes(
@@ -612,7 +599,6 @@ def enumerate_and_check(
     max_events: int,
     num_dishonest: int,
     config: Optional[SimConfig] = None,
-    mutate_max_distance: Optional[int] = None,
     carryover: Optional[Carryover] = None,
     scripts=None,
 ) -> ViolationReport:
@@ -625,10 +611,9 @@ def enumerate_and_check(
     possible next-first-block owner and that round is checked each time.
     carryover seeds every replay with a private lead; scripts, when given,
     replaces the exhaustive enumeration with an explicit script list.
-    mutate_max_distance recomputes each round's uncles with the production
-    uncle rule under a non-standard distance cutoff, against the unchanged
-    reference; such a run must produce violations, which is how the
-    harness's own sensitivity is verified.
+    The reference keeps its own uncle cutoff of 6, so a run with the
+    production cutoff patched to another value must report violations;
+    that is how the harness's own sensitivity is verified.
     """
     if max_events > 10:
         raise ValueError("bounded enumeration only: max_events <= 10")
@@ -636,13 +621,6 @@ def enumerate_and_check(
         config = script_config(num_dishonest)
     report = ViolationReport()
     n = num_dishonest + 1
-
-    def checked(record: RoundRecord) -> RoundRecord:
-        if mutate_max_distance is None:
-            return record
-        c = record.classification
-        uncles = find_uncles(record.outcome, c.nephew.height, max_distance=mutate_max_distance)
-        return record._replace(classification=c._replace(uncles=uncles))
 
     if scripts is None:
         scripts = (
@@ -677,6 +655,6 @@ def enumerate_and_check(
         for k, records in enumerate(close_replay(rounds, owners)):
             # Rounds before the last close the same way for every owner.
             for record, ref in zip(records, refs) if k == 0 else [(records[-1], refs[-1])]:
-                _check_round(report, events, checked(record), ref, config)
+                _check_round(report, events, record, ref, config)
 
     return report

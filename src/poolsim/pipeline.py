@@ -14,6 +14,7 @@ its last round reserved nothing; that block books nothing.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,21 +70,9 @@ def close_columns(rounds: RoundColumns, next_first_owner: Optional[int], prev_un
     )
 
 
-class _Distinct(dict):
-    """build(*row) for each row looked up, built once per distinct row."""
-
-    def __init__(self, build: Callable):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, row: tuple):
-        built = self[row] = self.build(*row)
-        return built
-
-
 def _shared(build: Callable, *columns: np.ndarray) -> Iterator:
     """build(*row) for every row of the columns; equal rows share one record."""
-    return map(_Distinct(build).__getitem__, zip(*(c.tolist() for c in columns)))
+    return map(lru_cache(maxsize=None)(build), *(c.tolist() for c in columns))
 
 
 def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_index: int) -> Iterator[RoundRecord]:
@@ -136,42 +125,41 @@ def simulate_rounds(
     config: SimConfig,
     rounds: int,
     seed=0,
-    bank: Optional[EstimatorBank] = None,
     termination_policy: Optional[TerminationPolicy] = None,
-    on_record: Optional[Callable[[RoundRecord], None]] = None,
+    on_record: Optional[Callable[[RoundRecord], Optional[bool]]] = None,
     collect: bool = False,
 ) -> Tuple[EstimatorBank, Optional[List[RoundRecord]]]:
     """Run the full pipeline for a number of rounds.
 
-    Returns the bank (created if not given) and, with collect=True, the list
-    of closed-round records. on_record is called once per closed round, in
-    round order, as each block closes, for callers that want to inspect
-    rounds without holding them all in memory. Records are built only when
-    one of the two asks. Without a termination policy the rounds are lane
-    blocks on LaneDraws(config, seed); with one, they are played by run_round
-    on MiningClock(config, seed).
+    Returns a new bank and, with collect=True, the list of closed-round
+    records. on_record is called once per closed round, in round order, as
+    each block closes, for callers that want to inspect rounds without
+    holding them all in memory. It may return True to say it wants no more
+    records; it is then not called again. Records are built only while one
+    of the two asks, and the bank takes every round either way. Without a
+    termination policy the rounds are lane blocks on LaneDraws(config,
+    seed); with one, they are played by run_round on MiningClock(config,
+    seed).
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    if bank is None:
-        bank = EstimatorBank(config.num_dishonest)
-    elif bank.num_pools != len(config.alphas):
-        raise ValueError(f"bank holds {bank.num_pools} pools, config has {len(config.alphas)}")
+    bank = EstimatorBank(config.num_dishonest)
     records: Optional[List[RoundRecord]] = [] if collect else None
-    want_records = collect or on_record is not None
     closed_rounds = 0
     prev_uncles = 0
 
     def close(block, next_owner: Optional[int]) -> None:
-        nonlocal closed_rounds, prev_uncles
+        nonlocal closed_rounds, prev_uncles, on_record
         closed = close_columns(block.columns, next_owner, prev_uncles)
         bank.add(closed)
-        if want_records:
+        if on_record is not None or records is not None:
             for record in round_records(closed, block.outcomes(), closed_rounds + 1):
-                if on_record is not None:
-                    on_record(record)
+                if on_record is not None and on_record(record):
+                    on_record = None
                 if records is not None:
                     records.append(record)
+                elif on_record is None:
+                    break
         closed_rounds += len(block.columns.winner)
         prev_uncles = int(closed.uncle_count[-1])
 

@@ -202,15 +202,25 @@ class TestRunExperiment:
         assert rows[0][:5] == ["gridIndex", "alphaH", "replication", "round", "winner"]
         assert len(rows) == 1 + 50  # replication 0 only
 
+    def test_trace_cap_splits_over_the_grid(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TRACE_ROWS", 60)
+        spec = self.spec(tmp_path, mode="sweep", grid=(0.55, 0.6, 0.65), emit_rounds=True, rounds=100)
+        assert run_experiment(spec) == 0
+        with open(os.path.join(spec.out_dir, "rounds.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["gridIndex"] for row in rows] == ["0"] * 20 + ["1"] * 20 + ["2"] * 20
+        assert [row["round"] for row in rows] == [str(k) for k in range(1, 21)] * 3
+
     def test_deterministic_across_worker_counts(self, tmp_path):
-        spec1 = self.spec(tmp_path, out_dir=str(tmp_path / "w1"), workers=1,
+        spec1 = self.spec(tmp_path, out_dir=str(tmp_path / "w1"), workers=1, emit_rounds=True,
                           mode="sweep", grid=(0.55, 0.65), rounds=300, replications=2)
-        spec2 = self.spec(tmp_path, out_dir=str(tmp_path / "w2"), workers=2,
+        spec2 = self.spec(tmp_path, out_dir=str(tmp_path / "w2"), workers=2, emit_rounds=True,
                           mode="sweep", grid=(0.55, 0.65), rounds=300, replications=2)
         assert run_experiment(spec1) == 0
         assert run_experiment(spec2) == 0
         assert read_summary(spec1.out_dir) == read_summary(spec2.out_dir)
-        assert (tmp_path / "w1" / "gridpoint.csv").read_text() == (tmp_path / "w2" / "gridpoint.csv").read_text()
+        for name in ("gridpoint.csv", "rounds.csv"):
+            assert (tmp_path / "w1" / name).read_text() == (tmp_path / "w2" / name).read_text()
 
     def test_seed_column_reproduces_its_row(self, tmp_path):
         # Grid point g, replication r runs on SeedSequence(seed, spawn_key=(g, r));

@@ -372,10 +372,14 @@ class TestLaneCallers:
         assert np.concatenate(win_only).tolist() == winners
         assert fractions == bank.win_fractions()
 
-    def test_records_carry_the_lane_outcomes(self):
+    def test_records_carry_the_lane_outcomes(self, monkeypatch):
+        # Blocks of 1,000 rounds, so the close hands the nephew over between
+        # lane blocks four times.
+        monkeypatch.setattr(engine, "BLOCK_ROUNDS", 1000)
         config = SimConfig.from_alphas((0.5, 0.3, 0.2), fork_rule=FORK_TIP)
         _, records = simulate_rounds(config, 5000, seed=4, collect=True)
-        blocks = lane_blocks(config, 5000, LaneDraws(config, 4))
+        blocks = list(lane_blocks(config, 5000, LaneDraws(config, 4)))
+        assert len(blocks) == 5
         assert [r.outcome for r in records] == [o for block in blocks for o in block.outcomes()]
         # Every round's nephew is the next round's first block.
         for prev, cur in zip(records, records[1:]):

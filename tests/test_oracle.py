@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poolsim import oracle
+from poolsim import classify, oracle
 from poolsim.classify import NephewUnavailable
 from poolsim.engine import FORK_TIP, HONEST, RELEASE_MIN, Carryover, SimConfig
 from poolsim.oracle import (
@@ -244,17 +244,17 @@ class TestEnumerateAndCheck:
         assert report.rounds_checked > 0
         assert report.ok, report.violations[:5]
 
-    def test_mutated_distance_cutoff_is_caught(self):
+    def test_mutated_distance_cutoff_is_caught(self, monkeypatch):
         # Ten events, three rivals: the only way to reach a distance-seven
-        # candidate within the enumeration cap. A classifier that accepts
-        # distance seven must disagree with the reference.
+        # candidate within the enumeration cap. A production close that
+        # accepts distance seven must disagree with the reference, which
+        # keeps its own cutoff.
         config = script_config(3)
         probe = EventScript((D1, H, H, D2, H, H, D3, H, H, H))
         clean = enumerate_and_check(10, 3, config=config, scripts=[probe])
         assert clean.ok
-        mutated = enumerate_and_check(
-            10, 3, config=config, scripts=[probe], mutate_max_distance=7
-        )
+        monkeypatch.setattr(classify, "MAX_UNCLE_DISTANCE", 7)
+        mutated = enumerate_and_check(10, 3, config=config, scripts=[probe])
         assert not mutated.ok
         assert any("uncle" in v for v in mutated.violations)
 
@@ -272,8 +272,7 @@ class TestEnumerateAndCheck:
 
     def test_report_serializes(self):
         report = enumerate_and_check(3, 1)
-        data = report.to_dict()
-        assert data["ok"] is True and data["scripts"] == 8
+        assert report.ok is True and report.scripts == 8
 
 
 def wait_for_lead_of_three(longest, second, mined):

@@ -45,27 +45,25 @@ class TestSimulateRounds:
         simulate_rounds(config, 64, seed=np.random.SeedSequence(3), on_record=lambda r: seen.append(r.index))
         assert seen == list(range(1, 65))
 
-    def test_existing_bank_keeps_accumulating(self):
-        config = SimConfig.from_alphas([0.6, 0.4])
-        bank = EstimatorBank(1)
-        simulate_rounds(config, 30, seed=np.random.SeedSequence(4), bank=bank)
-        simulate_rounds(config, 20, seed=np.random.SeedSequence(5), bank=bank)
-        assert bank.rounds == 50
+    def test_on_record_can_stop_the_records(self):
+        config = SimConfig.from_alphas([0.6, 0.3, 0.1])
+        seen = []
+
+        def first_ten(record):
+            seen.append(record.index)
+            return len(seen) >= 10
+
+        bank, records = simulate_rounds(
+            config, 5000, seed=np.random.SeedSequence(6), on_record=first_ten, collect=True
+        )
+        assert seen == list(range(1, 11))
+        assert [rec.index for rec in records] == list(range(1, 5001))
+        assert bank.rounds == 5000
 
     def test_rejects_zero_rounds(self):
         config = SimConfig.from_alphas([0.6, 0.4])
         with pytest.raises(ValueError):
             simulate_rounds(config, 0)
-
-    def test_rejects_a_bank_for_another_pool_count_before_playing(self, monkeypatch):
-        def no_rounds(*args):
-            raise AssertionError("a round was played")
-
-        monkeypatch.setattr(pipeline, "lane_blocks", no_rounds)
-        bank = EstimatorBank(2)
-        with pytest.raises(ValueError, match=r"bank holds 3 pools, config has 2"):
-            simulate_rounds(SimConfig.from_alphas([0.6, 0.4]), 10, bank=bank)
-        assert bank.rounds == 0
 
 
 class TestCarryoverChaining:
