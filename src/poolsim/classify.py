@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -146,8 +146,8 @@ def uncle_columns(rounds: RoundColumns, nephew_height: np.ndarray) -> Tuple[np.n
     return height, np.where(qualifies, distance, 0)
 
 
-def uncle_records(height: np.ndarray, distance: np.ndarray) -> List[Tuple[UncleRecord, ...]]:
-    """Each round's uncles from its height and distance rows, in (height, pool) order."""
+def uncle_records(height: np.ndarray, distance: np.ndarray) -> Iterator[Tuple[UncleRecord, ...]]:
+    """Each round's uncles from its height and distance rows, in (height, pool) order, one row at a time."""
     pools = height.shape[1]
     order = np.argsort(height * pools + np.arange(pools), axis=1)
     rows = np.arange(len(height))[:, None]
@@ -155,7 +155,7 @@ def uncle_records(height: np.ndarray, distance: np.ndarray) -> List[Tuple[UncleR
     distance = distance[rows, order]
     named = distance > 0
     uncles = map(UncleRecord, order[named].tolist(), height[named].tolist(), distance[named].tolist())
-    return [tuple(islice(uncles, count)) for count in named.sum(axis=1).tolist()]
+    return (tuple(islice(uncles, count)) for count in named.sum(axis=1).tolist())
 
 
 def block_counts(rounds: RoundColumns, uncle_count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -200,7 +200,7 @@ def determine_nephew(
 def find_uncles(outcome: RoundOutcome, nephew_height: int) -> Tuple[UncleRecord, ...]:
     """Orphans of this round that qualify as uncles of the nephew; the
     one-row case of uncle_columns."""
-    return uncle_records(*uncle_columns(round_columns([outcome]), np.array([nephew_height])))[0]
+    return next(uncle_records(*uncle_columns(round_columns([outcome]), np.array([nephew_height]))))
 
 
 def classify_round(

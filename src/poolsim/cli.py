@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classify import UNITS_PER_BLOCK
-from .engine import HONEST, RELEASE_POLICIES, SimConfig
+from .engine import HONEST, RELEASE_MIN, RELEASE_POLICIES, SimConfig
 from .metrics import (
     RATIO_NAMES, EstimatorBank, NoCrossing, ci95, crossing_estimate, grid_config, replication_seed, run_grid,
 )
@@ -94,7 +94,7 @@ def _number(key: str, value, kind: type):
 
 
 def _check_run_bounds(spec: ExperimentSpec) -> None:
-    """The run-only lower bounds and the grid each mode runs on, for a parsed
+    """Run-only bounds, each mode's grid and the release policy, for a parsed
     spec or one built directly; workers=None means all cores."""
     for key, (_, low) in _NUMBERS.items():
         value = getattr(spec, key)
@@ -105,6 +105,9 @@ def _check_run_bounds(spec: ExperimentSpec) -> None:
     need = 2 if spec.mode == "threshold" else 1
     if spec.mode != "single" and len(spec.grid) < need:
         raise ConfigError(f"grid: {spec.mode} mode needs at least {need} grid point{'s' if need > 1 else ''}")
+    if spec.release_policy == RELEASE_MIN:
+        raise ConfigError("release_policy: CLI runs are eager, so a round ends at a lead of exactly"
+                          " lead_threshold, where release-min releases the whole chain as release-all does")
 
 
 def _validate(raw: Dict) -> ExperimentSpec:
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"blocks of lead that end a round (default {SimConfig.lead_threshold})")
     parser.add_argument("--release-policy", choices=RELEASE_POLICIES, dest="release_policy",
                         help=f"dishonest winner's release rule (default {SimConfig.release_policy}); CLI runs"
-                        " are eager, so release-min pegs every block and changes nothing")
+                        " are eager, where release-min would peg every block, so it is a configuration error")
     parser.add_argument("--rounds", type=int, help="rounds per replication")
     parser.add_argument("--replications", type=int, help="replications per grid point")
     parser.add_argument("--seed", type=int, help="master seed")

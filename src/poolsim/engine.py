@@ -21,14 +21,15 @@ engines read it.
 
 The engines share one set of round rules. run_round plays one round at a
 time from an event source and takes a carryover and a termination policy;
-it runs withholding runs and the oracle's checks. Its event sources are
-plain iterators of (pool, gap) pairs, and run_round sums the gaps into the
-round's clock from zero: MiningClock reads the draw rule one event at a
-time, and ScriptClock replays a fixed script. play_lanes plays a block of
-eager rounds (no policy) side by side as lanes of numpy state, admitting
-new rounds as others end, and builds their RoundColumns, the form the
-columnar close consumes, when they are read. Eager rounds never reserve a
-block, so each starts afresh and the rounds are i.i.d.
+pipeline.chained_rounds chains its rounds for withholding runs and the
+oracle. Its event sources are plain iterators of (pool, gap) pairs, and
+run_round sums the gaps into the round's clock from zero: MiningClock
+reads the draw rule one event at a time, and ScriptClock replays a fixed
+script. play_lanes plays a block of eager rounds (no policy) side by side
+as lanes of numpy state, admitting new rounds as others end, and builds
+their RoundColumns, the form the columnar close consumes, when they are
+read. Eager rounds never reserve a block, so each starts afresh and the
+rounds are i.i.d.
 
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
@@ -45,8 +46,10 @@ leader, who wins, is unique. Lengths only grow, so both engines update the
 top two and the leader per block, never scanning the pools: if the mined
 pool leads, the top takes its new value g; a g past the top makes the old
 top the second and the pool the leader; a g past only the second is the
-second. Under tip, an honest block after a fork lifts the honest and every
-forked chain by one: the top two rise by one and nothing else moves.
+second. Both engines follow one tip rule: a dishonest pool leads once any
+pool forks or carries, an honest block then raises the top two by one and
+moves nothing else, and each forked chain's fork position is set to the
+honest length at the end.
 
 Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in round
 order. A block's steps draw one miner per live round, in increasing round
@@ -65,7 +68,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -293,11 +296,11 @@ def run_round(
     that starts with a large private lead still has positive duration.
 
     Under the tip rule every forked dishonest chain's fork position is the
-    current honest length, for the leading criterion, release-min, block
-    heights and pegging alike. Once any dishonest pool has forked it stays
-    ahead of the honest pool, so the honest pool wins only a round it opens
-    with lead_threshold honest blocks, and a dishonest win orphans no honest
-    block.
+    honest length (set once the round ends), for the leading criterion,
+    release-min, block heights and pegging alike. Once any dishonest pool
+    has forked it stays ahead of the honest pool, so the honest pool wins
+    only a round it opens with lead_threshold honest blocks, and a dishonest
+    win orphans no honest block.
     """
     m = config.num_dishonest
     threshold = config.lead_threshold
@@ -306,8 +309,6 @@ def run_round(
     v = mined = 0
     fork_pos = [0] * (m + 1)
     length = [0] * (m + 1)  # a dishonest pool has forked once it holds a block; v stands in for length[0]
-    gen = [0] * (m + 1)  # generalized lengths; gen[0] is unused, v stands in
-    forked: list = []  # the dishonest pools holding a block, for the tip lift
     first_owner = -1
     leader, longest, second = HONEST, 0, 0  # the top two, kept by the module docstring's rule
 
@@ -315,8 +316,7 @@ def run_round(
         z = carryover.owner
         if not 1 <= z <= m:
             raise ValueError(f"carryover owner {z} not a dishonest pool of this config")
-        length[z] = gen[z] = longest = carryover.private_blocks
-        forked.append(z)
+        length[z] = longest = carryover.private_blocks
         first_owner = leader = z
 
     now = 0.0
@@ -328,20 +328,14 @@ def run_round(
         if pool == HONEST:
             v += 1
             g = v
-            if tip and forked:
-                for i in forked:
-                    fork_pos[i] = v
-                    gen[i] += 1
+            if tip and leader != HONEST:  # a forked chain leads, and every forked chain rides the tip
                 longest += 1
                 second += 1
-                g = 0  # a forked pool leads, so the rule below moves nothing
         else:
             if not length[pool]:
-                fork_pos[pool] = gen[pool] = v
-                forked.append(pool)
+                fork_pos[pool] = v
             length[pool] += 1
-            gen[pool] += 1
-            g = gen[pool]
+            g = (v if tip else fork_pos[pool]) + length[pool]
         if pool == leader:
             longest = g
         elif g > longest:
@@ -356,6 +350,8 @@ def run_round(
     else:
         raise ScriptExhausted(f"event source ran out {mined} events into the round")
 
+    if tip:
+        fork_pos = [v if n else 0 for n in length]  # length[HONEST] is still 0
     length[HONEST] = pegged = v
     released = reserved = 0
     if leader != HONEST:
@@ -421,10 +417,10 @@ class LaneRounds:
             first_owner=self.first_owner,
         )
 
-    def outcomes(self) -> List[RoundOutcome]:
-        """The rows as the RoundOutcomes run_round gives for the same events."""
+    def outcomes(self) -> Iterator[RoundOutcome]:
+        """The rows as the RoundOutcomes run_round gives for the same events, built as read."""
         columns = (*self.columns, self.events, self.longest, self.second)
-        return list(map(RoundOutcome, *(map(tuple, c.tolist()) if c.ndim == 2 else c.tolist() for c in columns)))
+        return map(RoundOutcome, *(map(tuple, c.tolist()) if c.ndim == 2 else c.tolist() for c in columns))
 
 
 def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:

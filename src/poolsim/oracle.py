@@ -36,13 +36,10 @@ from .engine import (
     Carryover,
     RoundOutcome,
     ScriptClock,
-    ScriptExhausted,
     SimConfig,
-    make_carryover,
     round_columns,
-    run_round,
 )
-from .pipeline import RoundRecord, close_columns, round_records
+from .pipeline import RoundRecord, chained_rounds, close_columns, round_records
 
 UNCLE_REWARDS = {d: Fraction(8 - d, 8) for d in range(1, 7)}
 
@@ -522,21 +519,6 @@ class ViolationReport:
             self.violations.append(f"{list(script)}: {message}")
 
 
-def _engine_outcomes(
-    events: Tuple[int, ...], config: SimConfig, carry: Optional[Carryover] = None
-) -> List[RoundOutcome]:
-    clock = ScriptClock(events)
-    outcomes: List[RoundOutcome] = []
-    while True:
-        try:
-            outcome = run_round(config, carry, clock)
-        except ScriptExhausted:
-            break
-        outcomes.append(outcome)
-        carry = make_carryover(outcome)
-    return outcomes
-
-
 def _check_round(report: ViolationReport, events, record: RoundRecord, ref: dict, config: SimConfig) -> None:
     """Per-round invariants plus the production-vs-reference comparison."""
     report.rounds_checked += 1
@@ -635,7 +617,7 @@ def enumerate_and_check(
         except IncompleteScript:
             continue
 
-        engine_rounds = _engine_outcomes(events, config, script.carryover)
+        engine_rounds = list(chained_rounds(config, ScriptClock(events), carryover=script.carryover))
         if len(engine_rounds) != len(rounds):
             report.add(events, f"engine closed {len(engine_rounds)} rounds, replay closed {len(rounds)}")
         # The replay's pegged count is the length of its selected main chain.

@@ -5,16 +5,17 @@ pass finds every round's nephew and uncles, counts its blocks, books its
 rewards with the one-round-late nephew reference, and hands the block to
 the estimator bank. An eager run (no termination policy) plays its rounds
 as lane blocks of the engine; a run with a policy plays them one at a time
-with run_round, chained through carryover, in blocks of up to CLOSE_ROWS.
-A round's nephew is its first reserved block, or else the next round's
-first block, so each block waits until the next one has been played; the
-uncle count the next nephew reference needs carries across blocks. After
-the last block one extra first-block miner is drawn just to close it when
-its last round reserved nothing; that block books nothing.
+with run_round, chained through carryover by chained_rounds, in blocks of
+up to CLOSE_ROWS. A round's nephew is its first reserved block, or else the
+next round's first block, so each block waits until the next one has been
+played; the uncle count the next nephew reference needs carries across
+blocks. After the last block one extra first-block miner is drawn just to
+close it when its last round reserved nothing; that block books nothing.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +37,8 @@ from .classify import (  # noqa: F401
     uncle_records,
 )
 from .engine import (
-    Carryover, LaneDraws, MiningClock, RoundColumns, RoundOutcome, SimConfig, TerminationPolicy, lane_blocks,
-    make_carryover, round_columns, run_round,
+    Carryover, LaneDraws, MiningClock, RoundColumns, RoundOutcome, ScriptExhausted, SimConfig, TerminationPolicy,
+    lane_blocks, make_carryover, round_columns, run_round,
 )
 from .metrics import EstimatorBank
 from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, reward_columns  # noqa: F401
@@ -105,18 +106,28 @@ class _Played(NamedTuple):
         return self.played
 
 
+def chained_rounds(
+    config: SimConfig, clock, termination_policy: Optional[TerminationPolicy] = None,
+    carryover: Optional[Carryover] = None,
+) -> Iterator[RoundOutcome]:
+    """run_round's rounds on one event source, each starting from the carry
+    the round before it left, until the source runs out."""
+    while True:
+        try:
+            outcome = run_round(config, carryover, clock, termination_policy)
+        except ScriptExhausted:
+            return
+        yield outcome
+        carryover = make_carryover(outcome)
+
+
 def _played_blocks(
     config: SimConfig, rounds: int, clock: MiningClock, termination_policy: TerminationPolicy
 ) -> Iterator[_Played]:
-    """`rounds` rounds of run_round on one clock, chained through carryover,
-    in blocks of up to CLOSE_ROWS."""
-    carry: Optional[Carryover] = None
+    """`rounds` chained rounds on one clock, in blocks of up to CLOSE_ROWS."""
+    chain = chained_rounds(config, clock, termination_policy)
     for start in range(0, rounds, CLOSE_ROWS):
-        played = []
-        for _ in range(min(CLOSE_ROWS, rounds - start)):
-            outcome = run_round(config, carry, clock, termination_policy)
-            carry = make_carryover(outcome)
-            played.append(outcome)
+        played = list(islice(chain, min(CLOSE_ROWS, rounds - start)))
         columns = round_columns(played)
         yield _Played(columns, played, columns.first_owner)
 

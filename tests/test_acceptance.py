@@ -14,16 +14,17 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List
 
 import numpy as np
 import pytest
 
 from poolsim.cli import ExperimentSpec, _run_replications, run_experiment
-from poolsim.engine import HONEST, MiningClock, SimConfig, make_carryover, run_round
+from poolsim.engine import HONEST, MiningClock, SimConfig
 from poolsim.metrics import EstimatorBank, find_power_threshold, mean_ci95
 from poolsim.oracle import enumerate_and_check
-from poolsim.pipeline import simulate_rounds
+from poolsim.pipeline import chained_rounds, simulate_rounds
 
 WORKERS = os.cpu_count() or 1
 UNCLE_REWARD_SET = {Fraction(n, 8) for n in range(2, 8)}
@@ -211,10 +212,7 @@ def test_criterion_6_first_fork_position_invariant():
         dishonest = [0.45 / m] * m
         config = SimConfig.from_alphas([0.55] + dishonest, gamma=10.0)
         clock = MiningClock(config, seed=np.random.SeedSequence(seed))
-        carry = None
-        for _ in range(n_rounds):
-            out = run_round(config, carry, clock)
-            carry = make_carryover(out)
+        for out in islice(chained_rounds(config, clock), n_rounds):
             rounds += 1
             # Fork positions only grow within a round, so the lowest one among
             # the forked pools is the first fork's.

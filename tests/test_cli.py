@@ -269,6 +269,12 @@ class TestRunExperiment:
         assert err.startswith(f"config error: {field}: must be >=") and "Traceback" not in err, err
         assert not os.path.exists(spec.out_dir)
 
+    def test_release_min_is_a_config_error_for_a_directly_built_spec(self, tmp_path, capsys):
+        spec = self.spec(tmp_path, release_policy="release-min")
+        assert run_experiment(spec) == 2
+        assert capsys.readouterr().err.startswith("config error: release_policy: CLI runs are eager")
+        assert not os.path.exists(spec.out_dir)
+
     @pytest.mark.parametrize("error", [ValueError("bad draw"), BrokenProcessPool("worker died")])
     def test_failure_after_start_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, error):
         def failing(*args, **kwargs):
@@ -348,6 +354,15 @@ class TestMain:
         path.write_text(json.dumps({"alphas": [0.6, 0.3, 0.1], "grid": [0.3, 0.4]}))  # mode defaults to single
         assert main(["--config", str(path), *argv]) == 2
         assert "config error: grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_release_min_rejected(self, tmp_path, capsys):
+        # Eager rounds end at a lead of exactly lead_threshold, where
+        # release-min releases the whole chain; the flag used to do nothing.
+        code = main(["--mode", "single", "--alphas", "0.6,0.3,0.1", "--rounds", "100",
+                     "--release-policy", "release-min", "--workers", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: release_policy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_alphas_exit_code(self, capsys):

@@ -21,6 +21,7 @@ from poolsim.engine import (
     run_round,
 )
 from poolsim.oracle import Block, EventScript, replay_script, select_main_chain
+from poolsim.pipeline import chained_rounds
 
 
 class RecordingClock:
@@ -377,14 +378,7 @@ class TestStochasticRounds:
         config = SimConfig.from_alphas([0.6, 0.3, 0.1])
         runs = []
         for _ in range(2):
-            clock = MiningClock(config, seed=42)
-            carry = None
-            outcomes = []
-            for _ in range(50):
-                out = run_round(config, carry, clock)
-                carry = make_carryover(out)
-                outcomes.append(out)
-            runs.append(outcomes)
+            runs.append(list(islice(chained_rounds(config, MiningClock(config, seed=42)), 50)))
         assert runs[0] == runs[1]
 
     def test_degenerate_single_miner_always_wins_with_two_blocks(self):

@@ -91,7 +91,7 @@ def script_config(pools, **kwargs):
 def assert_lanes_replay(config, scripts, want):
     """play_lanes on the scripts gives every round run_round gave on them."""
     block = play_lanes(config, len(scripts), ScriptDraws(scripts))
-    got = block.outcomes()
+    got = list(block.outcomes())
     # Durations come from the event source, not the rules.
     assert [o._replace(duration=0.0) for o in got] == [o._replace(duration=0.0) for o in want]
     assert [o.pegged for o in got] == [o.pegged for o in want]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poolsim import classify, oracle
+from poolsim import classify, pipeline
 from poolsim.classify import NephewUnavailable
 from poolsim.engine import FORK_TIP, HONEST, RELEASE_MIN, Carryover, SimConfig
 from poolsim.oracle import (
@@ -264,7 +264,7 @@ class TestEnumerateAndCheck:
         def one_short(outcome):
             return Carryover(outcome.winner, outcome.reserved - 1) if outcome.reserved > 1 else None
 
-        monkeypatch.setattr(oracle, "make_carryover", one_short)
+        monkeypatch.setattr(pipeline, "make_carryover", one_short)
         config = script_config(2, release_policy=RELEASE_MIN)
         report = enumerate_and_check(5, 2, config=config, carryover=Carryover(1, 5))
         assert report.rounds_checked > 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poolsim import pipeline
+from poolsim import engine, pipeline
 from poolsim.engine import FORK_TIP, RELEASE_MIN, SimConfig, round_columns
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_columns, round_records, simulate_rounds
@@ -59,6 +59,29 @@ class TestSimulateRounds:
         assert seen == list(range(1, 11))
         assert [rec.index for rec in records] == list(range(1, 5001))
         assert bank.rounds == 5000
+
+    def test_stopped_records_build_few_outcomes(self, monkeypatch):
+        # A lane block's outcomes are built as the records read them, so a
+        # consumer that stops at its tenth record does not pay for the block.
+        built = []
+
+        class CountedOutcome(engine.RoundOutcome):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(1)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(engine, "RoundOutcome", CountedOutcome)
+        seen = []
+
+        def first_ten(record):
+            seen.append(record.index)
+            return len(seen) >= 10
+
+        bank, _ = simulate_rounds(SimConfig.from_alphas([0.6, 0.3, 0.1]), 40_000, seed=5, on_record=first_ten)
+        assert seen == list(range(1, 11)) and bank.rounds == 40_000
+        assert len(built) < 100
 
     def test_rejects_zero_rounds(self):
         config = SimConfig.from_alphas([0.6, 0.4])
