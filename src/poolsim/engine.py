@@ -25,11 +25,14 @@ pipeline.chained_rounds chains its rounds for withholding runs and the
 oracle. Its event sources are plain iterators of (pool, gap) pairs, and
 run_round sums the gaps into the round's clock from zero: MiningClock
 reads the draw rule one event at a time, and ScriptClock replays a fixed
-script. play_lanes plays a block of eager rounds (no policy) side by side
-as lanes of numpy state, admitting new rounds as others end, and builds
+script. play_lanes plays a block of eager rounds (no policy) and builds
 their RoundColumns, the form the columnar close consumes, when they are
 read. Eager rounds never reserve a block, so each starts afresh and the
-rounds are i.i.d.
+rounds are i.i.d., and a round's tree is a fixed function of its block
+owners. So prefix_table plays every sequence of a round's first few owners
+once, by the lane step (race) that also plays on the rounds those leave
+open; play_lanes looks each round's first blocks up there and races only
+the rounds still open, side by side as lanes of numpy state.
 
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
@@ -52,21 +55,21 @@ moves nothing else, and each forked chain's fork position is set to the
 honest length at the end.
 
 Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in round
-order. A block's steps draw one miner per live round, in increasing round
-order; whenever fewer than LANES // 2 are live, the next rounds not yet
-begun join at the end first, up to LANES live. Round ids only grow, so a
-block has one drain tail. The time stream gives one Gamma duration per
-round, in round order, when a block's columns are first read. MiningClock
-draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps at a time and
-hands them out in order across rounds. After the last round, if it reserved
-nothing, simulate_rounds draws one more miner, of the block that closes it.
-Results therefore depend on the seed alone, never on scheduling.
+order. A block first draws its prefix table's length of miners for each
+round, round after round; then each step draws one miner per round still
+open, in increasing round order, until none is. The time stream gives one
+Gamma duration per round, in round order, when a block's columns are first
+read. MiningClock draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps
+at a time and hands them out in order across rounds. After the last round,
+if it reserved nothing, simulate_rounds draws one more miner, of the block
+that closes it. Results therefore depend on the seed alone, never on
+scheduling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -220,22 +223,33 @@ class LaneDraws:
 
     miners(n) gives the miners of n blocks, one uniform each, pool i with
     probability proportional to its rate, so a zero-power pool is never
-    drawn. Lanes read pools(lanes), the next miner of each listed round,
-    and durations(events), one Gamma draw per round from its block count.
+    drawn. Lanes read prefixes(rounds, length), the first `length` miners of
+    each of `rounds` rounds, round by round; pools(lanes), the next miner of
+    each listed round; and durations(events), one Gamma draw per round from
+    its block count.
     """
 
     def __init__(self, config: SimConfig, seed=0):
         rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
-        self._mining = np.flatnonzero(rates > 0.0)  # a zero-power pool's rate is 1/inf = 0
-        # Uniforms below edges[k] fall to the first k mining pools.
-        self._edges = np.cumsum(rates[self._mining])[:-1] / rates.sum()
+        mining = np.flatnonzero(rates > 0.0)  # a zero-power pool's rate is 1/inf = 0
+        # Uniforms at or past k of the edges fall to the (k+1)th mining pool.
+        self._edges = (np.cumsum(rates[mining])[:-1] / rates.sum()).tolist()
+        self._index_type = np.min_scalar_type(len(self._edges))
+        self._mining = None if len(mining) == len(rates) else mining
         self._mean_gap = 1.0 / rates.sum()
         bits = np.random.Philox(seed)
         self._gen = np.random.Generator(bits)  # miners
         self._time = np.random.Generator(bits.jumped())  # gaps and durations
 
     def miners(self, n: int) -> np.ndarray:
-        return self._mining[self._edges.searchsorted(self._gen.random(n), side="right")]
+        u = self._gen.random(n)
+        index = np.zeros(n, dtype=self._index_type)
+        for edge in self._edges:
+            index += u >= edge
+        return index if self._mining is None else self._mining[index]
+
+    def prefixes(self, rounds: int, length: int) -> np.ndarray:
+        return self.miners(rounds * length).reshape(rounds, length)
 
     def pools(self, lanes: np.ndarray) -> np.ndarray:
         return self.miners(len(lanes))
@@ -374,17 +388,116 @@ def make_carryover(outcome: RoundOutcome) -> Optional[Carryover]:
 
 # -- lockstep lanes ---------------------------------------------------------------
 
-LANES = 4096  # most rounds a lane block plays side by side
-BLOCK_ROUNDS = 8 * LANES  # rounds in one lane block, which drains once
+BLOCK_ROUNDS = 32_768  # rounds in one lane block, which drains once
+TABLE_CELLS = 8192  # most owner sequences a prefix table holds
+
+
+class Lanes(NamedTuple):
+    """Rounds side by side, one row each: own lengths (column 0 is the
+    honest length) and anchored fork positions as (rounds, pools) int32,
+    then per round its leader (the winner once it ends), the blocks it has
+    played and its top two."""
+
+    own: np.ndarray
+    fork_pos: np.ndarray
+    winner: np.ndarray
+    events: np.ndarray
+    longest: np.ndarray
+    second: np.ndarray
+
+
+class PrefixTable(NamedTuple):
+    """Every round's state after its first `length` blocks, one cell per
+    owner sequence, the first owner the most significant base-pools digit
+    of the cell number: a round that ended within them as it ended, else
+    the state it plays on from (flagged `open`)."""
+
+    length: int
+    open: np.ndarray
+    lanes: Lanes
+
+
+def race(
+    lanes: Lanes, live: np.ndarray, step: int, miners, lead_threshold: int, tip: bool, last: Optional[int] = None
+) -> np.ndarray:
+    """Play the rounds `live` (row numbers in increasing order) of `lanes`
+    by run_round's rules, one block each per step from `step`, until they
+    end or the step count reaches `last`, and return those still live.
+
+    miners(live, step) gives each live round's next miner. Each step reads
+    and writes only the mined pool's cell, at flat index row * pools + pool.
+    The live rounds' leader and top two are 1-D arrays that follow them; a
+    round that ends leaves them and writes its winner, event count and top
+    two, and the rounds still live at the end write theirs too.
+    """
+    width = lanes.own.shape[1]
+    own_at, fork_pos_at = lanes.own.reshape(-1), lanes.fork_pos.reshape(-1)  # views: rows are C-contiguous
+    leader, top, second = lanes.winner[live], lanes.longest[live], lanes.second[live]
+    while len(live) and step != last:
+        pool = miners(live, step)
+        step += 1
+        base = live * width  # the honest cell
+        at = base + pool
+        count = own_at[at]
+        grown = count + 1
+        own_at[at] = grown
+        honest = pool == HONEST
+        if tip:
+            # A forked chain's generalized length is the honest length plus
+            # its own. An honest block after a fork gets value 0 (a forked
+            # pool leads, so the rule below moves nothing); the top two rise.
+            rise = honest & (top > count)
+            gen = np.where(honest, grown * ~rise, grown + own_at[base])
+        else:
+            fresh = (count == 0) & ~honest
+            fork_pos_at[at[fresh]] = own_at[base[fresh]]  # a new fork sits on the honest tip
+            gen = grown + fork_pos_at[at]
+        second = np.where(pool == leader, second, np.maximum(second, np.minimum(gen, top)))
+        leader = np.where(gen > top, pool, leader)
+        top = np.maximum(top, gen)
+        if tip:
+            top += rise
+            second += rise
+        done = top - second >= lead_threshold
+        ended = np.flatnonzero(done)
+        if len(ended):
+            rows = live[ended]
+            lanes.winner[rows], lanes.events[rows] = leader[ended], step
+            lanes.longest[rows], lanes.second[rows] = top[ended], second[ended]
+            stay = np.flatnonzero(~done)
+            live, top, second, leader = live[stay], top[stay], second[stay], leader[stay]
+    lanes.winner[live], lanes.events[live], lanes.longest[live], lanes.second[live] = leader, step, top, second
+    return live
+
+
+@cache
+def prefix_table(pools: int, lead_threshold: int, fork_rule: str) -> PrefixTable:
+    """The rounds of every sequence of their first blocks' owners, for the
+    longest length whose sequences fit in TABLE_CELLS (at least one block),
+    played once by race. Its arrays are read-only: every caller shares them."""
+    length = 1
+    while pools ** (length + 1) <= TABLE_CELLS:
+        length += 1
+    cells = pools ** length
+    lanes = Lanes(*np.zeros((2, cells, pools), dtype=np.int32), *np.zeros((4, cells), dtype=np.int64))
+    place = pools ** np.arange(length - 1, -1, -1)  # each block's digit in the cell number
+
+    def digits(live, step):
+        return live // place[step] % pools
+
+    is_open = np.zeros(cells, dtype=bool)
+    is_open[race(lanes, np.arange(cells), 0, digits, lead_threshold, fork_rule == FORK_TIP, last=length)] = True
+    for array in (is_open, *lanes):
+        array.setflags(write=False)
+    return PrefixTable(length, is_open, lanes)
 
 
 @dataclass(frozen=True, eq=False)
 class LaneRounds:
-    """A block of eager rounds as play_lanes leaves them: pool-major own
-    lengths (row 0 is the honest length) and anchored fork positions, then
-    one entry per round. The columns (transposes, release counts, durations)
-    are built when first read, so a caller that only counts winners never
-    builds them."""
+    """A block of eager rounds as play_lanes leaves them: its Lanes fields,
+    then each round's first owner. The columns (release counts, tip fork
+    positions, durations) are built when first read, so a caller that only
+    counts winners never builds them."""
 
     config: SimConfig
     draws: LaneDraws
@@ -398,10 +511,9 @@ class LaneRounds:
 
     @cached_property
     def columns(self) -> RoundColumns:
-        own = self.own
+        length, fork_pos = self.own.astype(np.int64), self.fork_pos.astype(np.int64)
         if self.config.fork_rule == FORK_TIP:
-            self.fork_pos[1:] = own[HONEST] * (own[1:] > 0)  # a forked chain sits on the honest tip
-        length, fork_pos = (np.ascontiguousarray(a.T, dtype=np.int64) for a in (own, self.fork_pos))
+            fork_pos[:, 1:] = length[:, :1] * (length[:, 1:] > 0)  # a forked chain sits on the honest tip
         ids = np.arange(len(self.winner))
         own_win, fork_win = length[ids, self.winner], fork_pos[ids, self.winner]
         dishonest = self.winner != HONEST
@@ -424,75 +536,26 @@ class LaneRounds:
 
 
 def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
-    """Play `rounds` eager rounds by run_round's rules, at most LANES at a
-    time, and return them in round order.
+    """Play `rounds` eager rounds by run_round's rules and return them in
+    round order.
 
-    The state never moves: own lengths and fork positions are (pools,
-    rounds) arrays, and each step draws the next block of every live round
-    from draws.pools and touches only the mined pool's cell, at flat index
-    pool * rounds + round. The live rounds and their top two and leader are
-    1-D arrays in increasing round order. A round that ends leaves them and
-    writes its winner, event count and top two. Whenever fewer than LANES //
-    2 are live, the next rounds join at the end from their starting state
-    (zeros: no blocks, the honest pool leading), so the lanes stay wide until
-    the block's last rounds.
+    Each round's first blocks come from one prefixes draw for the block;
+    their owners, read as a base-pools number, pick the round's cell of the
+    prefix table, and one gather per field copies every round's state from
+    it. Only the rounds still open after the prefix are raced on, from that
+    state, each step drawing one miner per open round from draws.pools.
     """
     num_pools = len(config.alphas)
-    tip = config.fork_rule == FORK_TIP
-    # int32 live state (no round's block count comes near it); int64 columns out.
-    own, fork_pos = np.zeros((2, num_pools, rounds), dtype=np.int32)
-    own_at, fork_pos_at = own.ravel(), fork_pos.ravel()  # views
-    winner, events, longest, runner_up, first_owner = np.empty((5, rounds), dtype=np.int64)
-    lane, leader = np.empty((2, 0), dtype=np.int64)  # the live rounds; leader, top and second follow them
-    top, second = np.empty((2, 0), dtype=np.int32)
-    begun = step = 0
-    while True:
-        joining = 0
-        if len(lane) < LANES // 2 and begun < rounds:
-            joining = min(rounds - begun, LANES - len(lane))
-            new = np.arange(begun, begun + joining)
-            begun += joining
-            events[new] = step  # the step the round begins at, until it ends
-            lane = np.concatenate((lane, new))
-            top, second, leader = (np.concatenate((a, np.zeros(joining, a.dtype))) for a in (top, second, leader))
-        elif not len(lane):
-            break
-        pool = draws.pools(lane)
-        if joining:
-            first_owner[new] = pool[-joining:]
-        step += 1
-        at = pool * rounds + lane
-        count = own_at[at]
-        grown = count + 1
-        own_at[at] = grown
-        honest = pool == HONEST
-        if tip:
-            # A forked chain's generalized length is the honest length plus
-            # its own. An honest block after a fork gets value 0 (a forked
-            # pool leads, so the rule below moves nothing); the top two rise.
-            rise = honest & (top > count)
-            gen = np.where(honest, grown * ~rise, grown + own_at[lane])
-        else:
-            fresh = at[(count == 0) & ~honest]
-            fork_pos_at[fresh] = own_at[fresh % rounds]  # a new fork sits on the honest tip, row 0
-            gen = grown + fork_pos_at[at]
-        second = np.where(pool == leader, second, np.maximum(second, np.minimum(gen, top)))
-        leader = np.where(gen > top, pool, leader)
-        top = np.maximum(top, gen)
-        if tip:
-            top += rise
-            second += rise
-        done = top - second >= config.lead_threshold
-        ended = np.flatnonzero(done)
-        if len(ended):
-            rows = lane[ended]
-            winner[rows] = leader[ended]
-            events[rows] = step - events[rows]
-            longest[rows] = top[ended]
-            runner_up[rows] = second[ended]
-            live = np.flatnonzero(~done)
-            lane, top, second, leader = lane[live], top[live], second[live], leader[live]
-    return LaneRounds(config, draws, own, fork_pos, winner, events, longest, runner_up, first_owner)
+    table = prefix_table(num_pools, config.lead_threshold, config.fork_rule)
+    prefixes = draws.prefixes(rounds, table.length)
+    cells = np.zeros(rounds, dtype=np.intp)
+    for owners in prefixes.T:
+        cells *= num_pools
+        cells += owners
+    lanes = Lanes._make(array.take(cells, axis=0) for array in table.lanes)  # row copies, C-contiguous
+    race(lanes, np.flatnonzero(table.open[cells]), table.length,
+         lambda live, step: draws.pools(live), config.lead_threshold, config.fork_rule == FORK_TIP)
+    return LaneRounds(config, draws, *lanes, first_owner=prefixes[:, 0].astype(np.int64))
 
 
 def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[LaneRounds]:

@@ -5,12 +5,11 @@ playing many rounds at once, so these tests tie play_lanes to run_round.
 Script equivalence does it round by round: both play the same event
 scripts (every short script on up to three rivals, and seeded random ones
 on four, where ties among rival chains are common), and every counter of
-every round must agree. They run on a narrow lane width, so most rounds
-join the lanes while others are still playing. The oracle checks run_round
-against an independent tree replay on the same scripts, so this carries
-that check over to the lanes. The draw-order tests pin down which rounds
-each step draws for, and when durations are drawn, which every seeded
-eager run rests on. The statistical tests compare seeded lane
+every round must agree. The prefix table is checked against run_round on
+every owner sequence it holds. The oracle checks run_round against an
+independent tree replay on the same scripts, so this carries that check
+over to the lanes. The draw-order tests pin down which rounds each draw is
+for, and when durations are drawn, which every seeded eager run rests on. The statistical tests compare seeded lane
 runs with run_round runs on MiningClock, seeded apart, on win fractions,
 mean events and mean duration.
 """
@@ -48,18 +47,24 @@ Z_BOUND = 4.0
 # MiningClock and LaneDraws start one seed's stream with the same uniforms;
 # scalar samples take seed + SCALAR_SEED_OFFSET so the two are independent.
 SCALAR_SEED_OFFSET = 1000
-# A lane width far below the script counts, so rounds join mid-block.
-NARROW_LANES = 64
 
 
 class ScriptDraws:
     """Lane event source replaying one script per round, with unit gaps like
-    ScriptClock. Rounds join the lanes at different steps, so each round
-    reads its own script through its own cursor."""
+    ScriptClock. Rounds stay open for different numbers of steps, so each
+    round reads its own script through its own cursor."""
 
     def __init__(self, scripts):
         self.table = np.array(scripts, dtype=np.int64)
         self.cursor = np.zeros(len(self.table), dtype=np.int64)
+
+    def prefixes(self, rounds, length):
+        # A script shorter than the prefix is padded with honest blocks; a
+        # round that ends within its script never reads them.
+        pad = max(0, length - self.table.shape[1])
+        self.table = np.pad(self.table, ((0, 0), (0, pad)))
+        self.cursor[:] = length
+        return self.table[:rounds, :length]
 
     def pools(self, rounds):
         pools = self.table[rounds, self.cursor[rounds]]
@@ -102,10 +107,6 @@ def assert_lanes_replay(config, scripts, want):
 
 
 class TestScriptEquivalence:
-    @pytest.fixture(autouse=True)
-    def narrow_lanes(self, monkeypatch):
-        monkeypatch.setattr(engine, "LANES", NARROW_LANES)
-
     @pytest.mark.parametrize("config,depth", [
         *[(script_config(3, fork_rule=rule), 8) for rule in FORK_RULES],
         *[(script_config(3, fork_rule=rule, lead_threshold=3), 8) for rule in FORK_RULES],
@@ -130,6 +131,22 @@ class TestScriptEquivalence:
         scripts, want = first_rounds(config, candidates)
         assert len(scripts) > 2000
         assert max(sum(n > 0 for n in o.length[1:]) for o in want) == len(config.alphas) - 1 - alphas.count(0.0)
+        assert_lanes_replay(config, scripts, want)
+
+    # The exhaustive scripts above end within the prefix table's length on
+    # one and two rivals; these outlast it, so the lanes play on from the
+    # state gathered from the table. Honest-heavy scripts keep one-rival
+    # `tip` rounds open: there a rival's second block ends the round.
+    @pytest.mark.parametrize("rule", FORK_RULES)
+    @pytest.mark.parametrize("lead", [2, 3])
+    @pytest.mark.parametrize("pools", [2, 3])
+    def test_rounds_open_past_the_prefix(self, pools, lead, rule):
+        config = script_config(pools, fork_rule=rule, lead_threshold=lead)
+        length = engine.prefix_table(pools, lead, rule).length
+        rng = np.random.default_rng(10 * pools + lead)
+        candidates = np.where(rng.random((20_000, 80)) < 0.5, HONEST, rng.integers(pools, size=(20_000, 80))).tolist()
+        scripts, want = first_rounds(config, candidates)
+        assert sum(o.events > length for o in want) > 50
         assert_lanes_replay(config, scripts, want)
 
     def test_tip_forks_ride_the_honest_tip(self):
@@ -246,16 +263,22 @@ class TestStatisticalAgreement:
 
 
 class RecordingDraws(LaneDraws):
-    """LaneDraws that records which rounds each step asks for and every
-    durations call."""
+    """LaneDraws that records, in call order, every prefixes and pools call
+    with what it drew, and every durations call."""
 
     def __init__(self, config, seed):
         super().__init__(config, seed)
-        self.asked, self.timed = [], []
+        self.calls, self.timed = [], []
+
+    def prefixes(self, rounds, length):
+        drawn = super().prefixes(rounds, length)
+        self.calls.append(("prefixes", (rounds, length), drawn.tolist()))
+        return drawn
 
     def pools(self, lanes):
-        self.asked.append(lanes.tolist())
-        return super().pools(lanes)
+        drawn = super().pools(lanes)
+        self.calls.append(("pools", lanes.tolist(), drawn.tolist()))
+        return drawn
 
     def durations(self, events):
         self.timed.append(events.tolist())
@@ -271,34 +294,29 @@ class TestDrawOrder:
         ((0.6, 0.3, 0.1), FORK_TIP, 2),
         ((0.5, 0.2, 0.0, 0.13, 0.17), FORK_TIP, 3),
     ])
-    def test_each_step_asks_for_the_live_lanes_in_lane_order(self, monkeypatch, alphas, rule, lead):
-        monkeypatch.setattr(engine, "LANES", NARROW_LANES)
+    def test_each_step_asks_for_the_live_lanes_in_lane_order(self, alphas, rule, lead):
         config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
         rounds = 3000
+        length = engine.prefix_table(len(alphas), lead, rule).length
         draws = RecordingDraws(config, 3)
         block = play_lanes(config, rounds, draws)
         events = block.events
-        # A round begins at the first step that asks for it.
-        begins = {}
-        for step, asked in enumerate(draws.asked):
-            for r in asked:
-                begins.setdefault(r, step)
-        assert sorted(begins) == list(range(rounds))
-        start = np.array([begins[r] for r in range(rounds)])
-        assert (np.diff(start) >= 0).all() and start[-1] > 0  # rounds begin in round order, many mid-block
-        for step, asked in enumerate(draws.asked):
-            # A round of k events draws at its first k steps, and no step
-            # asks for more rounds than the lanes hold.
-            assert asked == np.flatnonzero((start <= step) & (step < start + events)).tolist()
-            assert len(asked) <= NARROW_LANES
-            # Rounds join exactly when fewer than half the lanes stay live,
-            # and then fill the lanes or take every round left.
-            staying = int(((start < step) & (step < start + events)).sum())
-            joining = int((start == step).sum())
-            if staying < NARROW_LANES // 2:
-                assert joining == min(NARROW_LANES - staying, rounds - int((start < step).sum()))
-            else:
-                assert joining == 0
+        # One prefixes call first: every round's first `length` miners, round
+        # by round, the first of them the round's first owner.
+        (kind, shape, prefixes), *steps = draws.calls
+        assert (kind, shape) == ("prefixes", (rounds, length))
+        assert block.first_owner.tolist() == [row[0] for row in prefixes]
+        # Then one pools call per step past the prefix, each listing the
+        # rounds still open, in round order: a round of k > length events
+        # draws at steps length + 1 ... k.
+        assert 0 < len(steps) == events.max() - length
+        for step, (kind, asked, _) in enumerate(steps, start=length + 1):
+            assert kind == "pools" and asked == np.flatnonzero(events >= step).tolist()
+        # The draws are one miner stream, read in that order.
+        stream = LaneDraws(config, 3)
+        assert stream.miners(rounds * length).tolist() == [pool for row in prefixes for pool in row]
+        for _, asked, drawn in steps:
+            assert stream.miners(len(asked)).tolist() == drawn
         # Durations are drawn once for the block, and only when its columns are read.
         assert draws.timed == []
         columns = block.columns
@@ -310,11 +328,48 @@ class TestDrawOrder:
             assert np.array_equal(getattr(columns, name), getattr(plain.columns, name)), name
 
 
-class TopUniforms:
-    """Generator stub whose every uniform is the largest below 1."""
+class TestPrefixTable:
+    """Every cell of the prefix table is the round run_round plays on its
+    owner sequence: ended as run_round ends it, or open where run_round runs
+    out of script."""
+
+    @pytest.mark.parametrize("rule", FORK_RULES)
+    @pytest.mark.parametrize("lead", [2, 3])
+    @pytest.mark.parametrize("pools", [2, 3, 4])
+    def test_cells_match_run_round(self, pools, lead, rule):
+        table = engine.prefix_table(pools, lead, rule)
+        assert engine.prefix_table(pools, lead, rule) is table
+        assert pools ** table.length <= engine.TABLE_CELLS < pools ** (table.length + 1)
+        config = script_config(pools, lead_threshold=lead, fork_rule=rule)
+        lanes = table.lanes
+        own, fork_pos = lanes.own.tolist(), lanes.fork_pos.tolist()
+        rows = zip(table.open.tolist(), lanes.winner.tolist(), lanes.events.tolist(), lanes.longest.tolist(),
+                   lanes.second.tolist())
+        # Cell numbers read the owners as a base-pools number, first owner first.
+        sequences = product(range(pools), repeat=table.length)
+        ended = 0
+        for cell, (owners, (is_open, winner, events, longest, second)) in enumerate(zip(sequences, rows)):
+            try:
+                out = run_round(config, None, ScriptClock(owners))
+            except ScriptExhausted:
+                assert is_open, owners
+                continue
+            assert not is_open, owners
+            ended += 1
+            forks = fork_pos[cell] if rule != FORK_TIP else [0] + [own[cell][HONEST] * (n > 0) for n in own[cell][1:]]
+            assert (winner, events, tuple(own[cell]), tuple(forks), longest, second) == (
+                out.winner, out.events, out.length, out.fork_pos, out.longest, out.second), owners
+        assert 0 < ended < len(table.open)
+
+
+class FixedUniforms:
+    """Generator stub that hands out the given uniforms, repeated to fill each draw."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
 
     def random(self, n):
-        return np.full(n, np.nextafter(1.0, 0.0))
+        return np.resize(self.values, n)
 
 
 class TestLaneDraws:
@@ -325,8 +380,17 @@ class TestLaneDraws:
 
     def test_top_uniform_falls_to_the_last_mining_pool(self):
         draws = LaneDraws(SimConfig.from_alphas((0.3, 0.7, 0.0)), seed=1)
-        draws._gen = TopUniforms()
+        draws._gen = FixedUniforms([np.nextafter(1.0, 0.0)])
         assert draws.pools(np.arange(3)).tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("alphas", [(0.6, 0.3, 0.1), (0.3, 0.0, 0.45, 0.0, 0.25)], ids=["all-mine", "zero-power"])
+    def test_miners_follow_the_edges_as_searchsorted_does(self, alphas):
+        draws = LaneDraws(SimConfig.from_alphas(alphas), seed=1)
+        edges = np.array(draws._edges)
+        uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        draws._gen = FixedUniforms(uniforms)
+        mining = np.flatnonzero(np.array(alphas) > 0.0)
+        assert draws.miners(len(uniforms)).tolist() == mining[edges.searchsorted(uniforms, side="right")].tolist()
 
     def test_blocks_follow_the_seed_alone(self):
         config = SimConfig.from_alphas((0.6, 0.3, 0.1))

@@ -191,11 +191,11 @@ class TestPinnedStreams:
     CASES = {
         "eager": (
             SimConfig((0.6, 0.3, 0.1)), None, 40_000,
-            [28113, 10607, 1280], 130977, [3253589, 1127598, 260442],
+            [28202, 10510, 1288], 130514, [3242842, 1122443, 261786],
         ),
         "eager-tip-four-rivals": (
             SimConfig((0.4, 0.2, 0.15, 0.15, 0.1), fork_rule=FORK_TIP), None, 40_000,
-            [6273, 15332, 7844, 7798, 2753], 298762, [5442971, 2097369, 1157425, 1161223, 516717],
+            [6204, 15405, 7850, 7806, 2735], 298773, [5437482, 2095786, 1163012, 1159721, 521781],
         ),
         "policy-m4": (
             SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN), delayed, 5_000,
