@@ -9,9 +9,9 @@ every round must agree. The prefix table is checked against run_round on
 every owner sequence it holds. The oracle checks run_round against an
 independent tree replay on the same scripts, so this carries that check
 over to the lanes. The draw-order tests pin down which rounds each draw is
-for, and when durations are drawn, which every seeded eager run rests on. The statistical tests compare seeded lane
-runs with run_round runs on MiningClock, seeded apart, on win fractions,
-mean events and mean duration.
+for, and when durations are drawn, which every seeded eager run rests on.
+The statistical tests compare seeded lane runs with run_round runs on
+MiningClock, seeded apart, on win fractions, mean events and mean duration.
 """
 import math
 from itertools import product
@@ -411,8 +411,8 @@ class TestLaneCallers:
         assert win_fraction_run(config, 9000, seed) == bank.win_fractions()
 
     def test_win_only_run_matches_the_pipeline_on_every_winner(self, monkeypatch):
-        # Past two full blocks, so rounds join mid-block and the close hands
-        # over between blocks; the win-only run never draws a duration.
+        # Past two full blocks, so the close hands over between blocks; the
+        # win-only run never draws a duration.
         config = SimConfig.from_alphas((0.6, 0.3, 0.1))
         rounds, seed = 2 * BLOCK_ROUNDS + 17, np.random.SeedSequence(13)
         win_only, timed = [], []
