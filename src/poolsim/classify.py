@@ -14,12 +14,14 @@ The rules work on columns: RoundColumns (from the engine) holds a buffer
 of consecutive rounds, one row each, and nephew_columns, uncle_columns and
 block_counts classify every row at once. determine_nephew, find_uncles and
 classify_round are their one-row case, on round_columns of one outcome.
+ratio_floats states the five ratios once: floats from integer numerators,
+exact ratios from Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -65,38 +67,32 @@ class Classification(NamedTuple):
         return len(self.uncles)
 
 
+class Ratios(NamedTuple):
+    """The five per-round ratios, by name, as ratio_floats gives them."""
+
+    chain_quality: Any
+    main_chain: Any
+    orphan: Any
+    uncle: Any
+    stale: Any
+
+
 class RoundRatios(NamedTuple):
     """Per-round ratios as integer numerators over the observed block count;
-    chain quality is honest_main / main. The properties are exact ratios."""
+    chain quality is honest_main / main."""
 
     total: int  # observed blocks
     main: int  # main-chain (regular) blocks
     honest_main: int  # honest blocks on the main chain
     uncles: int
 
-    def as_floats(self) -> Tuple[float, float, float, float, float]:
-        """Chain quality, main, orphan, uncle and stale ratios as floats."""
+    def as_floats(self) -> Ratios:
+        """The five ratios as floats."""
         return ratio_floats(*self)
 
-    @property
-    def chain_quality(self) -> Fraction:
-        return Fraction(self.honest_main, self.main)
-
-    @property
-    def main_chain(self) -> Fraction:
-        return Fraction(self.main, self.total)
-
-    @property
-    def orphan(self) -> Fraction:
-        return Fraction(self.total - self.main, self.total)
-
-    @property
-    def uncle(self) -> Fraction:
-        return Fraction(self.uncles, self.total)
-
-    @property
-    def stale(self) -> Fraction:
-        return Fraction(self.total - self.main - self.uncles, self.total)
+    def exact(self) -> Ratios:
+        """The five ratios as exact Fractions, by the same rule as as_floats."""
+        return ratio_floats(*map(Fraction, self))
 
 
 def uncle_units(distance: int) -> int:
@@ -175,16 +171,17 @@ def ratio_numerators(regular, orphan, released, uncle_count):
     return regular + orphan, regular, regular - released, uncle_count  # the winner's released blocks are its own
 
 
-def ratio_floats(total, main, honest_main, uncles):
+def ratio_floats(total, main, honest_main, uncles) -> Ratios:
     """Chain quality, main, orphan, uncle and stale ratios from integer
     numerators, scalars or columns. Each is one correctly rounded division,
-    so it equals float() of the exact ratio."""
-    return (
-        honest_main / main,
-        main / total,
-        (total - main) / total,
-        uncles / total,
-        (total - main - uncles) / total,
+    so it equals float() of the exact ratio; Fraction numerators give the
+    exact ratios."""
+    return Ratios(
+        chain_quality=honest_main / main,
+        main_chain=main / total,
+        orphan=(total - main) / total,
+        uncle=uncles / total,
+        stale=(total - main - uncles) / total,
     )
 
 

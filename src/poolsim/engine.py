@@ -16,8 +16,10 @@ p_i proportional to the rate 1 / interarrival_scale(alpha_i, gamma, T) (a
 zero-power pool's rate is 0, so it never mines), and the gap before it is
 exponential with mean 1 / sum of the rates, so a round of k blocks lasts
 Gamma(k, 1 / sum of the rates). LaneDraws holds that rule, miners on a
-Philox generator on the run's seed and time on its jump, and the two
-engines read it.
+Philox generator on the run's seed and time on its jump. Both engines draw
+miners alike, but time by two rules of one law: the lanes draw one Gamma
+duration per round from its block count, and run_round sums MiningClock's
+exponential gaps.
 
 The engines share one set of round rules. run_round plays one round at a
 time from an event source and takes a carryover and a termination policy;
@@ -198,16 +200,14 @@ class Carryover:
             raise ValueError("carryover requires at least one private block")
 
 
-def release_count(config: SimConfig, own, second, fork_pos):
+def release_count(config: SimConfig, own: int, second: int, fork_pos: int) -> int:
     """Blocks a dishonest winner pegs out of its `own` this round, given the
     runner-up's generalized length `second` and its fork position: all of
     them under release-all; under release-min the smallest release, at least
-    one, that keeps the pegged part a full lead ahead. Takes ints, or numpy
-    columns of many rounds."""
+    one, that keeps the pegged part a full lead ahead."""
     if config.release_policy == RELEASE_ALL:
         return own
-    need = second + config.lead_threshold - fork_pos
-    return np.clip(need, 1, own) if isinstance(need, np.ndarray) else min(max(1, need), own)
+    return min(max(1, second + config.lead_threshold - fork_pos), own)
 
 
 def interarrival_scale(alpha: float, gamma: float, mean_block_time: float) -> float:
@@ -495,9 +495,9 @@ def prefix_table(pools: int, lead_threshold: int, fork_rule: str) -> PrefixTable
 @dataclass(frozen=True, eq=False)
 class LaneRounds:
     """A block of eager rounds as play_lanes leaves them: its Lanes fields,
-    then each round's first owner. The columns (release counts, tip fork
-    positions, durations) are built when first read, so a caller that only
-    counts winners never builds them."""
+    then each round's first owner. The columns (tip fork positions,
+    released and pegged counts, durations) are built when first read, so a
+    caller that only counts winners never builds them."""
 
     config: SimConfig
     draws: LaneDraws
@@ -517,14 +517,15 @@ class LaneRounds:
         ids = np.arange(len(self.winner))
         own_win, fork_win = length[ids, self.winner], fork_pos[ids, self.winner]
         dishonest = self.winner != HONEST
-        released = np.where(dishonest, release_count(self.config, own_win, self.second, fork_win), 0)
+        # An eager round ends at a lead of exactly lead_threshold, where
+        # release_count releases the winner's whole chain under either policy.
         return RoundColumns(
             winner=self.winner,
             fork_pos=fork_pos,
             length=length,
-            released=released,
-            reserved=np.where(dishonest, own_win - released, 0),
-            pegged=np.where(dishonest, fork_win + released, length[:, HONEST]),
+            released=np.where(dishonest, own_win, 0),
+            reserved=np.zeros_like(own_win),
+            pegged=np.where(dishonest, fork_win + own_win, length[:, HONEST]),
             duration=self.draws.durations(self.events),
             first_owner=self.first_owner,
         )

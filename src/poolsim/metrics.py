@@ -22,21 +22,24 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Classification, RoundRatios, ratio_floats, ratio_numerators
+from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, ratio_numerators
 # MiningClock and run_round are not called here; the benchmark's tracer
 # patches them in this module, so they stay importable from it.
 from .engine import (  # noqa: F401
-    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, RoundOutcome, SimConfig, lane_blocks, round_columns, run_round,
+    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, SimConfig, lane_blocks, round_columns, run_round,
 )
-from .rewards import ClosedRounds, RewardVector
+from .rewards import ClosedRounds, close_columns
+
+if TYPE_CHECKING:
+    from .pipeline import RoundRecord
 
 Z_95 = 1.959963984540054
 
-RATIO_NAMES = ("chain_quality", "main_chain", "orphan", "uncle", "stale")
+RATIO_NAMES = Ratios._fields
 
 
 class NoData(RuntimeError):
@@ -51,24 +54,18 @@ class NoCrossing(RuntimeError):
     """The win-probability curves do not cross on the given grid."""
 
 
-def mean_ci95(values: Sequence[float]) -> Tuple[float, Optional[float], Optional[float]]:
-    """Sample mean with a normal-approximation 95% interval. An interval
-    needs two values, so with one value its bounds are None."""
+def ci95(values: Sequence[float]) -> Optional[Tuple[float, float]]:
+    """Normal-approximation 95% interval of the sample mean as a (low, high)
+    pair. An interval needs two values, so with one value there is none."""
     n = len(values)
     if n == 0:
         raise NoData("no values")
-    mean = sum(values) / n
     if n < 2:
-        return mean, None, None
+        return None
+    mean = sum(values) / n
     var = sum((x - mean) ** 2 for x in values) / (n - 1)
     half = Z_95 * math.sqrt(var / n)
-    return mean, mean - half, mean + half
-
-
-def ci95(values: Sequence[float]) -> Optional[Tuple[float, float]]:
-    """mean_ci95's interval as a (low, high) pair, or None when it has none."""
-    _, lo, hi = mean_ci95(values)
-    return None if lo is None else (lo, hi)
+    return mean - half, mean + half
 
 
 class Estimate(NamedTuple):
@@ -164,35 +161,16 @@ class EstimatorBank:
         for name in self.TOTALS:
             setattr(self, name, _add(getattr(self, name), np.asarray(part[name]).tolist()))
 
-    def update(
-        self,
-        outcome: RoundOutcome,
-        ratios: RoundRatios,
-        rewards: RewardVector,
-        classification: Classification,
-    ) -> None:
-        """Take in one closed round's records; the one-row case of add."""
-        rounds = round_columns([outcome])
-        height = np.zeros_like(rounds.length)
-        distance = np.zeros_like(rounds.length)
-        for record in classification.uncles:
-            height[0, record.owner] = record.height
-            distance[0, record.owner] = record.distance
-        nephew = classification.nephew
-        pays = rewards.per_pool
-        self.add(ClosedRounds(
-            rounds=rounds,
-            nephew_owner=np.array([nephew.owner]),
-            nephew_height=np.array([nephew.height]),
-            from_reserve=np.array([nephew.from_reserve]),
-            uncle_height=height,
-            uncle_distance=distance,
-            uncle_count=np.array([ratios.uncles]),
-            orphan=np.array([ratios.total - ratios.main]),
-            stale=np.array([classification.stale_count]),
-            regular_units=np.array([[p.regular_units for p in pays]]),
-            uncle_units=np.array([[p.uncle_units for p in pays]]),
-            nephew_units=np.array([[p.nephew_units for p in pays]]),
+    def update(self, record: RoundRecord) -> None:
+        """Take in one closed round's record; the one-row case of add. The
+        round closes again from its outcome, its nephew's owner (None when
+        the nephew is reserved) and the nephew units booked to its first
+        owner, which are the previous round's uncle count."""
+        outcome, nephew = record.outcome, record.classification.nephew
+        self.add(close_columns(
+            round_columns([outcome]),
+            None if nephew.from_reserve else nephew.owner,
+            record.rewards.per_pool[outcome.first_owner].nephew_units,
         ))
 
     # -- merging -----------------------------------------------------------

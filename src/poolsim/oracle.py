@@ -556,7 +556,7 @@ def _check_round(report: ViolationReport, events, record: RoundRecord, ref: dict
     if c.nephew.height != ref["nephew_height"]:
         report.add(events, f"nephew height {c.nephew.height} != {ref['nephew_height']}")
 
-    ratios = {name: getattr(record.ratios, name) for name in ref["ratios"]}
+    ratios = record.ratios.exact()._asdict()
     if ratios != ref["ratios"]:
         report.add(events, f"ratios differ: {ratios} != {ref['ratios']}")
     if ratios["main_chain"] + ratios["orphan"] != 1:

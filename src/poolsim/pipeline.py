@@ -26,14 +26,11 @@ from .classify import (  # noqa: F401
     Classification,
     NephewRecord,
     RoundRatios,
-    block_counts,
     classify_round,
     determine_nephew,
     find_uncles,
-    nephew_columns,
     ratio_numerators,
     round_ratios,
-    uncle_columns,
     uncle_records,
 )
 from .engine import (
@@ -41,7 +38,7 @@ from .engine import (
     lane_blocks, make_carryover, round_columns, run_round,
 )
 from .metrics import EstimatorBank
-from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, reward_columns  # noqa: F401
+from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, close_columns  # noqa: F401
 
 CLOSE_ROWS = 512  # rounds closed together: amortizes numpy calls, bounds the buffer
 
@@ -52,23 +49,6 @@ class RoundRecord(NamedTuple):
     classification: Classification
     ratios: RoundRatios
     rewards: RewardVector
-
-
-def close_columns(rounds: RoundColumns, next_first_owner: Optional[int], prev_uncle_count: int) -> ClosedRounds:
-    """Classify and book a buffer of consecutive rounds.
-
-    next_first_owner owns the first block after the buffer (None if the last
-    round reserved blocks); prev_uncle_count is the uncle count of the round
-    before the buffer, 0 if there is none.
-    """
-    nephew = nephew_columns(rounds, next_first_owner)
-    uncle_height, uncle_distance = uncle_columns(rounds, nephew[1])
-    uncle_count = (uncle_distance > 0).sum(axis=1)
-    prev = np.concatenate(([prev_uncle_count], uncle_count[:-1]))
-    return ClosedRounds(
-        rounds, *nephew, uncle_height, uncle_distance, uncle_count, *block_counts(rounds, uncle_count),
-        *reward_columns(rounds, uncle_distance, prev),
-    )
 
 
 def _shared(build: Callable, *columns: np.ndarray) -> Iterator:

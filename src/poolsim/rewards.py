@@ -9,17 +9,18 @@ first block. Amounts are integers in units of 1/32 of a block reward (a
 regular block is 32, an uncle at distance d is 4 * (8 - d), a nephew
 reference one per uncle named); regular, uncle, nephew and total give them
 as exact numbers of blocks. reward_columns books a whole buffer of closed
-rounds at once; allocate is its one-row case.
+rounds at once; allocate is its one-row case. close_columns classifies and
+books a buffer into ClosedRounds, which the estimator bank takes in.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Classification, uncle_units
+from .classify import UNITS_PER_BLOCK, Classification, block_counts, nephew_columns, uncle_columns, uncle_units
 from .engine import RoundColumns, RoundOutcome, round_columns
 
 
@@ -96,6 +97,23 @@ def reward_columns(
     nephew = np.zeros_like(regular)
     nephew[rows, rounds.first_owner] = prev_uncle_count
     return regular, uncle, nephew
+
+
+def close_columns(rounds: RoundColumns, next_first_owner: Optional[int], prev_uncle_count: int) -> ClosedRounds:
+    """Classify and book a buffer of consecutive rounds.
+
+    next_first_owner owns the first block after the buffer (None if the last
+    round reserved blocks); prev_uncle_count is the uncle count of the round
+    before the buffer, 0 if there is none.
+    """
+    nephew = nephew_columns(rounds, next_first_owner)
+    uncle_height, uncle_distance = uncle_columns(rounds, nephew[1])
+    uncle_count = (uncle_distance > 0).sum(axis=1)
+    prev = np.concatenate(([prev_uncle_count], uncle_count[:-1]))
+    return ClosedRounds(
+        rounds, *nephew, uncle_height, uncle_distance, uncle_count, *block_counts(rounds, uncle_count),
+        *reward_columns(rounds, uncle_distance, prev),
+    )
 
 
 def allocate(

@@ -22,7 +22,7 @@ import pytest
 
 from poolsim.cli import ExperimentSpec, _run_replications, run_experiment
 from poolsim.engine import HONEST, MiningClock, SimConfig
-from poolsim.metrics import EstimatorBank, find_power_threshold, mean_ci95
+from poolsim.metrics import EstimatorBank, ci95, find_power_threshold
 from poolsim.oracle import enumerate_and_check
 from poolsim.pipeline import chained_rounds, simulate_rounds
 
@@ -44,7 +44,7 @@ class IdentityTally:
 
     def check(self, rec):
         self.rounds += 1
-        r = rec.ratios
+        r = rec.ratios.exact()
         out = rec.outcome
         if r.main_chain + r.orphan != 1:
             self.violations.append(f"round {rec.index}: main+orphan != 1")
@@ -111,7 +111,7 @@ def trend_sweep():
 
 def endpoint_ci(per_grid_banks, grid_idx, extract):
     values = [extract(bank) for bank in per_grid_banks[grid_idx]]
-    return mean_ci95(values)
+    return ci95(values)
 
 
 # -- criteria ------------------------------------------------------------------
@@ -248,16 +248,16 @@ def test_criterion_8_trend_monotonicity(trend_sweep):
     uncle = lambda bank: bank.ratio_averages()["uncle"].direct
     honest_reward = lambda bank: bank.reward_means()[0]
 
-    _, q_lo_first, q_hi_first = endpoint_ci(per_grid_banks, first, quality)
-    _, q_lo_last, q_hi_last = endpoint_ci(per_grid_banks, last, quality)
+    q_lo_first, q_hi_first = endpoint_ci(per_grid_banks, first, quality)
+    q_lo_last, q_hi_last = endpoint_ci(per_grid_banks, last, quality)
     quality_up = q_lo_last > q_hi_first
 
-    _, u_lo_first, u_hi_first = endpoint_ci(per_grid_banks, first, uncle)
-    _, u_lo_last, u_hi_last = endpoint_ci(per_grid_banks, last, uncle)
+    u_lo_first, u_hi_first = endpoint_ci(per_grid_banks, first, uncle)
+    u_lo_last, u_hi_last = endpoint_ci(per_grid_banks, last, uncle)
     uncle_down = u_lo_first > u_hi_last
 
-    _, r_lo_first, r_hi_first = endpoint_ci(per_grid_banks, first, honest_reward)
-    _, r_lo_last, r_hi_last = endpoint_ci(per_grid_banks, last, honest_reward)
+    r_lo_first, r_hi_first = endpoint_ci(per_grid_banks, first, honest_reward)
+    r_lo_last, r_hi_last = endpoint_ci(per_grid_banks, last, honest_reward)
     reward_up = r_lo_last > r_hi_first
 
     ok = quality_up and uncle_down and reward_up
@@ -319,10 +319,10 @@ def test_criterion_9_determinism_and_merge_invariance(tmp_path):
     )
     whole = EstimatorBank(2)
     for rec in records:
-        whole.update(rec.outcome, rec.ratios, rec.rewards, rec.classification)
+        whole.update(rec)
     chunks = [EstimatorBank(2) for _ in range(4)]
     for i, rec in enumerate(records):
-        chunks[i % 4].update(rec.outcome, rec.ratios, rec.rewards, rec.classification)
+        chunks[i % 4].update(rec)
     merged = chunks[0].merge(chunks[1]).merge(chunks[2]).merge(chunks[3])
     reversed_merge = chunks[3].merge(chunks[2]).merge(chunks[1]).merge(chunks[0])
 

@@ -182,7 +182,7 @@ class TestRoundRatios:
         out = build_outcome(HONEST, 4, [(1, 2), (0, 1)])
         nephew = determine_nephew(out, next_first_owner=HONEST)
         cls = classify_round(out, nephew, find_uncles(out, nephew.height))
-        r = round_ratios(out, cls)
+        r = round_ratios(out, cls).exact()
         assert r.chain_quality == 1
         assert r.main_chain == Fraction(4, 7)
         assert r.orphan == Fraction(3, 7)
@@ -194,7 +194,7 @@ class TestRoundRatios:
         nephew = determine_nephew(out, next_first_owner=2)
         cls = classify_round(out, nephew, find_uncles(out, nephew.height))
         assert cls.uncle_count == 2
-        r = round_ratios(out, cls)
+        r = round_ratios(out, cls).exact()
         assert r.chain_quality == Fraction(1, 4)
         assert r.main_chain == Fraction(1, 2)
         assert r.orphan == Fraction(1, 2)
@@ -205,7 +205,7 @@ class TestRoundRatios:
         out = build_outcome(HONEST, 2, [(False, 0, 0)])
         nephew = determine_nephew(out, next_first_owner=0)
         cls = classify_round(out, nephew, find_uncles(out, nephew.height))
-        r = round_ratios(out, cls)
+        r = round_ratios(out, cls).exact()
         assert r.main_chain == 1
         assert r.orphan == r.uncle == r.stale == 0
 
@@ -218,6 +218,6 @@ class TestRoundRatios:
         for out in cases:
             nephew = determine_nephew(out, next_first_owner=0)
             cls = classify_round(out, nephew, find_uncles(out, nephew.height))
-            r = round_ratios(out, cls)
+            r = round_ratios(out, cls).exact()
             assert r.main_chain + r.orphan == 1
             assert r.orphan == r.uncle + r.stale

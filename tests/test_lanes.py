@@ -26,6 +26,7 @@ from poolsim.engine import (
     FORK_TIP,
     HONEST,
     RELEASE_MIN,
+    RELEASE_POLICIES,
     LaneDraws,
     MiningClock,
     RoundColumns,
@@ -42,7 +43,7 @@ from poolsim.metrics import win_fraction_run
 from poolsim.pipeline import simulate_rounds
 
 # Each statistical comparison is a two-sample z-score on independent seeded
-# runs; 69 are made, and |z| > 4 has probability 6e-5 each.
+# runs; 104 are made, and |z| > 4 has probability 6e-5 each.
 Z_BOUND = 4.0
 # MiningClock and LaneDraws start one seed's stream with the same uniforms;
 # scalar samples take seed + SCALAR_SEED_OFFSET so the two are independent.
@@ -252,14 +253,27 @@ class TestStatisticalAgreement:
         # Two gaps of mean 15 * (1 + 1/10) s.
         assert abs(durations.mean() - 33.0) <= Z_BOUND * durations.std() / math.sqrt(len(durations))
 
-    def test_eager_release_min_reserves_nothing(self):
-        config = SimConfig.from_alphas((0.5, 0.37, 0.13), release_policy=RELEASE_MIN)
+    @pytest.mark.parametrize("policy", RELEASE_POLICIES)
+    @pytest.mark.parametrize("lead", [2, 3])
+    @pytest.mark.parametrize("rule", FORK_RULES)
+    def test_eager_winner_releases_its_whole_chain(self, rule, lead, policy):
+        # LaneRounds.columns takes this from run_round's release rule rather
+        # than apply it: an eager round ends at a lead of exactly
+        # lead_threshold, where either policy releases the winner's whole
+        # chain and pegs the leader.
+        config = SimConfig.from_alphas(
+            (0.5, 0.37, 0.13), fork_rule=rule, lead_threshold=lead, release_policy=policy
+        )
         self.assert_agree(config, seed=9)
-        for block in lane_blocks(config, 10_000, LaneDraws(config, 9)):
-            c = block.columns
+        clock = MiningClock(config, seed=9)
+        scalar = [run_round(config, None, clock) for _ in range(10_000)]
+        played = [(round_columns(scalar), np.array([out.longest for out in scalar]))]
+        played += [(block.columns, block.longest) for block in lane_blocks(config, 10_000, LaneDraws(config, 9))]
+        for c, longest in played:
             won = c.winner != HONEST
             assert not c.reserved.any()
             assert np.array_equal(c.released[won], c.length[won, c.winner[won]])
+            assert np.array_equal(c.pegged, longest)
 
 
 class RecordingDraws(LaneDraws):

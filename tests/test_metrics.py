@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from poolsim.metrics import (
     find_power_threshold,
     grid_config,
     interpolate_crossing,
-    mean_ci95,
     run_grid,
     win_fraction_run,
 )
@@ -109,10 +110,10 @@ class TestBankMerge:
         )
         whole = EstimatorBank(2)
         for rec in records:
-            whole.update(rec.outcome, rec.ratios, rec.rewards, rec.classification)
+            whole.update(rec)
         chunks = [EstimatorBank(2) for _ in range(4)]
         for i, rec in enumerate(records):
-            chunks[i % 4].update(rec.outcome, rec.ratios, rec.rewards, rec.classification)
+            chunks[i % 4].update(rec)
         merged = chunks[0]
         for c in chunks[1:]:
             merged = merged.merge(c)
@@ -137,7 +138,7 @@ class TestBankMerge:
         )
         banks = [EstimatorBank(2) for _ in range(3)]
         for i, rec in enumerate(records):
-            banks[i % 3].update(rec.outcome, rec.ratios, rec.rewards, rec.classification)
+            banks[i % 3].update(rec)
         forward = banks[0].merge(banks[1]).merge(banks[2])
         backward = banks[2].merge(banks[1]).merge(banks[0])
         assert forward.win_counts == backward.win_counts
@@ -161,8 +162,7 @@ class TestRates:
         )
         stretched = EstimatorBank(1)
         for rec in records:
-            outcome = rec.outcome._replace(duration=33.0)
-            stretched.update(outcome, rec.ratios, rec.rewards, rec.classification)
+            stretched.update(rec._replace(outcome=rec.outcome._replace(duration=33.0)))
         rate = stretched.growth_rate()
         assert rate.decomposition == pytest.approx(2 / 33, rel=1e-12)
         assert rate.direct == pytest.approx(2 / 33, rel=1e-12)
@@ -264,7 +264,7 @@ class TestRatioAverages:
         bank, records = simulate_rounds(
             config, 400, seed=np.random.SeedSequence(37), collect=True
         )
-        values = [float(rec.ratios.chain_quality) for rec in records]
+        values = [float(rec.ratios.exact().chain_quality) for rec in records]
         got = bank.ratio_averages()["chain_quality"].direct
         assert got == pytest.approx(sum(values) / len(values), rel=1e-12)
 
@@ -425,15 +425,18 @@ class TestRunGrid:
 
 class TestMeanCi95:
     def test_interval_brackets_mean(self):
-        mean, lo, hi = mean_ci95([1.0, 2.0, 3.0, 4.0])
+        values = [1.0, 2.0, 3.0, 4.0]
+        mean = sum(values) / len(values)
+        lo, hi = ci95(values)
         assert lo < mean < hi
         assert mean == 2.5
+        # Sample variance 5/3 over 4 values, times the 95% normal quantile.
+        half = metrics.Z_95 * math.sqrt(5 / 3 / 4)
+        assert (lo, hi) == pytest.approx((mean - half, mean + half), rel=1e-15)
 
     def test_single_value_degenerate(self):
-        assert mean_ci95([5.0]) == (5.0, None, None)
         assert ci95([5.0]) is None
-        assert ci95([1.0, 2.0, 3.0, 4.0]) == mean_ci95([1.0, 2.0, 3.0, 4.0])[1:]
 
     def test_no_values_raises(self):
         with pytest.raises(NoData):
-            mean_ci95([])
+            ci95([])

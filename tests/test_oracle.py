@@ -307,7 +307,7 @@ class TestMonteCarloAgainstReference:
             assert [(u.owner, u.height, u.distance) for u in c.uncles] == ref["uncles"], rec.index
             assert c.nephew.height == ref["nephew_height"], rec.index
             assert (c.regular_count, c.regular_count + c.orphan_count) == (ref["main_len"], ref["observed"])
-            got_ratios = {name: getattr(rec.ratios, name) for name in ref["ratios"]}
+            got_ratios = rec.ratios.exact()._asdict()
             assert got_ratios == ref["ratios"], rec.index
             got_rewards = [(p.regular, p.uncle, p.nephew) for p in rec.rewards.per_pool]
             assert got_rewards == ref["rewards"], rec.index

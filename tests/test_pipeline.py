@@ -23,7 +23,7 @@ class TestCloseRound:
         closed = close_columns(round_columns([out]), next_first_owner=0, prev_uncle_count=0)
         [(_, _, classification, ratios, rewards)] = round_records(closed, [out], 1)
         assert classification.uncle_count == 2
-        assert ratios.uncle == Fraction(2, 7)
+        assert ratios.exact().uncle == Fraction(2, 7)
         assert rewards.per_pool[0].regular == 4
 
 
