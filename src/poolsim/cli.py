@@ -95,7 +95,7 @@ def _number(key: str, value, kind: type):
 
 def _check_run_bounds(spec: ExperimentSpec) -> None:
     """Run-only bounds, each mode's grid and the release policy, for a parsed
-    spec or one built directly; workers=None means all cores."""
+    spec or one built directly; workers=None means every CPU the process may use."""
     for key, (_, low) in _NUMBERS.items():
         value = getattr(spec, key)
         if low is not None and value is not None and value < low:
@@ -143,7 +143,7 @@ def _validate(raw: Dict) -> ExperimentSpec:
     values["grid"] = tuple(float(g) for g in grid)
 
     for key, (kind, _) in _NUMBERS.items():
-        if key != "workers" or values[key] is not None:  # workers=None means all cores
+        if key != "workers" or values[key] is not None:  # workers=None means every CPU the process may use
             values[key] = _number(key, values[key], kind)
 
     if not isinstance(values["emit_rounds"], bool):
@@ -224,7 +224,15 @@ def _run_replications(spec: ExperimentSpec, configs: Sequence[SimConfig]) -> Lis
     """(bank, trace rows) of every replication, as results[g][r]."""
     trace_cap = MAX_TRACE_ROWS // len(configs) if spec.emit_rounds else 0
     task = partial(_replication_task, rounds=spec.rounds, trace_cap=trace_cap)
-    return run_grid(task, configs, spec.replications, spec.seed, spec.workers or os.cpu_count())
+    return run_grid(task, configs, spec.replications, spec.seed, spec.workers or _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # -- output writers -------------------------------------------------------------
@@ -395,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replications", type=int, help="replications per grid point")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    parser.add_argument("--workers", type=int, help="worker processes (default: all cores)")
+    parser.add_argument("--workers", type=int,
+                        help="forked worker processes (default: the CPUs this process may run on)")
     parser.add_argument("--emit-rounds", action="store_true", default=None,
                         help="also write a capped per-round trace (rounds.csv)")
     return parser

@@ -19,10 +19,14 @@ floating point; both are reported so the consistency is observable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +56,10 @@ class MergeShapeError(ValueError):
 
 class NoCrossing(RuntimeError):
     """The win-probability curves do not cross on the given grid."""
+
+
+class WorkerDied(RuntimeError):
+    """A run_grid worker ended without reporting a result."""
 
 
 def ci95(values: Sequence[float]) -> Optional[Tuple[float, float]]:
@@ -376,25 +384,120 @@ def run_grid(
     """results[g][r] = task(points[g], seed, g, r) for every grid point g and
     replication r, where seed is replication_seed(master_seed, g, r).
 
-    With more than one worker and more than one task the pairs run in a
-    pool of at most one process per pair, so task and points must pickle.
-    Every pair has its own seed, so results match for any worker count.
+    The calls are ordered grid point first. With n = min(workers, calls) > 1
+    on a platform with os.fork, n forked children share them: child k runs
+    calls k, k + n, k + 2n, ... in order, so with two replications and two
+    workers each child runs one replication of every point. The parent runs
+    no call itself. Children inherit task and points, so only results must
+    pickle; each child sends its results back through its own pipe, and the
+    parent reaps every child before it returns or raises. A task's exception
+    is raised here with its type, or as a RuntimeError carrying the child's
+    traceback when it does not pickle; a child that ends without a result
+    raises WorkerDied. Otherwise, and with one worker, the calls run here.
+    Every call has its own seed, so results match for any worker count.
     """
     calls = [
         (point, replication_seed(master_seed, g, r), g, r)
         for g, point in enumerate(points)
         for r in range(replications)
     ]
-    if (workers or 1) > 1 and len(calls) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
-            flat = list(pool.map(task, *zip(*calls), chunksize=1))
-    else:
-        flat = [task(*call) for call in calls]
+    n = min(workers or 1, len(calls)) if hasattr(os, "fork") else 1
+    flat = _forked_calls(task, calls, n) if n > 1 else [task(*call) for call in calls]
     return [flat[g * replications:(g + 1) * replications] for g in range(len(points))]
 
 
+def _forked_calls(task: Callable, calls: list, n: int) -> list:
+    """task(*call) for every call, in call order, from n forked children."""
+    pids: Dict[int, int] = {}  # child -> pid, until reaped
+    pipes: Dict[int, int] = {}  # child -> read end, until read
+    _flush_std_streams()  # so no child writes the parent's buffered output again
+    try:
+        for k in range(n):
+            pipes[k], write_end = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(task, calls[k::n], write_end, list(pipes.values()))
+            finally:
+                os.close(write_end)
+            pids[k] = pid
+        flat = [None] * len(calls)
+        for k in range(n):
+            with open(pipes[k], "rb", closefd=False) as reader:
+                data = reader.read()
+            os.close(pipes.pop(k))
+            _, status = os.waitpid(pids[k], 0)
+            del pids[k]
+            flat[k::n] = _share_results(k, data, status)
+        return flat
+    finally:
+        # On an early exit, a child not yet read may still be running or
+        # blocked on a full pipe: close the pipe and kill it before reaping.
+        for k, read_end in pipes.items():
+            os.close(read_end)
+            if k in pids:
+                os.kill(pids[k], signal.SIGKILL)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+
+
+def _run_share(task: Callable, calls: list, write_end: int, read_ends: List[int]) -> NoReturn:
+    """A child's whole life: run its calls, write one pickle, (True, results)
+    or (False, (pickled exception or None, traceback text)), and leave by
+    os._exit, so it never returns into the caller's frames. It first closes
+    the read ends it inherited, so if the parent dies, a write to the full
+    pipe fails rather than blocking for ever."""
+    code = 1
+    try:
+        for read_end in read_ends:
+            os.close(read_end)
+        try:
+            payload = pickle.dumps((True, [task(*call) for call in calls]))
+        except BaseException as exc:  # reported to the parent, which raises it
+            text = traceback.format_exc()
+            try:
+                pickled = pickle.dumps(exc)
+            except Exception:
+                pickled = None
+            payload = pickle.dumps((False, (pickled, text)))
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(payload)
+        _flush_std_streams()  # os._exit does not
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _flush_std_streams() -> None:
+    """Write out what sys.stdout and sys.stderr hold, where they can take it."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):  # no stream, a closed one, or a broken pipe
+            pass
+
+
+def _share_results(k: int, data: bytes, status: int) -> list:
+    """Child k's results from what it wrote, or what it raised, raised here."""
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:  # nothing, or cut short: the child died before it finished writing
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise WorkerDied(f"run_grid worker {k} ended without a result ({how})") from None
+    if ok:
+        return value
+    pickled, text = value
+    try:
+        exc = pickle.loads(pickled)
+    except Exception:  # None, or an exception class that cannot be rebuilt from its pickle
+        raise RuntimeError(f"run_grid worker {k} failed:\n{text}") from None
+    raise exc from RuntimeError(f"in run_grid worker {k}:\n{text}")
+
+
 def _threshold_task(config: SimConfig, seed, grid_idx: int, rep_idx: int, rounds: int) -> Tuple[float, ...]:
-    """run_grid task of the threshold search; module-level, so it pickles."""
+    """run_grid task of the threshold search: one replication's win fractions
+    at one grid point's config, on that replication's seed."""
     return win_fraction_run(config, rounds, seed)
 
 
@@ -413,7 +516,8 @@ def find_power_threshold(
     `replications` times with child seeds of master_seed; the crossing of
     the averaged win-probability curves is located by linear interpolation,
     and the 95% interval comes from the per-replication crossings. With
-    workers > 1 the runs go to a process pool; by default they run here.
+    workers > 1 the runs go to forked workers (run_grid); by default they
+    run here.
     """
     if len(alpha_grid) < 2:
         raise ValueError("alpha_grid needs at least two points")

@@ -17,6 +17,7 @@ from poolsim.cli import (
     parse_config,
     run_experiment,
 )
+from poolsim.metrics import WorkerDied, run_grid
 from poolsim.pipeline import simulate_rounds
 
 GOLDEN_COLUMNS_M2 = [
@@ -275,7 +276,10 @@ class TestRunExperiment:
         assert capsys.readouterr().err.startswith("config error: release_policy: CLI runs are eager")
         assert not os.path.exists(spec.out_dir)
 
-    @pytest.mark.parametrize("error", [ValueError("bad draw"), BrokenProcessPool("worker died")])
+    @pytest.mark.parametrize("error", [
+        ValueError("bad draw"), BrokenProcessPool("worker died"),
+        WorkerDied("run_grid worker 1 ended without a result (exit status 3)"),
+    ])
     def test_failure_after_start_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, error):
         def failing(*args, **kwargs):
             raise error
@@ -283,6 +287,23 @@ class TestRunExperiment:
         monkeypatch.setattr(cli, "simulate_rounds", failing)
         assert run_experiment(self.spec(tmp_path)) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    def test_worker_that_dies_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "simulate_rounds", lambda *args, **kwargs: os._exit(3))
+        assert run_experiment(self.spec(tmp_path, workers=2)) == 3
+        assert "WorkerDied: run_grid worker 0 ended without a result (exit status 3)" in capsys.readouterr().err
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self, tmp_path, monkeypatch):
+        asked = []
+
+        def recording_run_grid(*args):
+            asked.append(args[-1])
+            return run_grid(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli, "run_grid", recording_run_grid)
+        assert run_experiment(self.spec(tmp_path, workers=None)) == 0
+        assert asked == [1]
 
     def test_unwritable_output_dir(self):
         spec = ExperimentSpec(

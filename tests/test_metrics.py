@@ -1,4 +1,8 @@
+import contextlib
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -386,28 +390,54 @@ class TestPowerThreshold:
         assert sum(first) == pytest.approx(1.0)
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records the worker count asked
-    for, starts no process and maps in this one."""
-
-    def __init__(self, started, max_workers):
-        started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
 def grid_pair(point, seed, grid_idx, rep_idx):
-    return point, grid_idx, rep_idx
+    return point, grid_idx, rep_idx, os.getpid()
+
+
+def fail_first(point, seed, grid_idx, rep_idx):
+    if grid_idx == 0:
+        raise ValueError(f"bad point {point}")
+    return bytes(2**20)
+
+
+class Unrebuildable(Exception):
+    """Pickles, but its pickle calls __init__ with one argument of two."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+class Unpicklable(Exception):
+    """Holds a lambda, so it does not pickle at all."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+        self.hook = lambda: None
+
+
+@contextlib.contextmanager
+def interrupt_after(seconds, error=TimeoutError):
+    """Raise error in this process once seconds have passed; a run_grid that
+    hangs then fails its test instead of holding the suite."""
+    def ring(signum, frame):
+        raise error(f"{seconds} s passed")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRunGrid:
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_the_call(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("points,replications,workers,started", [
         ((0.5,), 2, 64, [2]),
         ((0.5, 0.6, 0.7), 2, 4, [4]),
@@ -415,12 +445,66 @@ class TestRunGrid:
         ((0.5,), 1, 8, []),
         ((0.5, 0.6), 2, 1, []),
     ])
-    def test_starts_at_most_one_process_per_task(self, monkeypatch, points, replications, workers, started):
-        asked = []
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", lambda max_workers: RecordingExecutor(asked, max_workers))
+    def test_starts_at_most_one_process_per_task(self, points, replications, workers, started):
+        # started: the worker count of each process group started, as [n] or [].
         results = run_grid(grid_pair, points, replications, 1, workers)
-        assert asked == started
-        assert results == [[(p, g, r) for r in range(replications)] for g, p in enumerate(points)]
+        pids = {pid for reps in results for *_, pid in reps}
+        assert len(pids - {os.getpid()}) == sum(started)
+        assert [[call for *call, _ in reps] for reps in results] == [
+            [[p, g, r] for r in range(replications)] for g, p in enumerate(points)
+        ]
+
+    def test_child_k_runs_every_nth_call(self):
+        results = run_grid(grid_pair, (0.5, 0.6, 0.7), 2, 1, 2)
+        pids = [pid for reps in results for *_, pid in reps]
+        assert os.getpid() not in pids
+        assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 3
+        assert pids[0] != pids[1]
+
+    def test_without_fork_the_calls_run_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        results = run_grid(grid_pair, (0.5, 0.6), 2, 1, 2)
+        assert {pid for reps in results for *_, pid in reps} == {os.getpid()}
+
+    def test_task_exception_keeps_its_type(self):
+        with pytest.raises(ValueError, match="bad point 0.5"):
+            run_grid(fail_first, (0.5, 0.6), 1, 1, 2)
+
+    @pytest.mark.parametrize("error", [Unrebuildable, Unpicklable])
+    def test_exception_that_does_not_come_back_is_a_runtime_error(self, error):
+        def task(point, seed, grid_idx, rep_idx):
+            raise error("point", point)
+
+        with pytest.raises(RuntimeError, match=f"(?s)worker 0 failed.*{error.__name__}: point: 0.5") as info:
+            run_grid(task, (0.5, 0.6), 1, 1, 2)
+        assert type(info.value) is RuntimeError
+
+    def test_child_that_exits_without_a_result(self):
+        with pytest.raises(metrics.WorkerDied, match=r"worker 0 ended without a result \(exit status 3\)"):
+            run_grid(lambda point, seed, g, r: os._exit(3), (0.5, 0.6), 1, 1, 2)
+
+    def test_large_results_come_back_intact(self):
+        results = run_grid(lambda point, seed, g, r: bytes([g]) * 2**20, (0.5, 0.6), 1, 1, 2)
+        assert results == [[bytes([0]) * 2**20], [bytes([1]) * 2**20]]
+
+    def test_error_while_another_child_writes_returns_promptly(self):
+        # Child 1 blocks on its full pipe until the parent kills it.
+        started = time.monotonic()
+        with interrupt_after(20), pytest.raises(ValueError):
+            run_grid(fail_first, (0.5, 0.6), 1, 1, 2)
+        assert time.monotonic() - started < 10
+
+    def test_interrupt_kills_the_children(self):
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            with interrupt_after(0.5, KeyboardInterrupt):
+                run_grid(lambda point, seed, g, r: time.sleep(60), (0.5, 0.6), 1, 1, 2)
+        assert time.monotonic() - started < 10
+
+    def test_lambda_task_runs_in_children(self):
+        results = run_grid(lambda point, seed, g, r: (point * 2, os.getpid()), (0.5, 0.6), 1, 1, 2)
+        assert [[value for value, _ in reps] for reps in results] == [[1.0], [1.2]]
+        assert os.getpid() not in {pid for reps in results for _, pid in reps}
 
 
 class TestMeanCi95:
