@@ -126,8 +126,8 @@ def _validate(raw: Dict) -> ExperimentSpec:
         raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
 
     alphas = values["alphas"]
-    if not isinstance(alphas, (list, tuple)) or len(alphas) < 2:
-        raise ConfigError("alphas: need the honest pool plus at least one dishonest pool")
+    if not isinstance(alphas, (list, tuple)):
+        raise ConfigError("alphas: expected a list of pool powers, honest pool first")
     for i, a in enumerate(alphas):
         if not isinstance(a, (int, float)) or isinstance(a, bool):
             raise ConfigError(f"alphas[{i}]: expected a number, got {a!r}")

@@ -27,11 +27,13 @@ pipeline.chained_rounds chains its rounds for withholding runs and the
 oracle. Its event sources are plain iterators of (pool, gap) pairs, and
 run_round sums the gaps into the round's clock from zero: MiningClock
 reads the draw rule one event at a time, and ScriptClock replays a fixed
-script. play_lanes plays a block of eager rounds (no policy) and builds
-their RoundColumns, the form the columnar close consumes, when they are
-read. Eager rounds never reserve a block, so each starts afresh and the
-rounds are i.i.d., and a round's tree is a fixed function of its block
-owners. So prefix_table plays every sequence of a round's first few owners
+script. play_lanes plays a block of eager rounds (no policy) and returns
+it as Lanes; lane_columns builds its RoundColumns, the form the columnar
+close consumes, from those and the rounds' durations, and
+metrics.win_fraction_run, which only counts winners, never calls it.
+Eager rounds never reserve a block, so each starts afresh and the rounds
+are i.i.d., and a round's tree is a fixed function of its block owners.
+So prefix_table plays every sequence of a round's first few owners
 once, by the lane step (race) that also plays on the rounds those leave
 open; play_lanes looks each round's first blocks up there and races only
 the rounds still open, side by side as lanes of numpy state.
@@ -39,10 +41,9 @@ the rounds still open, side by side as lanes of numpy state.
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
 holds consecutive rounds that way, one row each, with one matrix column
-per pool; run_round's RoundOutcome is one such row, with the per-pool
-columns as tuples, followed by what only a single round reports (its
-event count and top two). round_columns turns outcomes into columns and
-LaneRounds.outcomes turns a lane block's columns into outcomes.
+per pool, then each round's event count and top two; run_round's
+RoundOutcome is one such row, with the per-pool columns as tuples.
+round_columns and round_outcomes are the two inverse maps between them.
 
 Top two. A pool's generalized length is its fork position plus its own
 length (the honest pool's is the honest length, 0 before a pool forks). A
@@ -60,18 +61,19 @@ Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in round
 order. A block first draws its prefix table's length of miners for each
 round, round after round; then each step draws one miner per round still
 open, in increasing round order, until none is. The time stream gives one
-Gamma duration per round, in round order, when a block's columns are first
-read. MiningClock draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps
-at a time and hands them out in order across rounds. After the last round,
-if it reserved nothing, simulate_rounds draws one more miner, of the block
-that closes it. Results therefore depend on the seed alone, never on
+Gamma duration per round, in round order, block by block, for the
+durations lane_columns takes; win_fraction_run draws none. MiningClock
+draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps at a time and
+hands them out in order across rounds. After the last round, if it
+reserved nothing, simulate_rounds draws one more miner, of the block that
+closes it. Results therefore depend on the seed alone, never on
 scheduling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -110,7 +112,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))  # any sequence in, a hashable tuple kept
         if len(self.alphas) < 2:
-            raise ValueError("need the honest pool plus at least one dishonest pool")
+            raise ValueError("alphas: need the honest pool plus at least one dishonest pool")
         for pool, alpha in enumerate(self.alphas):
             if not 0.0 <= alpha <= 1.0:  # NaN fails every comparison
                 raise ValueError(f"alphas[{pool}]: must be a number in [0, 1], got {alpha!r}")
@@ -153,13 +155,16 @@ class RoundColumns(NamedTuple):
     pegged: np.ndarray  # main-chain length: honest length, or fork position plus released
     duration: np.ndarray  # float
     first_owner: np.ndarray  # owner of the round's first block (carried or mined)
+    events: np.ndarray  # blocks mined this round (carryover blocks excluded)
+    longest: np.ndarray  # leader's generalized length at termination
+    second: np.ndarray  # runner-up generalized length at termination
 
 
 class RoundOutcome(NamedTuple):
-    """A finished round as plain counters: a row of RoundColumns, fork_pos
-    and length as tuples over the pools, then what only a single round
-    reports. A NamedTuple, like every record built once per round, since
-    those are immutable and cheap to build."""
+    """A finished round as plain counters: one row of RoundColumns, with
+    fork_pos and length as tuples over the pools. A NamedTuple, like every
+    record built once per round, since those are immutable and cheap to
+    build."""
 
     winner: int
     fork_pos: Tuple[int, ...]
@@ -175,11 +180,16 @@ class RoundOutcome(NamedTuple):
 
 
 def round_columns(outcomes: Sequence[RoundOutcome]) -> RoundColumns:
-    """Columns of consecutive round outcomes; LaneRounds.outcomes reads them back."""
+    """Columns of consecutive round outcomes; round_outcomes reads them back."""
     return RoundColumns._make(
         np.array(column, dtype=np.float64 if name == "duration" else np.int64)
         for column, name in zip(zip(*outcomes), RoundColumns._fields)
     )
+
+
+def round_outcomes(columns: RoundColumns) -> Iterator[RoundOutcome]:
+    """The rows of the columns as RoundOutcomes, built as read; round_columns reads them back."""
+    return map(RoundOutcome, *(map(tuple, c.tolist()) if c.ndim == 2 else c.tolist() for c in columns))
 
 
 @dataclass(frozen=True)
@@ -396,7 +406,7 @@ class Lanes(NamedTuple):
     """Rounds side by side, one row each: own lengths (column 0 is the
     honest length) and anchored fork positions as (rounds, pools) int32,
     then per round its leader (the winner once it ends), the blocks it has
-    played and its top two."""
+    played, its top two and the owner of its first block."""
 
     own: np.ndarray
     fork_pos: np.ndarray
@@ -404,6 +414,7 @@ class Lanes(NamedTuple):
     events: np.ndarray
     longest: np.ndarray
     second: np.ndarray
+    first_owner: np.ndarray
 
 
 class PrefixTable(NamedTuple):
@@ -479,8 +490,9 @@ def prefix_table(pools: int, lead_threshold: int, fork_rule: str) -> PrefixTable
     while pools ** (length + 1) <= TABLE_CELLS:
         length += 1
     cells = pools ** length
-    lanes = Lanes(*np.zeros((2, cells, pools), dtype=np.int32), *np.zeros((4, cells), dtype=np.int64))
     place = pools ** np.arange(length - 1, -1, -1)  # each block's digit in the cell number
+    lanes = Lanes(*np.zeros((2, cells, pools), dtype=np.int32), *np.zeros((4, cells), dtype=np.int64),
+                  first_owner=np.arange(cells) // place[0])  # each cell's first digit
 
     def digits(live, step):
         return live // place[step] % pools
@@ -492,53 +504,31 @@ def prefix_table(pools: int, lead_threshold: int, fork_rule: str) -> PrefixTable
     return PrefixTable(length, is_open, lanes)
 
 
-@dataclass(frozen=True, eq=False)
-class LaneRounds:
-    """A block of eager rounds as play_lanes leaves them: its Lanes fields,
-    then each round's first owner. The columns (tip fork positions,
-    released and pegged counts, durations) are built when first read, so a
-    caller that only counts winners never builds them."""
-
-    config: SimConfig
-    draws: LaneDraws
-    own: np.ndarray
-    fork_pos: np.ndarray
-    winner: np.ndarray
-    events: np.ndarray
-    longest: np.ndarray
-    second: np.ndarray
-    first_owner: np.ndarray
-
-    @cached_property
-    def columns(self) -> RoundColumns:
-        length, fork_pos = self.own.astype(np.int64), self.fork_pos.astype(np.int64)
-        if self.config.fork_rule == FORK_TIP:
-            fork_pos[:, 1:] = length[:, :1] * (length[:, 1:] > 0)  # a forked chain sits on the honest tip
-        ids = np.arange(len(self.winner))
-        own_win, fork_win = length[ids, self.winner], fork_pos[ids, self.winner]
-        dishonest = self.winner != HONEST
-        # An eager round ends at a lead of exactly lead_threshold, where
-        # release_count releases the winner's whole chain under either policy.
-        return RoundColumns(
-            winner=self.winner,
-            fork_pos=fork_pos,
-            length=length,
-            released=np.where(dishonest, own_win, 0),
-            reserved=np.zeros_like(own_win),
-            pegged=np.where(dishonest, fork_win + own_win, length[:, HONEST]),
-            duration=self.draws.durations(self.events),
-            first_owner=self.first_owner,
-        )
-
-    def outcomes(self) -> Iterator[RoundOutcome]:
-        """The rows as the RoundOutcomes run_round gives for the same events, built as read."""
-        columns = (*self.columns, self.events, self.longest, self.second)
-        return map(RoundOutcome, *(map(tuple, c.tolist()) if c.ndim == 2 else c.tolist() for c in columns))
+def lane_columns(config: SimConfig, lanes: Lanes, duration: np.ndarray) -> RoundColumns:
+    """The columns of a block of eager rounds as play_lanes leaves them,
+    given each round's duration: the tip fork positions and the released
+    and pegged counts are built here, so a caller that only counts winners
+    never builds them."""
+    length, fork_pos = lanes.own.astype(np.int64), lanes.fork_pos.astype(np.int64)
+    if config.fork_rule == FORK_TIP:
+        fork_pos[:, 1:] = length[:, :1] * (length[:, 1:] > 0)  # a forked chain sits on the honest tip
+    ids = np.arange(len(lanes.winner))
+    own_win, fork_win = length[ids, lanes.winner], fork_pos[ids, lanes.winner]
+    dishonest = lanes.winner != HONEST
+    # An eager round ends at a lead of exactly lead_threshold, where
+    # release_count releases the winner's whole chain under either policy.
+    return RoundColumns(
+        winner=lanes.winner, fork_pos=fork_pos, length=length,
+        released=np.where(dishonest, own_win, 0), reserved=np.zeros_like(own_win),
+        pegged=np.where(dishonest, fork_win + own_win, length[:, HONEST]),
+        duration=duration, first_owner=lanes.first_owner,
+        events=lanes.events, longest=lanes.longest, second=lanes.second,
+    )
 
 
-def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
+def play_lanes(config: SimConfig, rounds: int, draws) -> Lanes:
     """Play `rounds` eager rounds by run_round's rules and return them in
-    round order.
+    round order; lane_columns builds their columns.
 
     Each round's first blocks come from one prefixes draw for the block;
     their owners, read as a base-pools number, pick the round's cell of the
@@ -556,10 +546,10 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> LaneRounds:
     lanes = Lanes._make(array.take(cells, axis=0) for array in table.lanes)  # row copies, C-contiguous
     race(lanes, np.flatnonzero(table.open[cells]), table.length,
          lambda live, step: draws.pools(live), config.lead_threshold, config.fork_rule == FORK_TIP)
-    return LaneRounds(config, draws, *lanes, first_owner=prefixes[:, 0].astype(np.int64))
+    return lanes
 
 
-def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[LaneRounds]:
+def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[Lanes]:
     """`rounds` eager rounds as consecutive blocks of up to BLOCK_ROUNDS."""
     for start in range(0, rounds, BLOCK_ROUNDS):
         yield play_lanes(config, min(BLOCK_ROUNDS, rounds - start), draws)

@@ -35,7 +35,7 @@ from .classify import (  # noqa: F401
 )
 from .engine import (
     Carryover, LaneDraws, MiningClock, RoundColumns, RoundOutcome, ScriptExhausted, SimConfig, TerminationPolicy,
-    lane_blocks, make_carryover, round_columns, run_round,
+    lane_blocks, lane_columns, make_carryover, round_columns, round_outcomes, run_round,
 )
 from .metrics import EstimatorBank
 from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, close_columns  # noqa: F401
@@ -75,17 +75,6 @@ def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_
         yield RoundRecord(index, outcome, classification, ratio, RewardVector(per_pool))
 
 
-class _Played(NamedTuple):
-    """A block of rounds run_round played, read like a lane block."""
-
-    columns: RoundColumns
-    played: List[RoundOutcome]
-    first_owner: np.ndarray
-
-    def outcomes(self) -> List[RoundOutcome]:
-        return self.played
-
-
 def chained_rounds(
     config: SimConfig, clock, termination_policy: Optional[TerminationPolicy] = None,
     carryover: Optional[Carryover] = None,
@@ -99,17 +88,6 @@ def chained_rounds(
             return
         yield outcome
         carryover = make_carryover(outcome)
-
-
-def _played_blocks(
-    config: SimConfig, rounds: int, clock: MiningClock, termination_policy: TerminationPolicy
-) -> Iterator[_Played]:
-    """`rounds` chained rounds on one clock, in blocks of up to CLOSE_ROWS."""
-    chain = chained_rounds(config, clock, termination_policy)
-    for start in range(0, rounds, CLOSE_ROWS):
-        played = list(islice(chain, min(CLOSE_ROWS, rounds - start)))
-        columns = round_columns(played)
-        yield _Played(columns, played, columns.first_owner)
 
 
 def simulate_rounds(
@@ -139,32 +117,40 @@ def simulate_rounds(
     closed_rounds = 0
     prev_uncles = 0
 
-    def close(block, next_owner: Optional[int]) -> None:
+    def close(columns: RoundColumns, played: Optional[List[RoundOutcome]], next_owner: Optional[int]) -> None:
         nonlocal closed_rounds, prev_uncles, on_record
-        closed = close_columns(block.columns, next_owner, prev_uncles)
+        closed = close_columns(columns, next_owner, prev_uncles)
         bank.add(closed)
         if on_record is not None or records is not None:
-            for record in round_records(closed, block.outcomes(), closed_rounds + 1):
+            outcomes = round_outcomes(columns) if played is None else played
+            for record in round_records(closed, outcomes, closed_rounds + 1):
                 if on_record is not None and on_record(record):
                     on_record = None
                 if records is not None:
                     records.append(record)
                 elif on_record is None:
                     break
-        closed_rounds += len(block.columns.winner)
+        closed_rounds += len(columns.winner)
         prev_uncles = int(closed.uncle_count[-1])
 
+    # Blocks of (columns, the outcomes run_round played or None): a policy
+    # block keeps the outcomes it was built from, so records never rebuild them.
     if termination_policy is None:
         draws = LaneDraws(config, seed)
-        blocks = lane_blocks(config, rounds, draws)
+        blocks = (
+            (lane_columns(config, lanes, draws.durations(lanes.events)), None)
+            for lanes in lane_blocks(config, rounds, draws)
+        )
     else:
         draws = MiningClock(config, seed)
-        blocks = _played_blocks(config, rounds, draws, termination_policy)
+        chain = chained_rounds(config, draws, termination_policy)
+        chunks = (list(islice(chain, min(CLOSE_ROWS, rounds - start))) for start in range(0, rounds, CLOSE_ROWS))
+        blocks = ((round_columns(played), played) for played in chunks)
     pending = None
     for block in blocks:
         if pending is not None:
             # The block's first round's first block closes the pending block's last round.
-            close(pending, int(block.first_owner[0]))
+            close(*pending, int(block[0].first_owner[0]))
         pending = block
-    close(pending, None if pending.columns.reserved[-1] else int(draws.miners(1)[0]))
+    close(*pending, None if pending[0].reserved[-1] else int(draws.miners(1)[0]))
     return bank, records

@@ -84,6 +84,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(str(path))
 
+    def test_json_array_file_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[0.6, 0.4]")
+        with pytest.raises(ConfigError, match="must hold a JSON object"):
+            parse_config(str(path))
+
+    # The pool count is SimConfig's rule; the CLI checks only that alphas is a list.
+    @pytest.mark.parametrize("alphas,message", [
+        ([0.9], "alphas: need the honest pool plus at least one dishonest pool"),
+        (0.5, "alphas: expected a list of pool powers, honest pool first"),
+    ], ids=["one-pool", "scalar"])
+    def test_alphas_must_list_two_pools(self, alphas, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(overrides={"alphas": alphas})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("mode", "fast", "mode: expected one of"),
+        ("emit_rounds", "yes", "emit_rounds: expected a boolean, got 'yes'"),
+        ("out_dir", "", "out_dir: expected a non-empty string, got ''"),
+    ])
+    def test_bad_run_field_rejected(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(overrides={"alphas": [0.6, 0.4], key: value})
+
     def test_sweep_mode_gets_default_grid(self):
         spec = parse_config(overrides={"alphas": [0.6, 0.27, 0.13], "mode": "sweep"})
         assert spec.grid == (0.55, 0.60, 0.65, 0.70, 0.75, 0.80)

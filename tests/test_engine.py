@@ -93,6 +93,10 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="fork rule"):
             SimConfig.from_alphas([0.6, 0.4], fork_rule="floating")
 
+    def test_unknown_release_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown release policy 'release-some'"):
+            SimConfig.from_alphas([0.6, 0.4], release_policy="release-some")
+
     @pytest.mark.parametrize("field,value", [
         ("gamma", math.nan), ("gamma", 0.0),
         ("mean_block_time", math.nan), ("mean_block_time", math.inf), ("mean_block_time", -1.0),
@@ -277,6 +281,17 @@ class TestTipForkRule:
 class TestCarryover:
     def test_honest_win_leaves_nothing(self):
         assert make_carryover(scripted_round([0, 0])) is None
+
+    @pytest.mark.parametrize("owner,blocks,message", [
+        (HONEST, 2, "only a dishonest pool"), (1, 0, "at least one private block"),
+    ])
+    def test_carry_needs_a_dishonest_owner_and_a_block(self, owner, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            Carryover(owner, blocks)
+
+    def test_carry_owner_must_be_a_pool_of_the_config(self):
+        with pytest.raises(ValueError, match="carryover owner 3 not a dishonest pool"):
+            scripted_round([0, 0], carry=Carryover(3, 1))
 
     def test_full_release_leaves_nothing(self):
         out = scripted_round([1, 1, 1], policy=lambda a, b, m: a - b >= 3)

@@ -28,6 +28,7 @@ from poolsim.engine import (
     RELEASE_MIN,
     RELEASE_POLICIES,
     LaneDraws,
+    Lanes,
     MiningClock,
     RoundColumns,
     RoundOutcome,
@@ -35,8 +36,10 @@ from poolsim.engine import (
     ScriptExhausted,
     SimConfig,
     lane_blocks,
+    lane_columns,
     play_lanes,
     round_columns,
+    round_outcomes,
     run_round,
 )
 from poolsim.metrics import win_fraction_run
@@ -94,14 +97,19 @@ def script_config(pools, **kwargs):
     return SimConfig.from_alphas([1.0 / pools] * pools, **kwargs)
 
 
+def column_blocks(config, rounds, draws):
+    """lane_blocks' blocks as columns, each block's durations drawn as simulate_rounds draws them."""
+    return [lane_columns(config, lanes, draws.durations(lanes.events)) for lanes in lane_blocks(config, rounds, draws)]
+
+
 def assert_lanes_replay(config, scripts, want):
     """play_lanes on the scripts gives every round run_round gave on them."""
-    block = play_lanes(config, len(scripts), ScriptDraws(scripts))
-    got = list(block.outcomes())
+    [columns] = column_blocks(config, len(scripts), ScriptDraws(scripts))
+    got = list(round_outcomes(columns))
     # Durations come from the event source, not the rules.
     assert [o._replace(duration=0.0) for o in got] == [o._replace(duration=0.0) for o in want]
     assert [o.pegged for o in got] == [o.pegged for o in want]
-    columns, expected = block.columns, round_columns(want)
+    expected = round_columns(want)
     for name in columns._fields:
         if name != "duration":
             assert np.array_equal(getattr(columns, name), getattr(expected, name)), name
@@ -154,17 +162,18 @@ class TestScriptEquivalence:
         config = script_config(3, fork_rule=FORK_TIP)
         # Pool 1 forks at 0 and rides to 1; pool 2 forks at 1; pool 1 then
         # leads pool 2 by two.
-        [out] = play_lanes(config, 1, ScriptDraws([(1, 0, 2, 1, 1)])).outcomes()
+        [columns] = column_blocks(config, 1, ScriptDraws([(1, 0, 2, 1, 1)]))
+        [out] = round_outcomes(columns)
         assert out.winner == 1
         assert (out.fork_pos, out.length) == ((0, 1, 1), (1, 3, 1))
 
 
 class TestRoundFormat:
     """A RoundOutcome is a row of RoundColumns: round_columns and
-    LaneRounds.outcomes are inverse maps."""
+    round_outcomes are inverse maps."""
 
-    def test_outcome_fields_begin_with_the_columns(self):
-        assert RoundOutcome._fields[:len(RoundColumns._fields)] == RoundColumns._fields
+    def test_outcome_fields_are_the_columns(self):
+        assert RoundOutcome._fields == RoundColumns._fields
 
     @pytest.mark.parametrize("config", [
         *[SimConfig.from_alphas(alphas, fork_rule=rule)
@@ -173,10 +182,10 @@ class TestRoundFormat:
         SimConfig.from_alphas((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN, lead_threshold=3),
     ], ids=lambda c: f"m{c.num_dishonest}-{c.fork_rule}-lead{c.lead_threshold}-{c.release_policy}")
     def test_outcomes_convert_back_to_the_columns(self, config):
-        block = play_lanes(config, 600, LaneDraws(config, 7))
-        back = round_columns(block.outcomes())
+        [columns] = column_blocks(config, 600, LaneDraws(config, 7))
+        back = round_columns(round_outcomes(columns))
         for name in RoundColumns._fields:
-            got, want = getattr(back, name), getattr(block.columns, name)
+            got, want = getattr(back, name), getattr(columns, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
@@ -191,11 +200,11 @@ def scalar_samples(config, rounds, seed):
 
 
 def lane_samples(config, rounds, seed):
-    blocks = list(lane_blocks(config, rounds, LaneDraws(config, seed)))
+    blocks = column_blocks(config, rounds, LaneDraws(config, seed))
     return (
-        np.concatenate([b.columns.winner for b in blocks]),
+        np.concatenate([b.winner for b in blocks]),
         np.concatenate([b.events for b in blocks]).astype(float),
-        np.concatenate([b.columns.duration for b in blocks]),
+        np.concatenate([b.duration for b in blocks]),
     )
 
 
@@ -240,16 +249,16 @@ class TestStatisticalAgreement:
     def test_zero_power_pool_never_wins_or_forks(self):
         config = SimConfig.from_alphas((0.6, 0.0, 0.4))
         self.assert_agree(config, seed=7)
-        for block in lane_blocks(config, 10_000, LaneDraws(config, 7)):
-            assert not (block.columns.length[:, 1]).any()
-            assert not (block.columns.winner == 1).any()
+        for block in column_blocks(config, 10_000, LaneDraws(config, 7)):
+            assert not (block.length[:, 1]).any()
+            assert not (block.winner == 1).any()
 
     def test_single_miner_pegs_two_honest_blocks(self):
         config = SimConfig.from_alphas((1.0, 0.0, 0.0))
         winners, events, durations = self.assert_agree(config, seed=8)
         assert (winners == HONEST).all() and (events == 2).all()
-        [block] = lane_blocks(config, 1000, LaneDraws(config, 8))
-        assert (block.columns.pegged == 2).all() and (block.columns.length[:, 0] == 2).all()
+        [block] = column_blocks(config, 1000, LaneDraws(config, 8))
+        assert (block.pegged == 2).all() and (block.length[:, 0] == 2).all()
         # Two gaps of mean 15 * (1 + 1/10) s.
         assert abs(durations.mean() - 33.0) <= Z_BOUND * durations.std() / math.sqrt(len(durations))
 
@@ -257,7 +266,7 @@ class TestStatisticalAgreement:
     @pytest.mark.parametrize("lead", [2, 3])
     @pytest.mark.parametrize("rule", FORK_RULES)
     def test_eager_winner_releases_its_whole_chain(self, rule, lead, policy):
-        # LaneRounds.columns takes this from run_round's release rule rather
+        # lane_columns takes this from run_round's release rule rather
         # than apply it: an eager round ends at a lead of exactly
         # lead_threshold, where either policy releases the winner's whole
         # chain and pegs the leader.
@@ -267,13 +276,11 @@ class TestStatisticalAgreement:
         self.assert_agree(config, seed=9)
         clock = MiningClock(config, seed=9)
         scalar = [run_round(config, None, clock) for _ in range(10_000)]
-        played = [(round_columns(scalar), np.array([out.longest for out in scalar]))]
-        played += [(block.columns, block.longest) for block in lane_blocks(config, 10_000, LaneDraws(config, 9))]
-        for c, longest in played:
+        for c in [round_columns(scalar), *column_blocks(config, 10_000, LaneDraws(config, 9))]:
             won = c.winner != HONEST
             assert not c.reserved.any()
             assert np.array_equal(c.released[won], c.length[won, c.winner[won]])
-            assert np.array_equal(c.pegged, longest)
+            assert np.array_equal(c.pegged, c.longest)
 
 
 class RecordingDraws(LaneDraws):
@@ -331,15 +338,12 @@ class TestDrawOrder:
         assert stream.miners(rounds * length).tolist() == [pool for row in prefixes for pool in row]
         for _, asked, drawn in steps:
             assert stream.miners(len(asked)).tolist() == drawn
-        # Durations are drawn once for the block, and only when its columns are read.
+        # play_lanes draws no duration: lane_columns takes the block's durations from its caller.
         assert draws.timed == []
-        columns = block.columns
-        assert block.columns is columns
-        assert draws.timed == [events.tolist()]
         # The recorder changes nothing the block holds.
         plain = play_lanes(config, rounds, LaneDraws(config, 3))
-        for name in columns._fields:
-            assert np.array_equal(getattr(columns, name), getattr(plain.columns, name)), name
+        for name in Lanes._fields:
+            assert np.array_equal(getattr(block, name), getattr(plain, name)), name
 
 
 class TestPrefixTable:
@@ -358,11 +362,12 @@ class TestPrefixTable:
         lanes = table.lanes
         own, fork_pos = lanes.own.tolist(), lanes.fork_pos.tolist()
         rows = zip(table.open.tolist(), lanes.winner.tolist(), lanes.events.tolist(), lanes.longest.tolist(),
-                   lanes.second.tolist())
+                   lanes.second.tolist(), lanes.first_owner.tolist())
         # Cell numbers read the owners as a base-pools number, first owner first.
         sequences = product(range(pools), repeat=table.length)
         ended = 0
-        for cell, (owners, (is_open, winner, events, longest, second)) in enumerate(zip(sequences, rows)):
+        for cell, (owners, (is_open, winner, events, longest, second, first_owner)) in enumerate(zip(sequences, rows)):
+            assert first_owner == owners[0], owners
             try:
                 out = run_round(config, None, ScriptClock(owners))
             except ScriptExhausted:
@@ -409,7 +414,7 @@ class TestLaneDraws:
     def test_blocks_follow_the_seed_alone(self):
         config = SimConfig.from_alphas((0.6, 0.3, 0.1))
         runs = [
-            [b.columns for b in lane_blocks(config, 9000, LaneDraws(config, np.random.SeedSequence(3)))]
+            column_blocks(config, 9000, LaneDraws(config, np.random.SeedSequence(3)))
             for _ in range(2)
         ]
         for a, b in zip(*runs):
@@ -456,9 +461,9 @@ class TestLaneCallers:
         monkeypatch.setattr(engine, "BLOCK_ROUNDS", 1000)
         config = SimConfig.from_alphas((0.5, 0.3, 0.2), fork_rule=FORK_TIP)
         _, records = simulate_rounds(config, 5000, seed=4, collect=True)
-        blocks = list(lane_blocks(config, 5000, LaneDraws(config, 4)))
+        blocks = column_blocks(config, 5000, LaneDraws(config, 4))
         assert len(blocks) == 5
-        assert [r.outcome for r in records] == [o for block in blocks for o in block.outcomes()]
+        assert [r.outcome for r in records] == [o for block in blocks for o in round_outcomes(block)]
         # Every round's nephew is the next round's first block.
         for prev, cur in zip(records, records[1:]):
             assert prev.classification.nephew.owner == cur.outcome.first_owner

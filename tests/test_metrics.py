@@ -54,6 +54,10 @@ class TestBankCounting:
         assert bank.length_total[HONEST] == 2 * bank.win_counts[HONEST]
         assert bank.conditional_mean(bank.length_total, HONEST) == 2.0
 
+    def test_needs_a_dishonest_pool(self):
+        with pytest.raises(ValueError, match="at least one dishonest pool"):
+            EstimatorBank(0)
+
     def test_empty_bank_refuses_estimates(self):
         bank = EstimatorBank(2)
         with pytest.raises(NoData):
@@ -291,6 +295,13 @@ class TestInterpolateCrossing:
     def test_exact_zero_at_grid_point(self):
         assert interpolate_crossing([0.4, 0.5, 0.6], [0.2, 0.0, -0.2]) == 0.5
 
+    # After a negative difference the segment ending at a zero has no sign
+    # change, so the zero itself is the crossing.
+    @pytest.mark.parametrize("diff,crossing", [([-0.2, 0.0, 0.2], 0.5), ([-0.2, -0.1, 0.0], 0.6)],
+                             ids=["interior", "last"])
+    def test_exact_zero_after_negative_differences(self, diff, crossing):
+        assert interpolate_crossing([0.4, 0.5, 0.6], diff) == crossing
+
     def test_no_crossing_returns_none(self):
         assert interpolate_crossing([0.4, 0.6], [0.3, 0.1]) is None
 
@@ -376,6 +387,11 @@ class TestPowerThreshold:
         kwargs[field] = 0
         with pytest.raises(ValueError, match=message):
             find_power_threshold(SimConfig.from_alphas([0.6, 0.3, 0.1]), **kwargs)
+
+    def test_one_point_grid_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(metrics, "run_grid", None)  # a run would fail on calling it
+        with pytest.raises(ValueError, match="at least two points"):
+            find_power_threshold(SimConfig.from_alphas([0.6, 0.3, 0.1]), [0.5], replications=2, rounds_per_run=300)
 
     def test_win_fraction_run_rejects_zero_rounds(self):
         with pytest.raises(ValueError, match="at least one round"):
