@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classify import UNITS_PER_BLOCK
-from .engine import HONEST, RELEASE_MIN, RELEASE_POLICIES, SimConfig
+from .engine import HONEST, RELEASE_MIN, RELEASE_POLICIES, SimConfig, prefix_table
 from .metrics import (
     RATIO_NAMES, EstimatorBank, NoCrossing, ci95, crossing_estimate, grid_config, replication_seed, run_grid,
 )
@@ -221,7 +221,10 @@ def _replication_task(
 
 
 def _run_replications(spec: ExperimentSpec, configs: Sequence[SimConfig]) -> List[list]:
-    """(bank, trace rows) of every replication, as results[g][r]."""
+    """(bank, trace rows) of every replication, as results[g][r]. Every
+    config's prefix table is built before the workers fork, so they share it."""
+    for config in configs:
+        prefix_table(config)
     trace_cap = MAX_TRACE_ROWS // len(configs) if spec.emit_rounds else 0
     task = partial(_replication_task, rounds=spec.rounds, trace_cap=trace_cap)
     return run_grid(task, configs, spec.replications, spec.seed, spec.workers or _usable_cpus())

@@ -32,11 +32,12 @@ it as Lanes; lane_columns builds its RoundColumns, the form the columnar
 close consumes, from those and the rounds' durations, and
 metrics.win_fraction_run, which only counts winners, never calls it.
 Eager rounds never reserve a block, so each starts afresh and the rounds
-are i.i.d., and a round's tree is a fixed function of its block owners.
-So prefix_table plays every sequence of a round's first few owners
-once, by the lane step (race) that also plays on the rounds those leave
-open; play_lanes looks each round's first blocks up there and races only
-the rounds still open, side by side as lanes of numpy state.
+are i.i.d., and a round's state is a fixed function of its block owners.
+So prefix_states grows every state of a round's first blocks once, equal
+states merged, by the lane step (race) that also plays on the rounds left
+open; prefix_table weighs them per config, and play_lanes draws each
+round's state there and races only the rounds still open, side by side as
+lanes of numpy state.
 
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
@@ -58,13 +59,13 @@ moves nothing else, and each forked chain's fork position is set to the
 honest length at the end.
 
 Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in round
-order. A block first draws its prefix table's length of miners for each
-round, round after round; then each step draws one miner per round still
-open, in increasing round order, until none is. The time stream gives one
-Gamma duration per round, in round order, block by block, for the
-durations lane_columns takes; win_fraction_run draws none. MiningClock
-draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps at a time and
-hands them out in order across rounds. After the last round, if it
+order. A block first draws one uniform per round, in round order, which
+picks the round's prefix table row; then each step draws one miner per
+round still open, in increasing round order, until none is. The time
+stream gives one Gamma duration per round, in round order, block by block,
+for the durations lane_columns takes; win_fraction_run draws none.
+MiningClock draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps at a
+time and hands them out in order across rounds. After the last round, if it
 reserved nothing, simulate_rounds draws one more miner, of the block that
 closes it. Results therefore depend on the seed alone, never on
 scheduling.
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -227,20 +228,25 @@ def interarrival_scale(alpha: float, gamma: float, mean_block_time: float) -> fl
     return mean_block_time * (1.0 / alpha + 1.0 / gamma)
 
 
+def miner_rates(config: SimConfig) -> np.ndarray:
+    """Each pool's block rate, 1 / interarrival_scale (0 for a zero-power pool)."""
+    return np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
+
+
 class LaneDraws:
     """The race's draw rule: miners on a Philox generator on the run's
     seed, time on the same generator jumped ahead.
 
     miners(n) gives the miners of n blocks, one uniform each, pool i with
     probability proportional to its rate, so a zero-power pool is never
-    drawn. Lanes read prefixes(rounds, length), the first `length` miners of
-    each of `rounds` rounds, round by round; pools(lanes), the next miner of
-    each listed round; and durations(events), one Gamma draw per round from
-    its block count.
+    drawn. Lanes read uniforms(rounds), one per round from the miners'
+    stream, each picking its round's first blocks from the prefix table;
+    pools(lanes), the next miner of each listed round; and
+    durations(events), one Gamma draw per round from its block count.
     """
 
     def __init__(self, config: SimConfig, seed=0):
-        rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
+        rates = miner_rates(config)
         mining = np.flatnonzero(rates > 0.0)  # a zero-power pool's rate is 1/inf = 0
         # Uniforms at or past k of the edges fall to the (k+1)th mining pool.
         self._edges = (np.cumsum(rates[mining])[:-1] / rates.sum()).tolist()
@@ -258,8 +264,8 @@ class LaneDraws:
             index += u >= edge
         return index if self._mining is None else self._mining[index]
 
-    def prefixes(self, rounds: int, length: int) -> np.ndarray:
-        return self.miners(rounds * length).reshape(rounds, length)
+    def uniforms(self, n: int) -> np.ndarray:
+        return self._gen.random(n)
 
     def pools(self, lanes: np.ndarray) -> np.ndarray:
         return self.miners(len(lanes))
@@ -399,7 +405,8 @@ def make_carryover(outcome: RoundOutcome) -> Optional[Carryover]:
 # -- lockstep lanes ---------------------------------------------------------------
 
 BLOCK_ROUNDS = 32_768  # rounds in one lane block, which drains once
-TABLE_CELLS = 8192  # most owner sequences a prefix table holds
+TABLE_ROWS = 3072  # most merged states a prefix table holds
+TABLE_BLOCKS = 32  # most blocks a prefix table plays: two-pool tables never fill TABLE_ROWS
 
 
 class Lanes(NamedTuple):
@@ -416,16 +423,31 @@ class Lanes(NamedTuple):
     second: np.ndarray
     first_owner: np.ndarray
 
+    @classmethod
+    def empty(cls, rounds: int, pools: int) -> "Lanes":  # rounds before their first block
+        return cls(*np.zeros((2, rounds, pools), dtype=np.int32), *np.zeros((5, rounds), dtype=np.int64))
 
-class PrefixTable(NamedTuple):
-    """Every round's state after its first `length` blocks, one cell per
-    owner sequence, the first owner the most significant base-pools digit
-    of the cell number: a round that ended within them as it ended, else
-    the state it plays on from (flagged `open`)."""
+
+class PrefixStates(NamedTuple):
+    """Every state of an eager round's first `length` blocks, equal states
+    merged: a round that ended as it ended, else (`open`) the state it plays
+    on from, and the number of owner sequences that reach it."""
 
     length: int
     open: np.ndarray
+    count: np.ndarray  # float
     lanes: Lanes
+
+
+class PrefixTable(NamedTuple):
+    """One config's masses over its PrefixStates rows, and the alias arrays
+    that draw a row from one uniform u: column c = floor(u * rows) keeps
+    row c where u * rows < cut[c], else it draws alias[c]."""
+
+    states: PrefixStates
+    mass: np.ndarray
+    cut: np.ndarray
+    alias: np.ndarray
 
 
 def race(
@@ -439,13 +461,16 @@ def race(
     and writes only the mined pool's cell, at flat index row * pools + pool.
     The live rounds' leader and top two are 1-D arrays that follow them; a
     round that ends leaves them and writes its winner, event count and top
-    two, and the rounds still live at the end write theirs too.
+    two, and the rounds still live at the end write theirs too. Step 0's
+    miners are the first owners.
     """
     width = lanes.own.shape[1]
     own_at, fork_pos_at = lanes.own.reshape(-1), lanes.fork_pos.reshape(-1)  # views: rows are C-contiguous
     leader, top, second = lanes.winner[live], lanes.longest[live], lanes.second[live]
     while len(live) and step != last:
         pool = miners(live, step)
+        if step == 0:
+            lanes.first_owner[live] = pool
         step += 1
         base = live * width  # the honest cell
         at = base + pool
@@ -482,26 +507,77 @@ def race(
 
 
 @cache
-def prefix_table(pools: int, lead_threshold: int, fork_rule: str) -> PrefixTable:
-    """The rounds of every sequence of their first blocks' owners, for the
-    longest length whose sequences fit in TABLE_CELLS (at least one block),
-    played once by race. Its arrays are read-only: every caller shares them."""
-    length = 1
-    while pools ** (length + 1) <= TABLE_CELLS:
+def prefix_states(pools: int, lead_threshold: int, fork_rule: str) -> PrefixStates:
+    """The states grown by race one block at a time from the empty round,
+    each open state with one child per pool, equal children merged, until a
+    step would pass TABLE_ROWS rows or TABLE_BLOCKS blocks. Their arrays are
+    read-only: every caller shares them."""
+    lanes, count, live, length, rows = Lanes.empty(1, pools), np.ones(1), np.zeros(1, dtype=np.intp), 0, 0
+    grown = []  # each step's states, their counts and which of them ended; `rows` ended in all
+    while len(live) and (length == 0 or length < TABLE_BLOCKS and rows + len(live) * pools <= TABLE_ROWS):
+        parent, mined = np.divmod(np.arange(len(live) * pools), pools)
+        kids = Lanes._make(array.take(live[parent], axis=0) for array in lanes)
+        race(kids, np.arange(len(parent)), length, lambda rounds, step: mined[rounds], lead_threshold,
+             fork_rule == FORK_TIP, last=length + 1)
         length += 1
-    cells = pools ** length
-    place = pools ** np.arange(length - 1, -1, -1)  # each block's digit in the cell number
-    lanes = Lanes(*np.zeros((2, cells, pools), dtype=np.int32), *np.zeros((4, cells), dtype=np.int64),
-                  first_owner=np.arange(cells) // place[0])  # each cell's first digit
-
-    def digits(live, step):
-        return live // place[step] % pools
-
-    is_open = np.zeros(cells, dtype=bool)
-    is_open[race(lanes, np.arange(cells), 0, digits, lead_threshold, fork_rule == FORK_TIP, last=length)] = True
-    for array in (is_open, *lanes):
+        # Equal children merge by one sort of one int64 key per row: a digit per field but the event count
+        # (`length` for all) in base max(length + 1, pools), or a sort of rows where that passes 62 bits.
+        radix, tops = max(length + 1, pools), (kids.winner, kids.longest, kids.second, kids.first_owner)
+        if radix ** (2 * pools + len(tops)) <= 2**62:
+            place = radix ** np.arange(2 * pools + len(tops))
+            key = kids.own @ place[:pools] + kids.fork_pos @ place[pools:2 * pools]
+            for field, digit in zip(tops, place[2 * pools:].tolist()):
+                key += field * digit
+        else:
+            key = np.column_stack([kids.own, kids.fork_pos, *tops])
+        _, merged = np.unique(key, return_inverse=True, axis=0 if key.ndim == 2 else None)
+        first = np.empty(merged.max() + 1, dtype=np.intp)
+        first[merged] = np.arange(len(merged))  # any child stands for its state: they agree on every field
+        count = np.bincount(merged, weights=count[live[parent]])
+        lanes = Lanes._make(array.take(first, axis=0) for array in kids)
+        ended = lanes.longest - lanes.second >= lead_threshold
+        grown.append((lanes, count, ended))
+        rows += np.count_nonzero(ended)
+        live = np.flatnonzero(~ended)
+    keep = np.concatenate([ended for _, _, ended in grown[:-1]] + [np.ones(len(count), dtype=bool)])
+    lanes = Lanes._make(np.concatenate(arrays)[keep] for arrays in zip(*(lanes for lanes, _, _ in grown)))
+    is_open = lanes.longest - lanes.second < lead_threshold
+    states = PrefixStates(length, is_open, np.concatenate([count for _, count, _ in grown])[keep], lanes)
+    for array in (states.open, states.count, *lanes):
         array.setflags(write=False)
-    return PrefixTable(length, is_open, lanes)
+    return states
+
+
+def _alias(mass: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """PrefixTable's cut and alias arrays for the masses by Vose's pairing,
+    from cumulative sums: the large rows (mass past the mean) fill the small
+    ones' columns in order, and a large row left short is filled next."""
+    height, column = mass * len(mass), np.arange(len(mass))
+    small, large = column[height < 1.0], column[height >= 1.0]
+    share, alias = np.minimum(height, 1.0), column.copy()
+    if len(small) and len(large):
+        deficit, excess = np.cumsum(1.0 - height[small]), np.cumsum(height[large] - 1.0)
+        # Small k goes to the first large whose excess covers the deficits before it. Large j
+        # keeps what is left once it has filled the small that takes it below 1.
+        alias[small] = large[np.minimum(np.searchsorted(excess, np.append(0.0, deficit[:-1])), len(large) - 1)]
+        last = np.minimum(np.searchsorted(deficit, excess, side="right"), len(small) - 1)
+        share[large] = np.clip(excess + 1.0 - deficit[last], 0.0, 1.0)
+        alias[large[:-1]] = large[1:]
+    return column + share, alias
+
+
+@lru_cache(maxsize=64)  # configs whose masses and alias arrays stay cached
+def prefix_table(config: SimConfig) -> PrefixTable:
+    """The config's masses over prefix_states' rows, count times the product
+    of p_i ** own_i, and their alias arrays; read-only, like the states."""
+    states = prefix_states(len(config.alphas), config.lead_threshold, config.fork_rule)
+    rates = miner_rates(config)
+    powers = (rates / rates.sum())[:, None] ** np.arange(states.length + 1)  # powers[i, k] = p_i ** k
+    mass = states.count * powers[np.arange(len(rates)), states.lanes.own].prod(axis=1)
+    table = PrefixTable(states, mass, *_alias(mass))
+    for array in table[1:]:
+        array.setflags(write=False)
+    return table
 
 
 def lane_columns(config: SimConfig, lanes: Lanes, duration: np.ndarray) -> RoundColumns:
@@ -530,21 +606,19 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> Lanes:
     """Play `rounds` eager rounds by run_round's rules and return them in
     round order; lane_columns builds their columns.
 
-    Each round's first blocks come from one prefixes draw for the block;
-    their owners, read as a base-pools number, pick the round's cell of the
-    prefix table, and one gather per field copies every round's state from
-    it. Only the rounds still open after the prefix are raced on, from that
-    state, each step drawing one miner per open round from draws.pools.
+    One draws.uniforms draw for the block picks each round's row of the
+    config's prefix table by the alias method, and one gather per field
+    copies every round's state from it. Only the rounds still open after
+    the table's length are raced on, from that state, each step drawing one
+    miner per open round from draws.pools.
     """
-    num_pools = len(config.alphas)
-    table = prefix_table(num_pools, config.lead_threshold, config.fork_rule)
-    prefixes = draws.prefixes(rounds, table.length)
-    cells = np.zeros(rounds, dtype=np.intp)
-    for owners in prefixes.T:
-        cells *= num_pools
-        cells += owners
-    lanes = Lanes._make(array.take(cells, axis=0) for array in table.lanes)  # row copies, C-contiguous
-    race(lanes, np.flatnonzero(table.open[cells]), table.length,
+    table = prefix_table(config)
+    states = table.states
+    x = draws.uniforms(rounds) * len(table.cut)
+    column = x.astype(np.intp)
+    rows = np.where(x < table.cut[column], column, table.alias[column])
+    lanes = Lanes._make(array.take(rows, axis=0) for array in states.lanes)  # row copies, C-contiguous
+    race(lanes, np.flatnonzero(states.open[rows]), states.length,
          lambda live, step: draws.pools(live), config.lead_threshold, config.fork_rule == FORK_TIP)
     return lanes
 

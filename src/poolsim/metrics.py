@@ -34,7 +34,7 @@ from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, ratio_numerators
 # MiningClock and run_round are not called here; the benchmark's tracer
 # patches them in this module, so they stay importable from it.
 from .engine import (  # noqa: F401
-    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, SimConfig, lane_blocks, round_columns, run_round,
+    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, SimConfig, lane_blocks, prefix_table, round_columns, run_round,
 )
 from .rewards import ClosedRounds, close_columns
 
@@ -517,7 +517,8 @@ def find_power_threshold(
     the averaged win-probability curves is located by linear interpolation,
     and the 95% interval comes from the per-replication crossings. With
     workers > 1 the runs go to forked workers (run_grid); by default they
-    run here.
+    run here. Every grid config's prefix table is built here first, so
+    forked workers share it rather than each build it again.
     """
     if len(alpha_grid) < 2:
         raise ValueError("alpha_grid needs at least two points")
@@ -525,6 +526,8 @@ def find_power_threshold(
         raise ValueError(f"need at least one replication and one round, got {replications} and {rounds_per_run}")
     grid = tuple(float(a) for a in alpha_grid)
     configs = [grid_config(base_config, alpha) for alpha in grid]
+    for config in configs:
+        prefix_table(config)
     task = partial(_threshold_task, rounds=rounds_per_run)
     fractions = run_grid(task, configs, replications, master_seed, workers)
     p_honest = [[f[HONEST] for f in reps] for reps in fractions]

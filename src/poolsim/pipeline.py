@@ -8,9 +8,11 @@ as lane blocks of the engine; a run with a policy plays them one at a time
 with run_round, chained through carryover by chained_rounds, in blocks of
 up to CLOSE_ROWS. A round's nephew is its first reserved block, or else the
 next round's first block, so each block waits until the next one has been
-played; the uncle count the next nephew reference needs carries across
-blocks. After the last block one extra first-block miner is drawn just to
-close it when its last round reserved nothing; that block books nothing.
+played (a lane block as the engine's Lanes, whose columns and durations are
+built only as it closes); the uncle count the next nephew reference needs
+carries across blocks. After the last block one extra first-block miner is
+drawn just to close it when its last round reserved nothing; that block
+books nothing.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .classify import (  # noqa: F401
     uncle_records,
 )
 from .engine import (
-    Carryover, LaneDraws, MiningClock, RoundColumns, RoundOutcome, ScriptExhausted, SimConfig, TerminationPolicy,
+    Carryover, LaneDraws, MiningClock, RoundOutcome, ScriptExhausted, SimConfig, TerminationPolicy,
     lane_blocks, lane_columns, make_carryover, round_columns, round_outcomes, run_round,
 )
 from .metrics import EstimatorBank
@@ -117,8 +119,13 @@ def simulate_rounds(
     closed_rounds = 0
     prev_uncles = 0
 
-    def close(columns: RoundColumns, played: Optional[List[RoundOutcome]], next_owner: Optional[int]) -> None:
+    def close(block, played: Optional[List[RoundOutcome]], after) -> None:
         nonlocal closed_rounds, prev_uncles, on_record
+        columns = block if played is not None else lane_columns(config, block, draws.durations(block.events))
+        if after is not None:  # the next block, whose first round's first block closes this block's last round
+            next_owner = int(after.first_owner[0])
+        else:
+            next_owner = None if columns.reserved[-1] else int(draws.miners(1)[0])
         closed = close_columns(columns, next_owner, prev_uncles)
         bank.add(closed)
         if on_record is not None or records is not None:
@@ -133,14 +140,12 @@ def simulate_rounds(
         closed_rounds += len(columns.winner)
         prev_uncles = int(closed.uncle_count[-1])
 
-    # Blocks of (columns, the outcomes run_round played or None): a policy
-    # block keeps the outcomes it was built from, so records never rebuild them.
+    # Blocks of (Lanes, None) or (columns, the outcomes run_round played): a
+    # lane block's columns are built as it closes, and a policy block keeps
+    # the outcomes it was built from, so records never rebuild them.
     if termination_policy is None:
         draws = LaneDraws(config, seed)
-        blocks = (
-            (lane_columns(config, lanes, draws.durations(lanes.events)), None)
-            for lanes in lane_blocks(config, rounds, draws)
-        )
+        blocks = ((lanes, None) for lanes in lane_blocks(config, rounds, draws))
     else:
         draws = MiningClock(config, seed)
         chain = chained_rounds(config, draws, termination_policy)
@@ -149,8 +154,7 @@ def simulate_rounds(
     pending = None
     for block in blocks:
         if pending is not None:
-            # The block's first round's first block closes the pending block's last round.
-            close(*pending, int(block[0].first_owner[0]))
+            close(*pending, block[0])
         pending = block
-    close(*pending, None if pending[0].reserved[-1] else int(draws.miners(1)[0]))
+    close(*pending, None)
     return bank, records

@@ -5,15 +5,20 @@ playing many rounds at once, so these tests tie play_lanes to run_round.
 Script equivalence does it round by round: both play the same event
 scripts (every short script on up to three rivals, and seeded random ones
 on four, where ties among rival chains are common), and every counter of
-every round must agree. The prefix table is checked against run_round on
-every owner sequence it holds. The oracle checks run_round against an
-independent tree replay on the same scripts, so this carries that check
-over to the lanes. The draw-order tests pin down which rounds each draw is
-for, and when durations are drawn, which every seeded eager run rests on.
-The statistical tests compare seeded lane runs with run_round runs on
-MiningClock, seeded apart, on win fractions, mean events and mean duration.
+every round must agree. The lanes replay a script through race from the
+empty state, the state the prefix table's build starts from, to find the
+table row it reaches, then play_lanes draws that row and plays on from it.
+The prefix table's states are checked against every owner sequence of a
+short length, and its masses against run_round on them. The oracle checks
+run_round against an independent tree replay on the same scripts, so this
+carries that check over to the lanes. The draw-order tests pin down which
+rounds each draw is for, and when durations are drawn, which every seeded
+eager run rests on. The statistical tests compare seeded lane runs with
+run_round runs on MiningClock, seeded apart, on win fractions, mean events
+and mean duration.
 """
 import math
+from collections import Counter, defaultdict
 from itertools import product
 
 import numpy as np
@@ -37,12 +42,16 @@ from poolsim.engine import (
     SimConfig,
     lane_blocks,
     lane_columns,
+    miner_rates,
     play_lanes,
+    prefix_states,
+    prefix_table,
+    race,
     round_columns,
     round_outcomes,
     run_round,
 )
-from poolsim.metrics import win_fraction_run
+from poolsim.metrics import find_power_threshold, win_fraction_run
 from poolsim.pipeline import simulate_rounds
 
 # Each statistical comparison is a two-sample z-score on independent seeded
@@ -53,22 +62,46 @@ Z_BOUND = 4.0
 SCALAR_SEED_OFFSET = 1000
 
 
+def state_rows(lanes):
+    """Every field of each round of lanes, as one tuple per round."""
+    return list(map(tuple, np.column_stack(lanes).tolist()))
+
+
+def replay(config, scripts, last=None):
+    """Lanes of the scripts' rounds, one script per round, played by race
+    from the empty state (the prefix table's first state) until they end
+    or `last` blocks, each round reading its own script."""
+    table = np.array(scripts, dtype=np.int64)
+    lanes = Lanes.empty(len(table), len(config.alphas))
+    race(lanes, np.arange(len(table)), 0, lambda live, step: table[live, step],
+         config.lead_threshold, config.fork_rule == FORK_TIP, last=last)
+    return lanes
+
+
 class ScriptDraws:
     """Lane event source replaying one script per round, with unit gaps like
-    ScriptClock. Rounds stay open for different numbers of steps, so each
-    round reads its own script through its own cursor."""
+    ScriptClock. uniforms() draws for each round the prefix table row its
+    script reaches after the table's length, found by replaying it there;
+    pools() then reads on in each round's own script through its own
+    cursor, since rounds stay open for different numbers of steps."""
 
-    def __init__(self, scripts):
+    def __init__(self, config, scripts):
         self.table = np.array(scripts, dtype=np.int64)
-        self.cursor = np.zeros(len(self.table), dtype=np.int64)
+        prefix = prefix_table(config)
+        length = prefix.states.length
+        self.cursor = np.full(len(self.table), length)
+        row_of = {state: row for row, state in enumerate(state_rows(prefix.states.lanes))}
+        rows = [row_of[state] for state in state_rows(replay(config, scripts, last=length))]
+        # The middle of the widest part of a column that the alias draw maps to each row.
+        widest = {}
+        for column, (cut, alias) in enumerate(zip(prefix.cut.tolist(), prefix.alias.tolist())):
+            for row, low, high in ((column, column, cut), (alias, cut, column + 1)):
+                if high - low > widest.get(row, (0.0, 0.0))[0]:
+                    widest[row] = (high - low, (low + high) / 2)
+        self.points = np.array([widest[row][1] for row in rows]) / len(prefix.cut)
 
-    def prefixes(self, rounds, length):
-        # A script shorter than the prefix is padded with honest blocks; a
-        # round that ends within its script never reads them.
-        pad = max(0, length - self.table.shape[1])
-        self.table = np.pad(self.table, ((0, 0), (0, pad)))
-        self.cursor[:] = length
-        return self.table[:rounds, :length]
+    def uniforms(self, rounds):
+        return self.points[:rounds]
 
     def pools(self, rounds):
         pools = self.table[rounds, self.cursor[rounds]]
@@ -77,6 +110,28 @@ class ScriptDraws:
 
     def durations(self, events):
         return events.astype(float)
+
+
+def sequence_blocks(pools):
+    """Blocks of the owner-sequence table merged states replaced: the most
+    with pools ** blocks <= 8192, at least one."""
+    blocks = 1
+    while pools ** (blocks + 1) <= 8192:
+        blocks += 1
+    return blocks
+
+
+@pytest.fixture
+def short_tables(monkeypatch):
+    """Call with a block count to cut prefix tables there for the test."""
+    def cut(blocks):
+        monkeypatch.setattr(engine, "TABLE_BLOCKS", blocks)
+        prefix_states.cache_clear()
+        prefix_table.cache_clear()
+
+    yield cut
+    prefix_states.cache_clear()
+    prefix_table.cache_clear()
 
 
 def first_rounds(config, candidates):
@@ -104,7 +159,7 @@ def column_blocks(config, rounds, draws):
 
 def assert_lanes_replay(config, scripts, want):
     """play_lanes on the scripts gives every round run_round gave on them."""
-    [columns] = column_blocks(config, len(scripts), ScriptDraws(scripts))
+    [columns] = column_blocks(config, len(scripts), ScriptDraws(config, scripts))
     got = list(round_outcomes(columns))
     # Durations come from the event source, not the rules.
     assert [o._replace(duration=0.0) for o in got] == [o._replace(duration=0.0) for o in want]
@@ -144,14 +199,17 @@ class TestScriptEquivalence:
 
     # The exhaustive scripts above end within the prefix table's length on
     # one and two rivals; these outlast it, so the lanes play on from the
-    # state gathered from the table. Honest-heavy scripts keep one-rival
-    # `tip` rounds open: there a rival's second block ends the round.
+    # state drawn from the table. Tables cut at the owner-sequence length
+    # leave enough of these rounds open. Honest-heavy scripts keep
+    # one-rival `tip` rounds open: there a rival's second block ends the round.
     @pytest.mark.parametrize("rule", FORK_RULES)
     @pytest.mark.parametrize("lead", [2, 3])
     @pytest.mark.parametrize("pools", [2, 3])
-    def test_rounds_open_past_the_prefix(self, pools, lead, rule):
+    def test_rounds_open_past_the_prefix(self, pools, lead, rule, short_tables):
+        short_tables(sequence_blocks(pools))
         config = script_config(pools, fork_rule=rule, lead_threshold=lead)
-        length = engine.prefix_table(pools, lead, rule).length
+        length = prefix_states(pools, lead, rule).length
+        assert length == sequence_blocks(pools)
         rng = np.random.default_rng(10 * pools + lead)
         candidates = np.where(rng.random((20_000, 80)) < 0.5, HONEST, rng.integers(pools, size=(20_000, 80))).tolist()
         scripts, want = first_rounds(config, candidates)
@@ -162,7 +220,7 @@ class TestScriptEquivalence:
         config = script_config(3, fork_rule=FORK_TIP)
         # Pool 1 forks at 0 and rides to 1; pool 2 forks at 1; pool 1 then
         # leads pool 2 by two.
-        [columns] = column_blocks(config, 1, ScriptDraws([(1, 0, 2, 1, 1)]))
+        [columns] = column_blocks(config, 1, ScriptDraws(config, [(1, 0, 2, 1, 1)]))
         [out] = round_outcomes(columns)
         assert out.winner == 1
         assert (out.fork_pos, out.length) == ((0, 1, 1), (1, 3, 1))
@@ -284,16 +342,16 @@ class TestStatisticalAgreement:
 
 
 class RecordingDraws(LaneDraws):
-    """LaneDraws that records, in call order, every prefixes and pools call
+    """LaneDraws that records, in call order, every uniforms and pools call
     with what it drew, and every durations call."""
 
     def __init__(self, config, seed):
         super().__init__(config, seed)
         self.calls, self.timed = [], []
 
-    def prefixes(self, rounds, length):
-        drawn = super().prefixes(rounds, length)
-        self.calls.append(("prefixes", (rounds, length), drawn.tolist()))
+    def uniforms(self, n):
+        drawn = super().uniforms(n)
+        self.calls.append(("uniforms", n, drawn.tolist()))
         return drawn
 
     def pools(self, lanes):
@@ -318,24 +376,36 @@ class TestDrawOrder:
     def test_each_step_asks_for_the_live_lanes_in_lane_order(self, alphas, rule, lead):
         config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
         rounds = 3000
-        length = engine.prefix_table(len(alphas), lead, rule).length
+        table = prefix_table(config)
+        states = table.states
+        length = states.length
         draws = RecordingDraws(config, 3)
         block = play_lanes(config, rounds, draws)
         events = block.events
-        # One prefixes call first: every round's first `length` miners, round
-        # by round, the first of them the round's first owner.
-        (kind, shape, prefixes), *steps = draws.calls
-        assert (kind, shape) == ("prefixes", (rounds, length))
-        assert block.first_owner.tolist() == [row[0] for row in prefixes]
-        # Then one pools call per step past the prefix, each listing the
+        # One uniforms call first: one uniform per round, in round order.
+        # Each picks its round's row by the alias method: column c =
+        # floor(u * rows) keeps row c where u * rows < cut[c], else it
+        # draws alias[c]. A round copies its row; an ended one stays so.
+        (kind, n, uniforms), *steps = draws.calls
+        assert (kind, n) == ("uniforms", rounds)
+        x = np.array(uniforms) * len(table.cut)
+        column = x.astype(int)
+        rows = np.where(x < table.cut[column], column, table.alias[column])
+        assert (table.mass[rows] > 0).all()
+        assert block.first_owner.tolist() == states.lanes.first_owner[rows].tolist()
+        ended = ~states.open[rows]
+        assert state_rows(Lanes._make(f[ended] for f in block)) == state_rows(
+            Lanes._make(f[rows[ended]] for f in states.lanes))
+        # Then one pools call per step past the table, each listing the
         # rounds still open, in round order: a round of k > length events
         # draws at steps length + 1 ... k.
         assert 0 < len(steps) == events.max() - length
+        assert np.flatnonzero(events > length).tolist() == np.flatnonzero(states.open[rows]).tolist()
         for step, (kind, asked, _) in enumerate(steps, start=length + 1):
             assert kind == "pools" and asked == np.flatnonzero(events >= step).tolist()
         # The draws are one miner stream, read in that order.
         stream = LaneDraws(config, 3)
-        assert stream.miners(rounds * length).tolist() == [pool for row in prefixes for pool in row]
+        assert stream.uniforms(rounds).tolist() == uniforms
         for _, asked, drawn in steps:
             assert stream.miners(len(asked)).tolist() == drawn
         # play_lanes draws no duration: lane_columns takes the block's durations from its caller.
@@ -346,39 +416,102 @@ class TestDrawOrder:
             assert np.array_equal(getattr(block, name), getattr(plain, name)), name
 
 
+TABLE_POWERS = {2: (0.55, 0.45), 3: (0.5, 0.3, 0.2), 4: (0.4, 0.3, 0.2, 0.1)}
+
+
 class TestPrefixTable:
-    """Every cell of the prefix table is the round run_round plays on its
-    owner sequence: ended as run_round ends it, or open where run_round runs
-    out of script."""
+    """The prefix table's merged states are the states race reaches on
+    every owner sequence, and its masses are run_round's: the rounds it
+    ends within a given length, and the rest left open."""
+
+    @pytest.mark.parametrize("rule", FORK_RULES)
+    @pytest.mark.parametrize("lead", [2, 3])
+    @pytest.mark.parametrize("pools", [2, 3, 4])
+    def test_states_count_every_owner_sequence(self, pools, lead, rule, short_tables):
+        # Cut at the owner-sequence length, every sequence can be played.
+        blocks = sequence_blocks(pools)
+        short_tables(blocks)
+        states = prefix_states(pools, lead, rule)
+        assert prefix_states(pools, lead, rule) is states
+        assert states.length == blocks
+        config = script_config(pools, lead_threshold=lead, fork_rule=rule)
+        lanes = replay(config, list(product(range(pools), repeat=blocks)), last=blocks)
+        # A state's count is the number of owner sequences that reach it. A
+        # round that ends after k blocks recurs once for each way to go on
+        # to `blocks`; each state is a distinct row, open exactly when its
+        # round has not ended.
+        want = {}
+        for state, times in Counter(state_rows(lanes)).items():
+            events = state[2 * pools + 1]
+            assert times % pools ** (blocks - events) == 0
+            want[state] = times // pools ** (blocks - events)
+        got = dict(zip(state_rows(states.lanes), states.count.tolist()))
+        assert len(got) == len(states.count) and got == want
+        top_gap = states.lanes.longest - states.lanes.second
+        assert np.array_equal(states.open, top_gap < lead)
+        assert (states.lanes.events[states.open] == blocks).all()
 
     @pytest.mark.parametrize("rule", FORK_RULES)
     @pytest.mark.parametrize("lead", [2, 3])
     @pytest.mark.parametrize("pools", [2, 3, 4])
     def test_cells_match_run_round(self, pools, lead, rule):
-        table = engine.prefix_table(pools, lead, rule)
-        assert engine.prefix_table(pools, lead, rule) is table
-        assert pools ** table.length <= engine.TABLE_CELLS < pools ** (table.length + 1)
-        config = script_config(pools, lead_threshold=lead, fork_rule=rule)
-        lanes = table.lanes
-        own, fork_pos = lanes.own.tolist(), lanes.fork_pos.tolist()
-        rows = zip(table.open.tolist(), lanes.winner.tolist(), lanes.events.tolist(), lanes.longest.tolist(),
-                   lanes.second.tolist(), lanes.first_owner.tolist())
-        # Cell numbers read the owners as a base-pools number, first owner first.
-        sequences = product(range(pools), repeat=table.length)
-        ended = 0
-        for cell, (owners, (is_open, winner, events, longest, second, first_owner)) in enumerate(zip(sequences, rows)):
-            assert first_owner == owners[0], owners
+        config = SimConfig.from_alphas(TABLE_POWERS[pools], lead_threshold=lead, fork_rule=rule)
+        table = prefix_table(config)
+        assert prefix_table(config) is table
+        assert abs(table.mass.sum() - 1.0) <= 1e-12
+        rates = miner_rates(config)
+        p = (rates / rates.sum()).tolist()
+        # Every owner sequence of the owner-sequence table's length, grouped
+        # by the round run_round plays on it, or left unfinished.
+        blocks = sequence_blocks(pools)
+        want, unfinished = defaultdict(float), 0.0
+        for owners in product(range(pools), repeat=blocks):
+            mass = math.prod(p[o] for o in owners)
             try:
-                out = run_round(config, None, ScriptClock(owners))
+                want[run_round(config, None, ScriptClock(owners))] += mass
             except ScriptExhausted:
-                assert is_open, owners
-                continue
-            assert not is_open, owners
-            ended += 1
-            forks = fork_pos[cell] if rule != FORK_TIP else [0] + [own[cell][HONEST] * (n > 0) for n in own[cell][1:]]
-            assert (winner, events, tuple(own[cell]), tuple(forks), longest, second) == (
-                out.winner, out.events, out.length, out.fork_pos, out.longest, out.second), owners
-        assert 0 < ended < len(table.open)
+                unfinished += mass
+        lanes = table.states.lanes
+        columns = lane_columns(config, lanes, lanes.events.astype(float))
+        got = defaultdict(float)
+        for out, mass, is_open in zip(round_outcomes(columns), table.mass.tolist(), table.states.open.tolist()):
+            if not is_open and out.events <= blocks:
+                got[out] += mass
+        assert got.keys() == want.keys()
+        for out, mass in want.items():
+            assert abs(got[out] - mass) <= 1e-12, out
+        later = table.states.open | (lanes.events > blocks)
+        assert abs(table.mass[later].sum() - unfinished) <= 1e-12
+
+    @pytest.mark.parametrize("alphas,rule,lead", [
+        ((0.6, 0.3, 0.1), FORK_RULES[0], 2),
+        ((0.5, 0.0, 0.5), FORK_TIP, 2),
+        ((0.4, 0.2, 0.0, 0.3, 0.1), FORK_RULES[0], 3),
+    ])
+    def test_alias_draw_gives_every_row_its_mass(self, alphas, rule, lead):
+        config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
+        table = prefix_table(config)
+        rows = len(table.mass)
+        assert abs(table.mass.sum() - 1.0) <= 1e-12
+        # A zero-power pool's blocks make a row impossible.
+        idle = np.array(alphas) == 0.0
+        assert (table.mass[(table.states.lanes.own[:, idle] > 0).any(axis=1)] == 0.0).all()
+        # Column c draws its own row with probability share_c / rows and its alias with the rest.
+        share = table.cut - np.arange(rows)
+        assert ((0.0 <= share) & (share <= 1.0)).all()
+        drawn = (np.bincount(np.arange(rows), weights=share, minlength=rows)
+                 + np.bincount(table.alias, weights=1.0 - share, minlength=rows)) / rows
+        assert np.abs(drawn - table.mass).max() <= 1e-12
+
+    def test_threshold_search_builds_its_tables_in_the_parent_once(self):
+        prefix_table.cache_clear()
+        base, grid = SimConfig.from_alphas((0.6, 0.3, 0.1)), (0.4, 0.5, 0.6, 0.7, 0.8)
+        first = find_power_threshold(base, grid, 2, 2000, workers=2)
+        info = prefix_table.cache_info()
+        assert info.currsize == info.misses == len(grid)
+        again = find_power_threshold(base, grid, 2, 2000, workers=2)
+        assert prefix_table.cache_info().misses == info.misses
+        assert again == first == find_power_threshold(base, grid, 2, 2000, workers=1)
 
 
 class FixedUniforms:

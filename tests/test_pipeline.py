@@ -191,11 +191,11 @@ class TestPinnedStreams:
     CASES = {
         "eager": (
             SimConfig((0.6, 0.3, 0.1)), None, 40_000,
-            [28202, 10510, 1288], 130514, [3242842, 1122443, 261786],
+            [28269, 10420, 1311], 130906, [3258312, 1118993, 264096],
         ),
         "eager-tip-four-rivals": (
             SimConfig((0.4, 0.2, 0.15, 0.15, 0.1), fork_rule=FORK_TIP), None, 40_000,
-            [6204, 15405, 7850, 7806, 2735], 298773, [5437482, 2095786, 1163012, 1159721, 521781],
+            [6387, 15335, 7716, 7794, 2768], 297886, [5427916, 2083806, 1151343, 1167016, 516307],
         ),
         "policy-m4": (
             SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN), delayed, 5_000,
