@@ -37,7 +37,7 @@ So prefix_states grows every state of a round's first blocks once, equal
 states merged, by the lane step (race) that also plays on the rounds left
 open; prefix_table weighs them per config, and play_lanes draws each
 round's state there and races only the rounds still open, side by side as
-lanes of numpy state.
+rows of one matrix.
 
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
@@ -45,6 +45,11 @@ holds consecutive rounds that way, one row each, with one matrix column
 per pool, then each round's event count and top two; run_round's
 RoundOutcome is one such row, with the per-pool columns as tuples.
 round_columns and round_outcomes are the two inverse maps between them.
+Lanes holds eager rounds in play, and prefix states, the same way, as
+one int32 row each; a row's event count (the sum of its own lengths) and
+whether it is open (its top leads its second by less than
+lead_threshold) are read off the row, never stored, and lane_columns casts
+the rows to RoundColumns.
 
 Top two. A pool's generalized length is its fork position plus its own
 length (the honest pool's is the honest length, 0 before a pool forks). A
@@ -410,41 +415,38 @@ TABLE_BLOCKS = 32  # most blocks a prefix table plays: two-pool tables never fil
 
 
 class Lanes(NamedTuple):
-    """Rounds side by side, one row each: own lengths (column 0 is the
-    honest length) and anchored fork positions as (rounds, pools) int32,
-    then per round its leader (the winner once it ends), the blocks it has
-    played, its top two and the owner of its first block."""
+    """Rounds side by side as one C-contiguous int32 matrix, one row per
+    round: its own lengths (column 0 is the honest length), then its
+    anchored fork positions, one column per pool each, then its leader (the
+    winner once it ends), its top two and the owner of its first block. The
+    named fields are views of those columns. Each block adds one to one own
+    length, so a round's event count is the sum of its own lengths."""
 
-    own: np.ndarray
-    fork_pos: np.ndarray
-    winner: np.ndarray
-    events: np.ndarray
-    longest: np.ndarray
-    second: np.ndarray
-    first_owner: np.ndarray
+    rows: np.ndarray
 
     @classmethod
     def empty(cls, rounds: int, pools: int) -> "Lanes":  # rounds before their first block
-        return cls(*np.zeros((2, rounds, pools), dtype=np.int32), *np.zeros((5, rounds), dtype=np.int64))
+        return cls(np.zeros((rounds, 2 * pools + 4), dtype=np.int32))
 
-
-class PrefixStates(NamedTuple):
-    """Every state of an eager round's first `length` blocks, equal states
-    merged: a round that ended as it ended, else (`open`) the state it plays
-    on from, and the number of owner sequences that reach it."""
-
-    length: int
-    open: np.ndarray
-    count: np.ndarray  # float
-    lanes: Lanes
+    pools = property(lambda self: (self.rows.shape[1] - 4) // 2)
+    own = property(lambda self: self.rows[:, :self.pools])
+    fork_pos = property(lambda self: self.rows[:, self.pools:-4])
+    winner = property(lambda self: self.rows[:, -4])
+    longest = property(lambda self: self.rows[:, -3])
+    second = property(lambda self: self.rows[:, -2])
+    first_owner = property(lambda self: self.rows[:, -1])
+    events = property(lambda self: np.einsum("ij->i", self.own))  # own.sum(axis=1), several times faster here
 
 
 class PrefixTable(NamedTuple):
-    """One config's masses over its PrefixStates rows, and the alias arrays
+    """One config's masses over prefix_states' rows, and the alias arrays
     that draw a row from one uniform u: column c = floor(u * rows) keeps
-    row c where u * rows < cut[c], else it draws alias[c]."""
+    row c where u * rows < cut[c], else it draws alias[c]. A row whose top
+    leads its second by less than the lead threshold is open: its round
+    plays on from it past `length` blocks."""
 
-    states: PrefixStates
+    length: int
+    lanes: Lanes
     mass: np.ndarray
     cut: np.ndarray
     alias: np.ndarray
@@ -458,14 +460,16 @@ def race(
     end or the step count reaches `last`, and return those still live.
 
     miners(live, step) gives each live round's next miner. Each step reads
-    and writes only the mined pool's cell, at flat index row * pools + pool.
-    The live rounds' leader and top two are 1-D arrays that follow them; a
-    round that ends leaves them and writes its winner, event count and top
-    two, and the rounds still live at the end write theirs too. Step 0's
-    miners are the first owners.
+    and writes only the mined pool's own length, at flat index row * width
+    + pool of the rows, and its fork position, `pools` cells on. The live
+    rounds' leader and top two are 1-D arrays that follow them; a round
+    that ends leaves them and writes its winner and top two, and the rounds
+    still live at the end write theirs too. Step 0's miners are the first
+    owners.
     """
-    width = lanes.own.shape[1]
-    own_at, fork_pos_at = lanes.own.reshape(-1), lanes.fork_pos.reshape(-1)  # views: rows are C-contiguous
+    width = lanes.rows.shape[1]
+    own_at = lanes.rows.reshape(-1)  # a view: the rows are C-contiguous
+    fork_pos_at = own_at[lanes.pools:]
     leader, top, second = lanes.winner[live], lanes.longest[live], lanes.second[live]
     while len(live) and step != last:
         pool = miners(live, step)
@@ -498,54 +502,48 @@ def race(
         ended = np.flatnonzero(done)
         if len(ended):
             rows = live[ended]
-            lanes.winner[rows], lanes.events[rows] = leader[ended], step
-            lanes.longest[rows], lanes.second[rows] = top[ended], second[ended]
+            lanes.winner[rows], lanes.longest[rows], lanes.second[rows] = leader[ended], top[ended], second[ended]
             stay = np.flatnonzero(~done)
             live, top, second, leader = live[stay], top[stay], second[stay], leader[stay]
-    lanes.winner[live], lanes.events[live], lanes.longest[live], lanes.second[live] = leader, step, top, second
+    lanes.winner[live], lanes.longest[live], lanes.second[live] = leader, top, second
     return live
 
 
 @cache
-def prefix_states(pools: int, lead_threshold: int, fork_rule: str) -> PrefixStates:
+def prefix_states(pools: int, lead_threshold: int, fork_rule: str) -> Tuple[int, Lanes, np.ndarray]:
     """The states grown by race one block at a time from the empty round,
     each open state with one child per pool, equal children merged, until a
-    step would pass TABLE_ROWS rows or TABLE_BLOCKS blocks. Their arrays are
-    read-only: every caller shares them."""
-    lanes, count, live, length, rows = Lanes.empty(1, pools), np.ones(1), np.zeros(1, dtype=np.intp), 0, 0
-    grown = []  # each step's states, their counts and which of them ended; `rows` ended in all
-    while len(live) and (length == 0 or length < TABLE_BLOCKS and rows + len(live) * pools <= TABLE_ROWS):
+    step would pass TABLE_ROWS rows or TABLE_BLOCKS blocks: the blocks
+    played, the states (a round that ended as it ended, else the state it
+    plays on from) and the number of owner sequences that reach each. Their
+    arrays are read-only: every caller shares them."""
+    lanes, count, live, length, kept = Lanes.empty(1, pools), np.ones(1), np.zeros(1, dtype=np.intp), 0, 0
+    grown = []  # each step's rows, their counts and which of them ended; `kept` ended in all
+    while len(live) and (length == 0 or length < TABLE_BLOCKS and kept + len(live) * pools <= TABLE_ROWS):
         parent, mined = np.divmod(np.arange(len(live) * pools), pools)
-        kids = Lanes._make(array.take(live[parent], axis=0) for array in lanes)
+        kids = Lanes(lanes.rows.take(live[parent], axis=0))
         race(kids, np.arange(len(parent)), length, lambda rounds, step: mined[rounds], lead_threshold,
              fork_rule == FORK_TIP, last=length + 1)
         length += 1
-        # Equal children merge by one sort of one int64 key per row: a digit per field but the event count
-        # (`length` for all) in base max(length + 1, pools), or a sort of rows where that passes 62 bits.
-        radix, tops = max(length + 1, pools), (kids.winner, kids.longest, kids.second, kids.first_owner)
-        if radix ** (2 * pools + len(tops)) <= 2**62:
-            place = radix ** np.arange(2 * pools + len(tops))
-            key = kids.own @ place[:pools] + kids.fork_pos @ place[pools:2 * pools]
-            for field, digit in zip(tops, place[2 * pools:].tolist()):
-                key += field * digit
-        else:
-            key = np.column_stack([kids.own, kids.fork_pos, *tops])
+        # Equal children merge by one sort of one int64 key per row, a digit per column in base
+        # max(length + 1, pools), or by a sort of the rows where that passes 62 bits.
+        radix, width = max(length + 1, pools), kids.rows.shape[1]
+        key = kids.rows @ radix ** np.arange(width) if radix**width <= 2**62 else kids.rows
         _, merged = np.unique(key, return_inverse=True, axis=0 if key.ndim == 2 else None)
         first = np.empty(merged.max() + 1, dtype=np.intp)
-        first[merged] = np.arange(len(merged))  # any child stands for its state: they agree on every field
+        first[merged] = np.arange(len(merged))  # any child stands for its state: they agree on every column
         count = np.bincount(merged, weights=count[live[parent]])
-        lanes = Lanes._make(array.take(first, axis=0) for array in kids)
+        lanes = Lanes(kids.rows.take(first, axis=0))
         ended = lanes.longest - lanes.second >= lead_threshold
-        grown.append((lanes, count, ended))
-        rows += np.count_nonzero(ended)
+        grown.append((lanes.rows, count, ended))
+        kept += np.count_nonzero(ended)
         live = np.flatnonzero(~ended)
     keep = np.concatenate([ended for _, _, ended in grown[:-1]] + [np.ones(len(count), dtype=bool)])
-    lanes = Lanes._make(np.concatenate(arrays)[keep] for arrays in zip(*(lanes for lanes, _, _ in grown)))
-    is_open = lanes.longest - lanes.second < lead_threshold
-    states = PrefixStates(length, is_open, np.concatenate([count for _, count, _ in grown])[keep], lanes)
-    for array in (states.open, states.count, *lanes):
+    rows = np.concatenate([step_rows for step_rows, _, _ in grown])[keep]
+    count = np.concatenate([step_count for _, step_count, _ in grown])[keep]
+    for array in (rows, count):
         array.setflags(write=False)
-    return states
+    return length, Lanes(rows), count
 
 
 def _alias(mass: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -570,12 +568,12 @@ def _alias(mass: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def prefix_table(config: SimConfig) -> PrefixTable:
     """The config's masses over prefix_states' rows, count times the product
     of p_i ** own_i, and their alias arrays; read-only, like the states."""
-    states = prefix_states(len(config.alphas), config.lead_threshold, config.fork_rule)
+    length, lanes, count = prefix_states(len(config.alphas), config.lead_threshold, config.fork_rule)
     rates = miner_rates(config)
-    powers = (rates / rates.sum())[:, None] ** np.arange(states.length + 1)  # powers[i, k] = p_i ** k
-    mass = states.count * powers[np.arange(len(rates)), states.lanes.own].prod(axis=1)
-    table = PrefixTable(states, mass, *_alias(mass))
-    for array in table[1:]:
+    powers = (rates / rates.sum())[:, None] ** np.arange(length + 1)  # powers[i, k] = p_i ** k
+    mass = count * powers[np.arange(len(rates)), lanes.own].prod(axis=1)
+    table = PrefixTable(length, lanes, mass, *_alias(mass))
+    for array in table[2:]:
         array.setflags(write=False)
     return table
 
@@ -586,19 +584,18 @@ def lane_columns(config: SimConfig, lanes: Lanes, duration: np.ndarray) -> Round
     and pegged counts are built here, so a caller that only counts winners
     never builds them."""
     length, fork_pos = lanes.own.astype(np.int64), lanes.fork_pos.astype(np.int64)
+    winner, longest, second, first_owner = lanes.rows[:, -4:].T.astype(np.int64, order="C")
     if config.fork_rule == FORK_TIP:
         fork_pos[:, 1:] = length[:, :1] * (length[:, 1:] > 0)  # a forked chain sits on the honest tip
-    ids = np.arange(len(lanes.winner))
-    own_win, fork_win = length[ids, lanes.winner], fork_pos[ids, lanes.winner]
-    dishonest = lanes.winner != HONEST
+    own_win = length[np.arange(len(winner)), winner]
     # An eager round ends at a lead of exactly lead_threshold, where
-    # release_count releases the winner's whole chain under either policy.
+    # release_count releases the winner's whole chain under either policy,
+    # so the main chain is the winner's generalized length: the top.
     return RoundColumns(
-        winner=lanes.winner, fork_pos=fork_pos, length=length,
-        released=np.where(dishonest, own_win, 0), reserved=np.zeros_like(own_win),
-        pegged=np.where(dishonest, fork_win + own_win, length[:, HONEST]),
-        duration=duration, first_owner=lanes.first_owner,
-        events=lanes.events, longest=lanes.longest, second=lanes.second,
+        winner=winner, fork_pos=fork_pos, length=length,
+        released=np.where(winner != HONEST, own_win, 0), reserved=np.zeros_like(own_win), pegged=longest,
+        duration=duration, first_owner=first_owner,
+        events=np.einsum("ij->i", length), longest=longest, second=second,
     )
 
 
@@ -607,18 +604,16 @@ def play_lanes(config: SimConfig, rounds: int, draws) -> Lanes:
     round order; lane_columns builds their columns.
 
     One draws.uniforms draw for the block picks each round's row of the
-    config's prefix table by the alias method, and one gather per field
-    copies every round's state from it. Only the rounds still open after
-    the table's length are raced on, from that state, each step drawing one
-    miner per open round from draws.pools.
+    config's prefix table by the alias method, and one gather copies every
+    round's row from it. Only the rounds still open after the table's
+    length are raced on, from that state, each step drawing one miner per
+    open round from draws.pools.
     """
     table = prefix_table(config)
-    states = table.states
     x = draws.uniforms(rounds) * len(table.cut)
     column = x.astype(np.intp)
-    rows = np.where(x < table.cut[column], column, table.alias[column])
-    lanes = Lanes._make(array.take(rows, axis=0) for array in states.lanes)  # row copies, C-contiguous
-    race(lanes, np.flatnonzero(states.open[rows]), states.length,
+    lanes = Lanes(table.lanes.rows.take(np.where(x < table.cut[column], column, table.alias[column]), axis=0))
+    race(lanes, np.flatnonzero(lanes.longest - lanes.second < config.lead_threshold), table.length,
          lambda live, step: draws.pools(live), config.lead_threshold, config.fork_rule == FORK_TIP)
     return lanes
 

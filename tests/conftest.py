@@ -41,6 +41,11 @@ def build_outcome(winner, honest_len, pools, released=0, first_owner=HONEST, dur
     )
 
 
+def lead_at_least(lead):
+    """Termination policy: a dishonest leader ends the round once it leads by at least `lead` blocks."""
+    return lambda longest, second, mined: longest - second >= lead
+
+
 @pytest.fixture
 def outcome_builder():
     return build_outcome

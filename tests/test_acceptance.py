@@ -26,6 +26,8 @@ from poolsim.metrics import EstimatorBank, ci95, find_power_threshold
 from poolsim.oracle import enumerate_and_check
 from poolsim.pipeline import chained_rounds, simulate_rounds
 
+from conftest import lead_at_least
+
 WORKERS = os.cpu_count() or 1
 UNCLE_REWARD_SET = {Fraction(n, 8) for n in range(2, 8)}
 
@@ -82,7 +84,7 @@ def consistency_runs():
     simulate_rounds(
         config, 10_000,
         seed=np.random.SeedSequence(8801),
-        termination_policy=lambda longest, second, mined: longest - second >= 3,
+        termination_policy=lead_at_least(3),
         on_record=tally.check,
     )
     return banks, tally

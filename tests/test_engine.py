@@ -23,6 +23,8 @@ from poolsim.engine import (
 from poolsim.oracle import Block, EventScript, replay_script, select_main_chain
 from poolsim.pipeline import chained_rounds
 
+from conftest import lead_at_least
+
 
 class RecordingClock:
     """An event source that logs which pool mines each event."""
@@ -208,7 +210,7 @@ class TestRunRoundScripted:
     def test_release_min_pegs_just_enough(self):
         # Delayed termination lets the leader overshoot; release-min then
         # pegs only what keeps the chain a full lead ahead.
-        policy = lambda longest, second, mined: longest - second >= 4
+        policy = lead_at_least(4)
         out = scripted_round([1, 0, 1, 1, 1, 1], policy=policy, release_policy=RELEASE_MIN)
         assert out.winner == 1
         assert out.length[1] == 5
@@ -217,7 +219,7 @@ class TestRunRoundScripted:
         assert out.reserved == 2
 
     def test_release_all_under_delay_pegs_everything(self):
-        policy = lambda longest, second, mined: longest - second >= 4
+        policy = lead_at_least(4)
         out = scripted_round([1, 0, 1, 1, 1, 1], policy=policy)
         assert out.released == 5 and out.reserved == 0
 
@@ -268,7 +270,7 @@ class TestTipForkRule:
         # over one honest block, generalized length 1 + 4 against a runner-up
         # of 1. Its fork position has moved up to 1, so the smallest release
         # r with 1 + r - 1 >= 2 is 2; anchored at 0 it would be 3.
-        policy = lambda longest, second, mined: longest - second >= 4
+        policy = lead_at_least(4)
         out = scripted_round(
             [1, 0, 1, 1, 1], policy=policy, release_policy=RELEASE_MIN, fork_rule=FORK_TIP
         )
@@ -294,11 +296,11 @@ class TestCarryover:
             scripted_round([0, 0], carry=Carryover(3, 1))
 
     def test_full_release_leaves_nothing(self):
-        out = scripted_round([1, 1, 1], policy=lambda a, b, m: a - b >= 3)
+        out = scripted_round([1, 1, 1], policy=lead_at_least(3))
         assert out.released == 3 and make_carryover(out) is None
 
     def test_partial_release_carries_remainder(self):
-        policy = lambda longest, second, mined: longest - second >= 4
+        policy = lead_at_least(4)
         out = scripted_round([1, 0, 1, 1, 1, 1], policy=policy, release_policy=RELEASE_MIN)
         carry = make_carryover(out)
         assert carry == Carryover(owner=1, private_blocks=2)

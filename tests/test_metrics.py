@@ -26,6 +26,8 @@ from poolsim.metrics import (
 )
 from poolsim.pipeline import simulate_rounds
 
+from conftest import lead_at_least
+
 
 class TestBankCounting:
     def run_bank(self, alphas, rounds, seed):
@@ -73,7 +75,7 @@ class TestBankTotals:
         config = SimConfig.from_alphas([0.5, 0.3, 0.2], release_policy="release-min")
         bank, records = simulate_rounds(
             config, 3000, seed=np.random.SeedSequence(37),
-            termination_policy=lambda longest, second, mined: longest - second >= 3, collect=True,
+            termination_policy=lead_at_least(3), collect=True,
         )
         n = 3
         wins, fork, length, released = [0] * n, [0] * n, [0] * n, [0] * n

@@ -19,7 +19,7 @@ from poolsim.oracle import (
 )
 from poolsim.pipeline import simulate_rounds
 
-from conftest import build_outcome
+from conftest import build_outcome, lead_at_least
 
 H, D1, D2, D3 = 0, 1, 2, 3
 CFG2 = script_config(2)
@@ -275,10 +275,6 @@ class TestEnumerateAndCheck:
         assert report.ok is True and report.scripts == 8
 
 
-def wait_for_lead_of_three(longest, second, mined):
-    return longest - second >= 3
-
-
 class TestMonteCarloAgainstReference:
     """The production close path on random streams, round by round, against
     the from-scratch reference analysis."""
@@ -288,7 +284,7 @@ class TestMonteCarloAgainstReference:
         "m2-tip": (SimConfig.from_alphas([0.55, 0.32, 0.13], fork_rule=FORK_TIP), None),
         "m4-release-min-lead3": (
             SimConfig.from_alphas([0.5, 0.2, 0.13, 0.1, 0.07], release_policy=RELEASE_MIN),
-            wait_for_lead_of_three,
+            lead_at_least(3),
         ),
         "lead-threshold-3": (SimConfig.from_alphas([0.5, 0.3, 0.2], lead_threshold=3), None),
     }

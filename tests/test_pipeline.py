@@ -8,13 +8,11 @@ from poolsim.engine import FORK_TIP, RELEASE_MIN, SimConfig, round_columns
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_columns, round_records, simulate_rounds
 
-from conftest import build_outcome
+from conftest import build_outcome, lead_at_least
 
-
-def delayed(longest, second, mined):
-    # Test policy: a dishonest leader waits for a three-block lead, which
-    # under release-min leaves blocks in reserve.
-    return longest - second >= 3
+# Test policy: a dishonest leader waits for a three-block lead, which under
+# release-min leaves blocks in reserve.
+delayed = lead_at_least(3)
 
 
 class TestCloseRound:
