@@ -12,8 +12,11 @@ counters without visiting a block. Uncle rewards are integers in units of
 
 The rules work on columns: RoundColumns (from the engine) holds a buffer
 of consecutive rounds, one row each, and nephew_columns, uncle_columns and
-block_counts classify every row at once. determine_nephew, find_uncles and
-classify_round are their one-row case, on round_columns of one outcome.
+block_counts classify every row at once. uncle_columns states the uncle
+rule once, one pool's column at a time, as each pool's uncle distance;
+uncle_records reads any rows' uncles from those. determine_nephew,
+find_uncles and classify_round are their one-row case, on round_columns of
+one outcome.
 ratio_floats states the five ratios once: floats from integer numerators,
 exact ratios from Fractions.
 """
@@ -25,7 +28,7 @@ from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .engine import RoundColumns, RoundOutcome, round_columns
+from .engine import HONEST, RoundColumns, RoundOutcome, round_columns
 
 MAX_UNCLE_DISTANCE = 6
 UNITS_PER_BLOCK = 32  # reward units of one regular block
@@ -120,38 +123,42 @@ def nephew_columns(
     return np.where(from_reserve, rounds.winner, following), rounds.pegged + 1, from_reserve
 
 
-def uncle_columns(rounds: RoundColumns, nephew_height: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Height and distance of each pool's uncle; distance 0 where it has none.
-
-    Candidates are the first block of each losing dishonest sub-chain, plus
-    the first orphaned honest block when a dishonest pool won. A candidate
-    qualifies when its distance to the nephew is within the reward range.
-    When the honest candidate qualifies, dishonest first blocks forked at or
-    above it are disqualified (their parent is itself an orphan).
+def uncle_columns(rounds: RoundColumns, nephew_height: np.ndarray) -> np.ndarray:
+    """Each pool's uncle distance in each round, one column per pool; 0
+    where it has none. The rule runs one pool's column at a time: a
+    candidate, the first block of a chain off the main chain, qualifies
+    within the reward range of the nephew. The honest candidate comes
+    first: when a dishonest pool won, the first orphaned honest block, on
+    the winner's fork, the last pegged block the winner did not release. A
+    rival's is the first block of its losing chain, disqualified when it
+    forked at or above a qualifying honest candidate (its parent is itself
+    an orphan).
     """
-    rows = np.arange(len(rounds.winner))
-    win_fork = rounds.fork_pos[rows, rounds.winner]
-    height = rounds.fork_pos + 1  # first block of each dishonest chain
-    height[:, 0] = win_fork + 1  # first honest block above the winner's fork
-    lost = rounds.length.copy()  # blocks of each pool off the main chain
-    lost[:, 0] -= win_fork
-    lost[rows, rounds.winner] = 0
-    distance = nephew_height[:, None] - height
-    qualifies = (lost >= 1) & (distance >= 1) & (distance <= MAX_UNCLE_DISTANCE)
-    qualifies[:, 1:] &= ~(qualifies[:, :1] & (rounds.fork_pos[:, 1:] >= height[:, :1]))
-    return height, np.where(qualifies, distance, 0)
+    distance = np.empty((rounds.length.shape[1], len(rounds.winner)), dtype=rounds.length.dtype)  # a row per pool
+    above = nephew_height - 1  # the nephew's parent: a chain forked at height f is at distance above - f
+    honest_main = rounds.pegged - rounds.released
+
+    def first_block(fork: np.ndarray, lost: np.ndarray, pool: int) -> None:
+        far = above - fork
+        np.multiply(far, lost & (far >= 1) & (far <= MAX_UNCLE_DISTANCE), out=distance[pool])
+
+    first_block(honest_main, rounds.length[:, HONEST] > honest_main, HONEST)
+    ceiling = np.where(distance[HONEST] > 0, honest_main, above)  # the highest fork a rival candidate may sit on
+    for pool in range(1, len(distance)):
+        fork = rounds.fork_pos[:, pool]
+        first_block(fork, (rounds.length[:, pool] > 0) & (rounds.winner != pool) & (fork <= ceiling), pool)
+    return distance.T
 
 
-def uncle_records(height: np.ndarray, distance: np.ndarray) -> Iterator[Tuple[UncleRecord, ...]]:
-    """Each round's uncles from its height and distance rows, in (height, pool) order, one row at a time."""
-    pools = height.shape[1]
-    order = np.argsort(height * pools + np.arange(pools), axis=1)
-    rows = np.arange(len(height))[:, None]
-    height = height[rows, order]
-    distance = distance[rows, order]
-    named = distance > 0
-    uncles = map(UncleRecord, order[named].tolist(), height[named].tolist(), distance[named].tolist())
-    return (tuple(islice(uncles, count)) for count in named.sum(axis=1).tolist())
+def uncle_records(nephew_height: np.ndarray, distance: np.ndarray) -> Iterator[Tuple[UncleRecord, ...]]:
+    """Each round's uncles from its nephew height and its row of uncle
+    distances, in (height, pool) order, one round at a time."""
+    rows, pools = np.nonzero(distance)
+    far = distance[rows, pools]
+    height = nephew_height[rows] - far
+    order = np.lexsort((pools, height, rows))
+    uncles = map(UncleRecord, pools[order].tolist(), height[order].tolist(), far[order].tolist())
+    return (tuple(islice(uncles, count)) for count in np.bincount(rows, minlength=len(distance)).tolist())
 
 
 def block_counts(rounds: RoundColumns, uncle_count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -161,7 +168,7 @@ def block_counts(rounds: RoundColumns, uncle_count: np.ndarray) -> Tuple[np.ndar
     are exactly the pegged main chain, the rest are orphans, and orphans
     that are not uncles are stale.
     """
-    orphan = rounds.length.sum(axis=1) - rounds.reserved - rounds.pegged
+    orphan = np.einsum("ij->i", rounds.length) - rounds.reserved - rounds.pegged
     return orphan, orphan - uncle_count
 
 
@@ -197,7 +204,8 @@ def determine_nephew(
 def find_uncles(outcome: RoundOutcome, nephew_height: int) -> Tuple[UncleRecord, ...]:
     """Orphans of this round that qualify as uncles of the nephew; the
     one-row case of uncle_columns."""
-    return next(uncle_records(*uncle_columns(round_columns([outcome]), np.array([nephew_height]))))
+    height = np.array([nephew_height])
+    return next(uncle_records(height, uncle_columns(round_columns([outcome]), height)))
 
 
 def classify_round(

@@ -29,7 +29,7 @@ run_round sums the gaps into the round's clock from zero: MiningClock
 reads the draw rule one event at a time, and ScriptClock replays a fixed
 script. play_lanes plays a block of eager rounds (no policy) and returns
 it as Lanes; lane_columns builds its RoundColumns, the form the columnar
-close consumes, from those and the rounds' durations, and
+close consumes, from those and draws the rounds' durations, and
 metrics.win_fraction_run, which only counts winners, never calls it.
 Eager rounds never reserve a block, so each starts afresh and the rounds
 are i.i.d., and a round's state is a fixed function of its block owners.
@@ -68,7 +68,7 @@ order. A block first draws one uniform per round, in round order, which
 picks the round's prefix table row; then each step draws one miner per
 round still open, in increasing round order, until none is. The time
 stream gives one Gamma duration per round, in round order, block by block,
-for the durations lane_columns takes; win_fraction_run draws none.
+which lane_columns draws; win_fraction_run draws none.
 MiningClock draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps at a
 time and hands them out in order across rounds. After the last round, if it
 reserved nothing, simulate_rounds draws one more miner, of the block that
@@ -188,7 +188,7 @@ class RoundOutcome(NamedTuple):
 def round_columns(outcomes: Sequence[RoundOutcome]) -> RoundColumns:
     """Columns of consecutive round outcomes; round_outcomes reads them back."""
     return RoundColumns._make(
-        np.array(column, dtype=np.float64 if name == "duration" else np.int64)
+        np.array(column, dtype=np.float64 if name == "duration" else np.int32)
         for column, name in zip(zip(*outcomes), RoundColumns._fields)
     )
 
@@ -578,24 +578,26 @@ def prefix_table(config: SimConfig) -> PrefixTable:
     return table
 
 
-def lane_columns(config: SimConfig, lanes: Lanes, duration: np.ndarray) -> RoundColumns:
+def lane_columns(config: SimConfig, lanes: Lanes, durations: Callable[[np.ndarray], np.ndarray]) -> RoundColumns:
     """The columns of a block of eager rounds as play_lanes leaves them,
-    given each round's duration: the tip fork positions and the released
-    and pegged counts are built here, so a caller that only counts winners
-    never builds them."""
-    length, fork_pos = lanes.own.astype(np.int64), lanes.fork_pos.astype(np.int64)
-    winner, longest, second, first_owner = lanes.rows[:, -4:].T.astype(np.int64, order="C")
+    with durations(events) drawing each round's duration from its event
+    count: the tip fork positions and the released and pegged counts are
+    built here, so a caller that only counts winners never builds them.
+    The columns are views of one column-major copy of the block's rows."""
+    lanes = Lanes(np.asfortranarray(lanes.rows))  # every column contiguous
+    length, fork_pos, winner, longest = lanes.own, lanes.fork_pos, lanes.winner, lanes.longest
     if config.fork_rule == FORK_TIP:
-        fork_pos[:, 1:] = length[:, :1] * (length[:, 1:] > 0)  # a forked chain sits on the honest tip
-    own_win = length[np.arange(len(winner)), winner]
+        fork_pos = length[:, :1] * (length > 0)  # a forked chain sits on the honest tip
+        fork_pos[:, HONEST] = 0
+    own_win = lanes.rows.T.reshape(-1).take(winner * len(winner) + np.arange(len(winner)))  # the winner's own length
     # An eager round ends at a lead of exactly lead_threshold, where
     # release_count releases the winner's whole chain under either policy,
     # so the main chain is the winner's generalized length: the top.
+    released, events = np.where(winner != HONEST, own_win, 0), lanes.events
     return RoundColumns(
-        winner=winner, fork_pos=fork_pos, length=length,
-        released=np.where(winner != HONEST, own_win, 0), reserved=np.zeros_like(own_win), pegged=longest,
-        duration=duration, first_owner=first_owner,
-        events=np.einsum("ij->i", length), longest=longest, second=second,
+        winner=winner, fork_pos=fork_pos, length=length, released=released, reserved=np.zeros_like(released),
+        pegged=longest, duration=durations(events), first_owner=lanes.first_owner, events=events,
+        longest=longest, second=lanes.second,
     )
 
 

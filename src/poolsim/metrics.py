@@ -4,7 +4,8 @@ An EstimatorBank takes in buffers of closed rounds and keeps totals of
 everything the long-run analysis needs: win counts per pool, the round
 geometry summed per winner, the per-round ratios, round duration and
 pegged-block count, booked rewards per pool, and the (winner, holder)
-counting tables for nephew and uncle events. Integer samples are summed
+counting tables for nephew and uncle events, each a bincount of a buffer's
+1-D columns over winner or (winner, pool) cells. Integer samples are summed
 exactly, so their means are one correctly rounded division; durations and
 ratios are float sums. Banks from different workers merge exactly on the
 integer totals and to rounding on the float ones, so results cannot depend
@@ -19,6 +20,7 @@ floating point; both are reported so the consistency is observable.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import signal
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, NoRetur
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, ratio_numerators
+from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, ratio_numerators, uncle_units
 # MiningClock and run_round are not called here; the benchmark's tracer
 # patches them in this module, so they stay importable from it.
 from .engine import (  # noqa: F401
@@ -85,10 +87,10 @@ class Estimate(NamedTuple):
 
 
 def _add(total, part):
-    """Elementwise sum of two equally nested lists of numbers."""
-    if isinstance(total, list):
-        return [_add(t, p) for t, p in zip(total, part)]
-    return total + part
+    """Elementwise sum of two numbers, lists of numbers or lists of lists of numbers."""
+    if isinstance(total, list) and isinstance(total[0], list):
+        return [list(map(operator.add, t, p)) for t, p in zip(total, part)]
+    return list(map(operator.add, total, part)) if isinstance(total, list) else total + part
 
 
 def _mean(total, count: int, default=None):
@@ -142,30 +144,44 @@ class EstimatorBank:
         return self.num_pools - 1
 
     def add(self, closed: ClosedRounds) -> None:
-        """Take in a buffer of closed rounds."""
-        rounds = closed.rounds
-        pools = np.eye(self.num_pools, dtype=np.int64)
-        won = pools[rounds.winner]  # one-hot winner per round
-        by_winner = won.T
-        ratios = ratio_floats(*ratio_numerators(rounds.pegged, closed.orphan, rounds.released, closed.uncle_count))
+        """Take in a buffer of closed rounds. Every total is a bincount of
+        1-D columns over winner cells or (winner, pool) cells; integer sums
+        come back exact, as no buffer's come near 2 ** 53."""
+        rounds, n = closed.rounds, self.num_pools
+        winner, released = rounds.winner, rounds.released
+
+        def total(weights, cells=winner, size=n):
+            return np.bincount(cells, weights, size).astype(np.int64)
+
+        # The honest pool's main-chain blocks (its length when it won, else
+        # the winner's fork) and a dishonest winner's own blocks.
+        honest_main, own = total(rounds.pegged - released), total(released + rounds.reserved)
+        nephew_cells = winner * n + rounds.first_owner
+        # (winner, pool, uncle distance) counts, a pool's column at a time; distance 0 is no uncle.
+        reach = int(closed.uncle_distance.max()) + 1
+        uncles = np.stack([
+            np.bincount(winner * reach + far, minlength=n * reach).reshape(n, reach) for far in closed.uncle_distance.T
+        ], axis=1)[:, :, 1:]
+        ratios = ratio_floats(*ratio_numerators(rounds.pegged, closed.orphan, released, closed.uncle_count))
         part = {
-            "rounds": len(rounds.winner),
-            "win_counts": won.sum(axis=0),
-            "fork_pos_total": (won * rounds.fork_pos).sum(axis=0),
-            "length_total": (won * rounds.length).sum(axis=0),
-            "released_total": by_winner @ rounds.released,
+            "rounds": len(winner),
+            "win_counts": np.bincount(winner, minlength=n),
+            "fork_pos_total": np.append(0, honest_main[1:]),
+            "length_total": np.append(honest_main[0], own[1:]),
+            "released_total": total(released),
             "pegged_total": rounds.pegged.sum(),
-            "reward_units": (closed.regular_units + closed.uncle_units + closed.nephew_units).sum(axis=0),
-            "nephew_count": by_winner @ pools[rounds.first_owner],
-            "nephew_units": by_winner @ closed.nephew_units,
-            "uncle_count": by_winner @ (closed.uncle_distance > 0),
-            "uncle_units": by_winner @ closed.uncle_units,
+            "nephew_count": np.bincount(nephew_cells, minlength=n * n).reshape(n, n),
+            "nephew_units": total(closed.prev_uncle_count, nephew_cells, n * n).reshape(n, n),
+            "uncle_count": uncles.sum(axis=2),
+            "uncle_units": uncles @ uncle_units(np.arange(1, reach)),
             "duration_total": rounds.duration.sum(),
             "ratio_total": np.array([r.sum() for r in ratios]),
-            "ratio_by_winner": np.stack(
-                [np.bincount(rounds.winner, weights=r, minlength=self.num_pools) for r in ratios], axis=1
-            ),
+            "ratio_by_winner": np.stack([np.bincount(winner, r, n) for r in ratios], axis=1),
         }
+        # Regular units pay each winner its released blocks and the honest pool its main-chain blocks.
+        regular = UNITS_PER_BLOCK * part["released_total"]
+        regular[HONEST] = UNITS_PER_BLOCK * honest_main.sum()
+        part["reward_units"] = regular + part["nephew_units"].sum(axis=0) + part["uncle_units"].sum(axis=0)
         for name in self.TOTALS:
             setattr(self, name, _add(getattr(self, name), np.asarray(part[name]).tolist()))
 

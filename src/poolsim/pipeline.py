@@ -7,9 +7,8 @@ the estimator bank. An eager run (no termination policy) plays its rounds
 as lane blocks of the engine; a run with a policy plays them one at a time
 with run_round, chained through carryover by chained_rounds, in blocks of
 up to CLOSE_ROWS. A round's nephew is its first reserved block, or else the
-next round's first block, so each block waits until the next one has been
-played (a lane block as the engine's Lanes, whose columns and durations are
-built only as it closes); the uncle count the next nephew reference needs
+next round's first block, so each block waits, as columns, until the next
+one has been played; the uncle count the next nephew reference needs
 carries across blocks. After the last block one extra first-block miner is
 drawn just to close it when its last round reserved nothing; that block
 books nothing.
@@ -40,7 +39,7 @@ from .engine import (
     lane_blocks, lane_columns, make_carryover, round_columns, round_outcomes, run_round,
 )
 from .metrics import EstimatorBank
-from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, close_columns  # noqa: F401
+from .rewards import ClosedRounds, PoolReward, RewardVector, allocate, close_columns, reward_columns  # noqa: F401
 
 CLOSE_ROWS = 512  # rounds closed together: amortizes numpy calls, bounds the buffer
 
@@ -53,28 +52,42 @@ class RoundRecord(NamedTuple):
     rewards: RewardVector
 
 
-def _shared(build: Callable, *columns: np.ndarray) -> Iterator:
-    """build(*row) for every row of the columns; equal rows share one record."""
-    return map(lru_cache(maxsize=None)(build), *(c.tolist() for c in columns))
-
-
-def round_records(closed: ClosedRounds, outcomes: Sequence[RoundOutcome], first_index: int) -> Iterator[RoundRecord]:
-    """One record per closed round, read from the buffer's rows."""
-    rounds = closed.rounds
-    nephews = _shared(NephewRecord, closed.nephew_owner, closed.nephew_height, closed.from_reserve)
-    ratios = _shared(RoundRatios, *ratio_numerators(rounds.pegged, closed.orphan, rounds.released, closed.uncle_count))
-    # One PoolReward per pool and round, regrouped into each round's tuple.
-    pools = _shared(PoolReward, *(m.ravel() for m in (closed.regular_units, closed.uncle_units, closed.nephew_units)))
-    pays = zip(*[pools] * rounds.length.shape[1])
-    columns = zip(
-        outcomes, rounds.pegged.tolist(), closed.orphan.tolist(), closed.stale.tolist(),
-        uncle_records(closed.uncle_height, closed.uncle_distance), nephews, ratios, pays,
+def _rows(columns: tuple, start: int, stop: int) -> tuple:
+    """Rows start:stop of a NamedTuple of columns, nested ones included."""
+    return type(columns)._make(
+        c[start:stop] if isinstance(c, np.ndarray) else _rows(c, start, stop) for c in columns
     )
-    for index, (outcome, regular, orphan, stale, uncles, nephew, ratio, per_pool) in enumerate(
-        columns, start=first_index
-    ):
-        classification = Classification(regular, orphan, uncles, stale, nephew)
-        yield RoundRecord(index, outcome, classification, ratio, RewardVector(per_pool))
+
+
+def round_records(
+    closed: ClosedRounds, outcomes: Optional[Sequence[RoundOutcome]], first_index: int
+) -> Iterator[RoundRecord]:
+    """One record per closed round, read from the buffer CLOSE_ROWS rows at
+    a time, so a consumer that stops early pays for one slice. Without
+    outcomes, each slice's are built from its rows. Equal rows share one
+    record."""
+    rows, pools = closed.rounds.length.shape
+    nephew_of, ratios_of, pay_of = map(lru_cache(maxsize=None), (NephewRecord, RoundRatios, PoolReward))
+    for start in range(0, rows, CLOSE_ROWS):
+        part = closed if rows <= CLOSE_ROWS else _rows(closed, start, start + CLOSE_ROWS)
+        rounds = part.rounds
+        played = round_outcomes(rounds) if outcomes is None else outcomes[start:start + CLOSE_ROWS]
+        nephew_fields = (part.nephew_owner, part.nephew_height, part.from_reserve)
+        nephews = map(nephew_of, *(c.tolist() for c in nephew_fields))
+        numerators = ratio_numerators(rounds.pegged, part.orphan, rounds.released, part.uncle_count)
+        ratios = map(ratios_of, *(c.tolist() for c in numerators))
+        units = reward_columns(rounds, part.uncle_distance, part.prev_uncle_count)
+        # One PoolReward per pool and round, regrouped into each round's tuple.
+        pays = zip(*[map(pay_of, *(m.ravel().tolist() for m in units))] * pools)
+        columns = zip(
+            played, rounds.pegged.tolist(), part.orphan.tolist(), part.stale.tolist(),
+            uncle_records(part.nephew_height, part.uncle_distance), nephews, ratios, pays,
+        )
+        for index, (outcome, regular, orphan, stale, uncles, nephew, ratio, per_pool) in enumerate(
+            columns, start=first_index + start
+        ):
+            classification = Classification(regular, orphan, uncles, stale, nephew)
+            yield RoundRecord(index, outcome, classification, ratio, RewardVector(per_pool))
 
 
 def chained_rounds(
@@ -119,9 +132,8 @@ def simulate_rounds(
     closed_rounds = 0
     prev_uncles = 0
 
-    def close(block, played: Optional[List[RoundOutcome]], after) -> None:
+    def close(columns, played: Optional[List[RoundOutcome]], after) -> None:
         nonlocal closed_rounds, prev_uncles, on_record
-        columns = block if played is not None else lane_columns(config, block, draws.durations(block.events))
         if after is not None:  # the next block, whose first round's first block closes this block's last round
             next_owner = int(after.first_owner[0])
         else:
@@ -129,8 +141,7 @@ def simulate_rounds(
         closed = close_columns(columns, next_owner, prev_uncles)
         bank.add(closed)
         if on_record is not None or records is not None:
-            outcomes = round_outcomes(columns) if played is None else played
-            for record in round_records(closed, outcomes, closed_rounds + 1):
+            for record in round_records(closed, played, closed_rounds + 1):
                 if on_record is not None and on_record(record):
                     on_record = None
                 if records is not None:
@@ -140,12 +151,13 @@ def simulate_rounds(
         closed_rounds += len(columns.winner)
         prev_uncles = int(closed.uncle_count[-1])
 
-    # Blocks of (Lanes, None) or (columns, the outcomes run_round played): a
-    # lane block's columns are built as it closes, and a policy block keeps
-    # the outcomes it was built from, so records never rebuild them.
+    # Blocks of (columns, the outcomes run_round played, or None for a lane
+    # block): a policy block keeps the outcomes it was built from, so records
+    # never rebuild them. A lane block's columns, durations included, are
+    # built as soon as it is played, so its rows can go.
     if termination_policy is None:
         draws = LaneDraws(config, seed)
-        blocks = ((lanes, None) for lanes in lane_blocks(config, rounds, draws))
+        blocks = ((lane_columns(config, lanes, draws.durations), None) for lanes in lane_blocks(config, rounds, draws))
     else:
         draws = MiningClock(config, seed)
         chain = chained_rounds(config, draws, termination_policy)

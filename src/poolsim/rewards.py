@@ -8,9 +8,11 @@ to the round the nephew block lives in, paid to whoever owns that round's
 first block. Amounts are integers in units of 1/32 of a block reward (a
 regular block is 32, an uncle at distance d is 4 * (8 - d), a nephew
 reference one per uncle named); regular, uncle, nephew and total give them
-as exact numbers of blocks. reward_columns books a whole buffer of closed
-rounds at once; allocate is its one-row case. close_columns classifies and
-books a buffer into ClosedRounds, which the estimator bank takes in.
+as exact numbers of blocks. close_columns classifies a buffer into
+ClosedRounds: 1-D columns, one row per round, and each pool's uncle
+distance. The estimator bank books its totals from those; reward_columns
+builds each pool's unit matrices only for records and for allocate, its
+one-row case.
 """
 from __future__ import annotations
 
@@ -62,27 +64,27 @@ class RewardVector(NamedTuple):
 
 
 class ClosedRounds(NamedTuple):
-    """A buffer of consecutive rounds closed together: their columns, their
-    classification and their booked units. Matrices have one column per pool."""
+    """A buffer of consecutive rounds closed together: their columns and
+    their classification, one row per round. uncle_distance has one column
+    per pool; the booked units are read off the rows (reward_columns)."""
 
     rounds: RoundColumns
     nephew_owner: np.ndarray
     nephew_height: np.ndarray
     from_reserve: np.ndarray
-    uncle_height: np.ndarray
     uncle_distance: np.ndarray  # 0 where the pool has no uncle
     uncle_count: np.ndarray
     orphan: np.ndarray
     stale: np.ndarray
-    regular_units: np.ndarray
-    uncle_units: np.ndarray
-    nephew_units: np.ndarray
+    prev_uncle_count: np.ndarray  # the round before's uncles: the nephew units its first owner collects
 
 
 def reward_columns(
     rounds: RoundColumns, uncle_distance: np.ndarray, prev_uncle_count: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Regular, uncle and nephew units of every pool in each round.
+    """Regular, uncle and nephew units of every pool in each round, one
+    column per pool; built only for records and allocate, since the
+    estimator bank books its totals from the 1-D columns.
 
     prev_uncle_count[i] is the uncle count of the round before row i; row
     i's first block is that round's nephew, so its owner collects the
@@ -100,20 +102,17 @@ def reward_columns(
 
 
 def close_columns(rounds: RoundColumns, next_first_owner: Optional[int], prev_uncle_count: int) -> ClosedRounds:
-    """Classify and book a buffer of consecutive rounds.
+    """Classify a buffer of consecutive rounds.
 
     next_first_owner owns the first block after the buffer (None if the last
     round reserved blocks); prev_uncle_count is the uncle count of the round
     before the buffer, 0 if there is none.
     """
     nephew = nephew_columns(rounds, next_first_owner)
-    uncle_height, uncle_distance = uncle_columns(rounds, nephew[1])
-    uncle_count = (uncle_distance > 0).sum(axis=1)
+    distance = uncle_columns(rounds, nephew[1])
+    uncle_count = np.count_nonzero(distance, axis=1)
     prev = np.concatenate(([prev_uncle_count], uncle_count[:-1]))
-    return ClosedRounds(
-        rounds, *nephew, uncle_height, uncle_distance, uncle_count, *block_counts(rounds, uncle_count),
-        *reward_columns(rounds, uncle_distance, prev),
-    )
+    return ClosedRounds(rounds, *nephew, distance, uncle_count, *block_counts(rounds, uncle_count), prev)
 
 
 def allocate(

@@ -154,7 +154,7 @@ def script_config(pools, **kwargs):
 
 def column_blocks(config, rounds, draws):
     """lane_blocks' blocks as columns, each block's durations drawn as simulate_rounds draws them."""
-    return [lane_columns(config, lanes, draws.durations(lanes.events)) for lanes in lane_blocks(config, rounds, draws)]
+    return [lane_columns(config, lanes, draws.durations) for lanes in lane_blocks(config, rounds, draws)]
 
 
 def assert_lanes_replay(config, scripts, want):
@@ -407,7 +407,7 @@ class TestDrawOrder:
         assert stream.uniforms(rounds).tolist() == uniforms
         for _, asked, drawn in steps:
             assert stream.miners(len(asked)).tolist() == drawn
-        # play_lanes draws no duration: lane_columns takes the block's durations from its caller.
+        # play_lanes draws no duration: lane_columns draws the block's durations.
         assert draws.timed == []
         # The recorder changes nothing the block holds.
         plain = play_lanes(config, rounds, LaneDraws(config, 3))
@@ -478,7 +478,7 @@ class TestPrefixTable:
             except ScriptExhausted:
                 unfinished += mass
         lanes = table.lanes
-        columns = lane_columns(config, lanes, lanes.events.astype(float))
+        columns = lane_columns(config, lanes, lambda events: events.astype(float))
         is_open = lanes.longest - lanes.second < lead
         got = defaultdict(float)
         for out, mass, row_open in zip(round_outcomes(columns), table.mass.tolist(), is_open.tolist()):

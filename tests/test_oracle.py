@@ -287,6 +287,8 @@ class TestMonteCarloAgainstReference:
             lead_at_least(3),
         ),
         "lead-threshold-3": (SimConfig.from_alphas([0.5, 0.3, 0.2], lead_threshold=3), None),
+        "m4-tip-zero-power": (SimConfig.from_alphas([0.4, 0.2, 0.2, 0.2, 0.0], fork_rule=FORK_TIP), None),
+        "m1": (SimConfig.from_alphas([0.6, 0.4]), None),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poolsim import engine, pipeline
+from poolsim import classify, engine, pipeline
 from poolsim.engine import FORK_TIP, RELEASE_MIN, SimConfig, round_columns
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_columns, round_records, simulate_rounds
@@ -80,6 +80,29 @@ class TestSimulateRounds:
         bank, _ = simulate_rounds(SimConfig.from_alphas([0.6, 0.3, 0.1]), 40_000, seed=5, on_record=first_ten)
         assert seen == list(range(1, 11)) and bank.rounds == 40_000
         assert len(built) < 100
+
+    def test_stopped_records_read_one_slice(self, monkeypatch):
+        # Records read a closed lane block CLOSE_ROWS rows at a time, so a
+        # consumer that stops early never has a whole block's uncles sorted.
+        config = SimConfig.from_alphas([0.6, 0.3, 0.1])
+        rows_seen = []
+
+        def counted(nephew_height, distance):
+            rows_seen.append(len(distance))
+            return classify.uncle_records(nephew_height, distance)
+
+        monkeypatch.setattr(pipeline, "uncle_records", counted)
+        got = []
+
+        def first_ten(record):
+            got.append(record)
+            return len(got) >= 10
+
+        bank, _ = simulate_rounds(config, 5000, seed=5, on_record=first_ten)
+        assert bank.rounds == 5000
+        assert rows_seen and max(rows_seen) <= pipeline.CLOSE_ROWS < 5000
+        _, records = simulate_rounds(config, 5000, seed=5, collect=True)
+        assert got == records[:10]
 
     def test_rejects_zero_rounds(self):
         config = SimConfig.from_alphas([0.6, 0.4])
@@ -208,3 +231,169 @@ class TestPinnedStreams:
         assert bank.win_counts == win_counts
         assert bank.pegged_total == pegged_total
         assert bank.reward_units == reward_units
+
+
+class TestPinnedBankTotals:
+    """Every EstimatorBank total of three fixed-seed runs, pinned as
+    literals, float totals as float.hex: a change to how a block is closed
+    or banked must leave each one exactly as it is. The eager runs are one
+    benchmark sweep task and a five-pool tip run that crosses a lane block
+    and holds a zero-power pool; the policy run is the benchmark's
+    four-rival, release-min, lead-3 run."""
+
+    FLOATS = ("duration_total", "ratio_total", "ratio_by_winner")
+    CASES = {
+        "eager": (
+            SimConfig((0.55, 0.32, 0.13)), None, 4_000,
+            {
+                "rounds": 4000,
+                "win_counts": [2545, 1210, 245],
+                "fork_pos_total": [0, 623, 257],
+                "length_total": [8924, 3415, 591],
+                "released_total": [0, 3415, 591],
+                "pegged_total": 13810,
+                "reward_units": [322682, 128895, 37589],
+                "nephew_count": [[1678, 594, 273], [423, 633, 154], [92, 57, 96]],
+                "nephew_units": [[1117, 427, 195], [286, 443, 94], [63, 45, 68]],
+                "uncle_count": [[0, 1066, 789], [401, 0, 326], [55, 101, 0]],
+                "uncle_units": [[0, 17120, 12856], [6504, 0, 5464], [984, 1580, 0]],
+                "duration_total": "0x1.2e12729c5b084p+18",
+                "ratio_total": [
+                    "0x1.594a9d757a406p+11", "0x1.9bc96b80521acp+11", "0x1.60da51feb794ep+9",
+                    "0x1.a4c9f266f3222p+8", "0x1.1ceab1967c07ap+8",
+                ],
+                "ratio_by_winner": [
+                    ["0x1.3e20000000000p+11", "0x1.0295467d2d637p+11", "0x1.dc55cc1694e52p+8",
+                     "0x1.14e31af2a38ffp+8", "0x1.8ee56247e2af4p+7"],
+                    ["0x1.41211acbdb496p+7", "0x1.fd4e6e71c0b88p+9", "0x1.7ec64638fd1a8p+7",
+                     "0x1.df40c1dd92386p+6", "0x1.1e4bca9467fdbp+6"],
+                    ["0x1.c622f22f22f29p+5", "0x1.9e08966b48963p+7", "0x1.2fdda652dda64p+5",
+                     "0x1.816a6fceb040ep+4", "0x1.bca1b9ae16169p+3"],
+                ],
+            },
+        ),
+        "eager-tip-zero-power": (
+            SimConfig((0.4, 0.2, 0.2, 0.2, 0.0), fork_rule=FORK_TIP), None, 40_000,
+            {
+                "rounds": 40000,
+                "win_counts": [6317, 11259, 11255, 11169, 0],
+                "fork_pos_total": [0, 40672, 40871, 40775, 0],
+                "length_total": [12634, 40098, 40196, 40123, 0],
+                "released_total": [0, 40098, 40196, 40123, 0],
+                "pegged_total": 255369,
+                "reward_units": [4331902, 1469177, 1472081, 1469234, 0],
+                "nephew_count": [
+                    [6317, 0, 0, 0, 0],
+                    [3154, 4938, 1582, 1585, 0],
+                    [3166, 1572, 4904, 1613, 0],
+                    [3240, 1563, 1538, 4828, 0],
+                    [0, 0, 0, 0, 0],
+                ],
+                "nephew_units": [
+                    [5321, 0, 0, 0, 0],
+                    [2649, 4075, 1325, 1298, 0],
+                    [2689, 1322, 4237, 1372, 0],
+                    [2779, 1360, 1263, 3984, 0],
+                    [0, 0, 0, 0, 0],
+                ],
+                "uncle_count": [
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 5584, 5553, 0],
+                    [0, 5628, 0, 5657, 0],
+                    [0, 5630, 5624, 0, 0],
+                    [0, 0, 0, 0, 0],
+                ],
+                "uncle_units": [
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 89348, 88672, 0],
+                    [0, 89460, 0, 89972, 0],
+                    [0, 89824, 89636, 0, 0],
+                    [0, 0, 0, 0, 0],
+                ],
+                "duration_total": "0x1.41fc109138608p+22",
+                "ratio_total": [
+                    "0x1.2d6ff12b3dc6dp+14", "0x1.0894014d7ee4ep+15", "0x1.7f5ff59408d8ep+12",
+                    "0x1.b87c333c6589ap+11", "0x1.4643b7ebac284p+11",
+                ],
+                "ratio_by_winner": [
+                    ["0x1.8ad0000000000p+12", "0x1.8ad0000000000p+12", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+                    ["0x1.0f1b72b020041p+12", "0x1.207f7bc5aa622p+13", "0x1.fac421d2ad04bp+10",
+                     "0x1.23a9f10fe0e42p+10", "0x1.ae346185983fcp+9"],
+                    ["0x1.0debca968a695p+12", "0x1.1fbbee5acb5c1p+13", "0x1.ffe08d29a5344p+10",
+                     "0x1.26a668a1cf575p+10", "0x1.b274490fabb73p+9"],
+                    ["0x1.0de887664cb85p+12", "0x1.1cac9b1585df1p+13", "0x1.016d93a9e8920p+11",
+                     "0x1.26a80cc71ad12p+10", "0x1.b86635196ca4ep+9"],
+                    ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+                ],
+            },
+        ),
+        "policy-m4": (
+            SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN), delayed, 5_000,
+            {
+                "rounds": 5000,
+                "win_counts": [4524, 336, 94, 34, 12],
+                "fork_pos_total": [0, 352, 149, 55, 20],
+                "length_total": [23106, 1682, 401, 138, 48],
+                "released_total": [0, 1346, 307, 104, 36],
+                "pegged_total": 25475,
+                "reward_units": [765024, 76192, 40959, 30696, 24724],
+                "nephew_count": [
+                    [2040, 1101, 634, 458, 291],
+                    [105, 120, 64, 23, 24],
+                    [28, 24, 28, 11, 3],
+                    [10, 8, 6, 8, 2],
+                    [2, 8, 1, 1, 0],
+                ],
+                "nephew_units": [
+                    [3188, 1702, 973, 707, 472],
+                    [192, 176, 92, 38, 40],
+                    [58, 39, 50, 17, 7],
+                    [19, 11, 8, 18, 1],
+                    [3, 16, 0, 0, 0],
+                ],
+                "uncle_count": [
+                    [0, 2085, 1914, 1681, 1413],
+                    [184, 0, 134, 112, 93],
+                    [32, 44, 0, 21, 20],
+                    [18, 18, 15, 0, 12],
+                    [6, 12, 8, 5, 0],
+                ],
+                "uncle_units": [
+                    [0, 30088, 27780, 24596, 21204],
+                    [2824, 0, 1908, 1612, 1368],
+                    [516, 648, 0, 308, 308],
+                    [300, 264, 208, 0, 172],
+                    [100, 176, 116, 72, 0],
+                ],
+                "duration_total": "0x1.77258e8852ed0p+19",
+                "ratio_total": [
+                    "0x1.20e5456dfc3bap+12", "0x1.95ef54a0a4a93p+11", "0x1.b62156beb6adap+10",
+                    "0x1.9d10ded41787cp+9", "0x1.cf31cea955d38p+9",
+                ],
+                "ratio_by_winner": [
+                    ["0x1.1ac0000000000p+12", "0x1.7022463cb6d5dp+11", "0x1.8abb73869254ap+10",
+                     "0x1.72103d8e576cdp+9", "0x1.a366a97ecd3cep+9"],
+                    ["0x1.dd9f9c9dec2abp+5", "0x1.a5f3e8963f048p+7", "0x1.f4182ed381f71p+6",
+                     "0x1.e88520200d4aap+5", "0x1.ffab3d86f6a3bp+5"],
+                    ["0x1.9014d5aa71ecfp+4", "0x1.fe1e92aaaf08ep+5", "0x1.e3c2daaaa1ee6p+4",
+                     "0x1.ceafae8756440p+3", "0x1.f8d606cded98cp+3"],
+                    ["0x1.33e2be2be2be3p+3", "0x1.570124f2d2995p+4", "0x1.91fdb61a5acd6p+3",
+                     "0x1.be6d62baca7a0p+2", "0x1.658e0979eb20cp+2"],
+                    ["0x1.0000000000000p+2", "0x1.8ea68bf303a34p+2", "0x1.7159740cfc5ccp+2",
+                     "0x1.c0b5c42c58acep+1", "0x1.21fd23eda00cap+1"],
+                ],
+            },
+        ),
+
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_total_matches_the_pinned_value(self, case):
+        config, policy, rounds, totals = self.CASES[case]
+        bank, _ = simulate_rounds(config, rounds, seed=7, termination_policy=policy)
+        assert list(totals) == list(EstimatorBank.TOTALS)
+        for name, want in totals.items():
+            got = getattr(bank, name)
+            if name in self.FLOATS:
+                got = np.vectorize(float.hex, otypes=[object])(got).tolist()
+            assert got == want, name
