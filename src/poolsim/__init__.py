@@ -12,7 +12,6 @@ from .engine import (
     Carryover,
     MiningClock,
     RoundOutcome,
-    ScriptClock,
     SimConfig,
     make_carryover,
     run_round,

@@ -194,7 +194,7 @@ def _trace_row(grid_idx: float, alpha_h: float, rep_idx: int, record) -> list:
     out = record.outcome
     return [
         grid_idx, f"{alpha_h:.6g}", rep_idx, record.index, out.winner,
-        out.length[HONEST], out.released, out.reserved, f"{out.duration!r}",
+        out.length[HONEST], out.released, out.reserved, f"{record.duration!r}",
         record.classification.uncle_count,
     ] + [f"{x!r}" for x in record.ratios.as_floats()] + [
         f"{p.total_units / UNITS_PER_BLOCK!r}" for p in record.rewards.per_pool

@@ -10,39 +10,38 @@ or every forked dishonest chain rides the honest tip, moving up with each
 honest block ("tip"). A dishonest winner may hold back part of its chain as
 a private lead for the next round.
 
-The clocks are exponential and restart each round, so the race has one
-draw rule: the miner of each block is an independent categorical draw with
-p_i proportional to the rate 1 / interarrival_scale(alpha_i, gamma, T) (a
-zero-power pool's rate is 0, so it never mines), and the gap before it is
-exponential with mean 1 / sum of the rates, so a round of k blocks lasts
-Gamma(k, 1 / sum of the rates). LaneDraws holds that rule, miners on a
-Philox generator on the run's seed and time on its jump. Both engines draw
-miners alike, but time by two rules of one law: the lanes draw one Gamma
-duration per round from its block count, and run_round sums MiningClock's
-exponential gaps.
+One time rule. The clocks are exponential and restart each round, so the
+race has one draw rule: the miner of each block is an independent
+categorical draw with p_i proportional to the rate
+1 / interarrival_scale(alpha_i, gamma, T) (a zero-power pool's rate is 0,
+so it never mines), independent of the exponential gaps, whose mean is
+1 / sum of the rates. So a round of k blocks lasts Gamma(k, 1 / sum of the
+rates), the only time quantity the model needs. LaneDraws holds the rule:
+miners on a Philox generator on the run's seed, and durations(events), one
+Gamma draw per round from its block count, on its jump. The engines keep
+no clock: each is a function of its rounds' owner sequences, and
+pipeline.simulate_rounds draws every block's durations once.
 
 The engines share one set of round rules. run_round plays one round at a
-time from an event source and takes a carryover and a termination policy;
-pipeline.chained_rounds chains its rounds for withholding runs and the
-oracle. Its event sources are plain iterators of (pool, gap) pairs, and
-run_round sums the gaps into the round's clock from zero: MiningClock
-reads the draw rule one event at a time, and ScriptClock replays a fixed
-script. play_lanes plays a block of eager rounds (no policy) and returns
-it as Lanes; lane_columns builds its RoundColumns, the form the columnar
-close consumes, from those and draws the rounds' durations, and
-metrics.win_fraction_run, which only counts winners, never calls it.
-Eager rounds never reserve a block, so each starts afresh and the rounds
-are i.i.d., and a round's state is a fixed function of its block owners.
-So prefix_states grows every state of a round's first blocks once, equal
-states merged, by the lane step (race) that also plays on the rounds left
-open; prefix_table weighs them per config, and play_lanes draws each
-round's state there and races only the rounds still open, side by side as
-rows of one matrix.
+time from an event source, a plain iterator of pool indices, and takes a
+carryover and a termination policy; pipeline.chained_rounds chains its
+rounds for withholding runs and the oracle. MiningClock yields the draw
+rule's miners one at a time, and a fixed script is iter(owners).
+play_lanes plays a block of eager rounds (no policy) and returns it as
+Lanes; lane_columns builds its RoundColumns, the form the columnar close
+consumes, from those, and metrics.win_fraction_run, which only counts
+winners, never calls it. Eager rounds never reserve a block, so each
+starts afresh and the rounds are i.i.d., and a round's state is a fixed
+function of its block owners. So prefix_states grows every state of a
+round's first blocks once, equal states merged, by the lane step (race)
+that also plays on the rounds left open; prefix_table weighs them per
+config, and play_lanes draws each round's state there and races only the
+rounds still open, side by side as rows of one matrix.
 
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
-holds consecutive rounds that way, one row each, with one matrix column
-per pool, then each round's event count and top two; run_round's
+holds consecutive rounds that way, one integer row each, with one matrix
+column per pool, then each round's event count and top two; run_round's
 RoundOutcome is one such row, with the per-pool columns as tuples.
 round_columns and round_outcomes are the two inverse maps between them.
 Lanes holds eager rounds in play, and prefix states, the same way, as
@@ -66,22 +65,22 @@ honest length at the end.
 Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in round
 order. A block first draws one uniform per round, in round order, which
 picks the round's prefix table row; then each step draws one miner per
-round still open, in increasing round order, until none is. The time
-stream gives one Gamma duration per round, in round order, block by block,
-which lane_columns draws; win_fraction_run draws none.
-MiningClock draws CLOCK_BATCH miners and CLOCK_BATCH exponential gaps at a
-time and hands them out in order across rounds. After the last round, if it
-reserved nothing, simulate_rounds draws one more miner, of the block that
-closes it. Results therefore depend on the seed alone, never on
-scheduling.
+round still open, in increasing round order, until none is. MiningClock
+draws CLOCK_BATCH miners at a time and hands them out in order across
+rounds. After the last round, if it reserved nothing, simulate_rounds
+draws one more miner, of the block that closes it. The time stream gives
+one Gamma duration per round, in round order, block by block, for lane
+and policy blocks alike (win_fraction_run draws none); one Gamma call over
+many rounds equals the same draws block by block, so no block size moves
+it. Results therefore depend on the seed alone, never on scheduling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,7 +158,6 @@ class RoundColumns(NamedTuple):
     released: np.ndarray  # winner's own blocks pegged (0 on an honest win)
     reserved: np.ndarray  # winner's blocks held back as next round's private lead
     pegged: np.ndarray  # main-chain length: honest length, or fork position plus released
-    duration: np.ndarray  # float
     first_owner: np.ndarray  # owner of the round's first block (carried or mined)
     events: np.ndarray  # blocks mined this round (carryover blocks excluded)
     longest: np.ndarray  # leader's generalized length at termination
@@ -178,7 +176,6 @@ class RoundOutcome(NamedTuple):
     released: int
     reserved: int
     pegged: int
-    duration: float
     first_owner: int
     events: int  # blocks mined this round (carryover blocks excluded)
     longest: int  # leader's generalized length at termination
@@ -187,10 +184,7 @@ class RoundOutcome(NamedTuple):
 
 def round_columns(outcomes: Sequence[RoundOutcome]) -> RoundColumns:
     """Columns of consecutive round outcomes; round_outcomes reads them back."""
-    return RoundColumns._make(
-        np.array(column, dtype=np.float64 if name == "duration" else np.int32)
-        for column, name in zip(zip(*outcomes), RoundColumns._fields)
-    )
+    return RoundColumns._make(np.array(column, dtype=np.int32) for column in zip(*outcomes))
 
 
 def round_outcomes(columns: RoundColumns) -> Iterator[RoundOutcome]:
@@ -247,7 +241,7 @@ class LaneDraws:
     drawn. Lanes read uniforms(rounds), one per round from the miners'
     stream, each picking its round's first blocks from the prefix table;
     pools(lanes), the next miner of each listed round; and
-    durations(events), one Gamma draw per round from its block count.
+    durations(events), the one time draw: a Gamma per round from its count.
     """
 
     def __init__(self, config: SimConfig, seed=0):
@@ -260,7 +254,7 @@ class LaneDraws:
         self._mean_gap = 1.0 / rates.sum()
         bits = np.random.Philox(seed)
         self._gen = np.random.Generator(bits)  # miners
-        self._time = np.random.Generator(bits.jumped())  # gaps and durations
+        self._time = np.random.Generator(bits.jumped())  # durations
 
     def miners(self, n: int) -> np.ndarray:
         u = self._gen.random(n)
@@ -283,46 +277,29 @@ CLOCK_BATCH = 1024  # events MiningClock draws at a time
 
 
 class MiningClock(LaneDraws):
-    """Event source for run_round: the draw rule read one event at a time.
-
-    Iterating gives (pool, gap) events: each miner comes from miners() and
-    the gap before it, on the time stream, is exponential with the race's
-    mean gap. Every iteration continues one stream, so create one clock per
-    replication and reuse it across rounds.
-    """
+    """Event source for run_round: the draw rule's miners, read from
+    miners() CLOCK_BATCH at a time. Every iteration continues one stream,
+    so create one clock per replication and reuse it across rounds; its
+    rounds' durations come from durations(), as the lanes' do."""
 
     def __init__(self, config: SimConfig, seed=0):
         super().__init__(config, seed)
-        self._events = self._refills()
+        # iter(f, None) calls f for ever: f never returns None.
+        self._events = chain.from_iterable(iter(lambda: self.miners(CLOCK_BATCH).tolist(), None))
 
-    def _refills(self) -> Iterator[Tuple[int, float]]:
-        while True:
-            pools = self.miners(CLOCK_BATCH).tolist()
-            yield from zip(pools, self._time.exponential(self._mean_gap, CLOCK_BATCH).tolist())
-
-    def __iter__(self) -> Iterator[Tuple[int, float]]:
-        return self._events
-
-
-class ScriptClock:
-    """Deterministic event source replaying a fixed pool order with unit
-    gaps; a round it cannot finish raises ScriptExhausted."""
-
-    def __init__(self, events: Sequence[int]):
-        self._events = zip(events, repeat(1.0))
-
-    def __iter__(self) -> Iterator[Tuple[int, float]]:
+    def __iter__(self) -> Iterator[int]:
         return self._events
 
 
 def run_round(
     config: SimConfig,
     carryover: Optional[Carryover],
-    clock,
+    miners: Iterable[int],
     termination_policy: Optional[TerminationPolicy] = None,
 ) -> RoundOutcome:
-    """Play one round of mining competition from clock's (pool, gap) events
-    and return its outcome.
+    """Play one round of mining competition from `miners`, the pools that
+    mine its blocks in order, and return its outcome: a function of that
+    owner sequence alone, whose duration is drawn from its event count.
 
     Termination is re-evaluated after every single-block event; an honest
     leader at the threshold ends the round outright, a dishonest leader ends
@@ -354,9 +331,7 @@ def run_round(
         length[z] = longest = carryover.private_blocks
         first_owner = leader = z
 
-    now = 0.0
-    for pool, gap in clock:
-        now += gap
+    for pool in miners:
         mined += 1
         if first_owner < 0:
             first_owner = pool
@@ -396,7 +371,7 @@ def run_round(
         pegged = fork_pos[leader] + released
 
     return RoundOutcome(
-        leader, tuple(fork_pos), tuple(length), released, reserved, pegged, now, first_owner, mined, longest, second
+        leader, tuple(fork_pos), tuple(length), released, reserved, pegged, first_owner, mined, longest, second
     )
 
 
@@ -578,12 +553,12 @@ def prefix_table(config: SimConfig) -> PrefixTable:
     return table
 
 
-def lane_columns(config: SimConfig, lanes: Lanes, durations: Callable[[np.ndarray], np.ndarray]) -> RoundColumns:
-    """The columns of a block of eager rounds as play_lanes leaves them,
-    with durations(events) drawing each round's duration from its event
-    count: the tip fork positions and the released and pegged counts are
-    built here, so a caller that only counts winners never builds them.
-    The columns are views of one column-major copy of the block's rows."""
+def lane_columns(config: SimConfig, lanes: Lanes) -> RoundColumns:
+    """The columns of a block of eager rounds as play_lanes leaves them: the
+    tip fork positions and the released and pegged counts are built here,
+    so a caller that only counts winners never builds them. The columns are
+    views of one column-major copy of the block's rows; the caller draws
+    the rounds' durations from their event counts."""
     lanes = Lanes(np.asfortranarray(lanes.rows))  # every column contiguous
     length, fork_pos, winner, longest = lanes.own, lanes.fork_pos, lanes.winner, lanes.longest
     if config.fork_rule == FORK_TIP:
@@ -593,11 +568,10 @@ def lane_columns(config: SimConfig, lanes: Lanes, durations: Callable[[np.ndarra
     # An eager round ends at a lead of exactly lead_threshold, where
     # release_count releases the winner's whole chain under either policy,
     # so the main chain is the winner's generalized length: the top.
-    released, events = np.where(winner != HONEST, own_win, 0), lanes.events
+    released = np.where(winner != HONEST, own_win, 0)
     return RoundColumns(
         winner=winner, fork_pos=fork_pos, length=length, released=released, reserved=np.zeros_like(released),
-        pegged=longest, duration=durations(events), first_owner=lanes.first_owner, events=events,
-        longest=longest, second=lanes.second,
+        pegged=longest, first_owner=lanes.first_owner, events=lanes.events, longest=longest, second=lanes.second,
     )
 
 

@@ -174,7 +174,7 @@ class EstimatorBank:
             "nephew_units": total(closed.prev_uncle_count, nephew_cells, n * n).reshape(n, n),
             "uncle_count": uncles.sum(axis=2),
             "uncle_units": uncles @ uncle_units(np.arange(1, reach)),
-            "duration_total": rounds.duration.sum(),
+            "duration_total": closed.duration.sum(),
             "ratio_total": np.array([r.sum() for r in ratios]),
             "ratio_by_winner": np.stack([np.bincount(winner, r, n) for r in ratios], axis=1),
         }
@@ -187,12 +187,13 @@ class EstimatorBank:
 
     def update(self, record: RoundRecord) -> None:
         """Take in one closed round's record; the one-row case of add. The
-        round closes again from its outcome, its nephew's owner (None when
-        the nephew is reserved) and the nephew units booked to its first
-        owner, which are the previous round's uncle count."""
+        round closes again from its outcome, its duration, its nephew's
+        owner (None when the nephew is reserved) and the nephew units booked
+        to its first owner, which are the previous round's uncle count."""
         outcome, nephew = record.outcome, record.classification.nephew
         self.add(close_columns(
             round_columns([outcome]),
+            np.array([record.duration]),
             None if nephew.from_reserve else nephew.owner,
             record.rewards.per_pool[outcome.first_owner].nephew_units,
         ))

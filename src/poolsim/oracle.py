@@ -29,13 +29,14 @@ from itertools import product
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .engine import (
     FORK_TIP,
     HONEST,
     RELEASE_ALL,
     Carryover,
     RoundOutcome,
-    ScriptClock,
     SimConfig,
     round_columns,
 )
@@ -289,7 +290,7 @@ def _snapshot(
     state: RoundTree,
     winner: int,
     released: int,
-    duration: float,
+    events: int,
     first_owner: int,
     lengths: SortedLengths,
 ) -> RoundOutcome:
@@ -301,9 +302,8 @@ def _snapshot(
         released=released if winner != HONEST else 0,
         reserved=(own - released) if winner != HONEST else 0,
         pegged=len(select_main_chain(state, winner, released)),
-        duration=duration,
         first_owner=first_owner,
-        events=int(duration),
+        events=events,
         longest=lengths.omega1,
         second=lengths.omega2,
     )
@@ -364,7 +364,7 @@ def replay_script(script: EventScript, config: SimConfig) -> List[ScriptRound]:
         if closed is None:
             break  # script exhausted mid-round
         winner, released, lengths = closed
-        rounds.append(ScriptRound(_snapshot(state, winner, released, float(mined), first_owner, lengths), state))
+        rounds.append(ScriptRound(_snapshot(state, winner, released, mined, first_owner, lengths), state))
         # The winner's blocks past the released ones stay private for the next round.
         kept = state.subchain(winner).length - released if winner != HONEST else 0
         carry = Carryover(winner, kept) if kept else None
@@ -382,11 +382,12 @@ def close_replay(
 
     Only the last round's nephew depends on that owner. It may be None only
     when the last round reserved blocks, whose first is then its nephew.
+    Scripts have no time, so every round's duration is 0.
     """
     outcomes = [entry.outcome for entry in rounds]
     columns = round_columns(outcomes)
     for owner in next_first_owners:
-        yield list(round_records(close_columns(columns, owner, 0), outcomes, 1))
+        yield list(round_records(close_columns(columns, np.zeros(len(outcomes)), owner, 0), outcomes, 1))
 
 
 # -- independent reference analysis -------------------------------------------
@@ -617,7 +618,7 @@ def enumerate_and_check(
         except IncompleteScript:
             continue
 
-        engine_rounds = list(chained_rounds(config, ScriptClock(events), carryover=script.carryover))
+        engine_rounds = list(chained_rounds(config, iter(events), carryover=script.carryover))
         if len(engine_rounds) != len(rounds):
             report.add(events, f"engine closed {len(engine_rounds)} rounds, replay closed {len(rounds)}")
         # The replay's pegged count is the length of its selected main chain.

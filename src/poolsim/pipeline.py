@@ -6,18 +6,19 @@ rewards with the one-round-late nephew reference, and hands the block to
 the estimator bank. An eager run (no termination policy) plays its rounds
 as lane blocks of the engine; a run with a policy plays them one at a time
 with run_round, chained through carryover by chained_rounds, in blocks of
-up to CLOSE_ROWS. A round's nephew is its first reserved block, or else the
-next round's first block, so each block waits, as columns, until the next
-one has been played; the uncle count the next nephew reference needs
-carries across blocks. After the last block one extra first-block miner is
+up to CLOSE_ROWS. Neither engine keeps time: each block's durations are
+drawn once from its event counts (LaneDraws.durations) as it closes. A
+round's nephew is its first reserved block, or else the next round's first
+block, so each block waits, as columns, until the next one has been
+played; the uncle count the next nephew reference needs carries across
+blocks. After the last block one extra first-block miner is
 drawn just to close it when its last round reserved nothing; that block
 books nothing.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +51,7 @@ class RoundRecord(NamedTuple):
     classification: Classification
     ratios: RoundRatios
     rewards: RewardVector
+    duration: float  # drawn from outcome.events by the one time rule
 
 
 def _rows(columns: tuple, start: int, stop: int) -> tuple:
@@ -57,6 +59,18 @@ def _rows(columns: tuple, start: int, stop: int) -> tuple:
     return type(columns)._make(
         c[start:stop] if isinstance(c, np.ndarray) else _rows(c, start, stop) for c in columns
     )
+
+
+class _Interned(dict):
+    """Records of one kind by row: a row read for the first time builds its
+    record, so equal rows share one."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def __missing__(self, row: tuple):
+        record = self[row] = self.kind._make(row)
+        return record
 
 
 def round_records(
@@ -67,38 +81,38 @@ def round_records(
     outcomes, each slice's are built from its rows. Equal rows share one
     record."""
     rows, pools = closed.rounds.length.shape
-    nephew_of, ratios_of, pay_of = map(lru_cache(maxsize=None), (NephewRecord, RoundRatios, PoolReward))
+    nephew_of, ratios_of, pay_of = map(_Interned, (NephewRecord, RoundRatios, PoolReward))
     for start in range(0, rows, CLOSE_ROWS):
         part = closed if rows <= CLOSE_ROWS else _rows(closed, start, start + CLOSE_ROWS)
         rounds = part.rounds
         played = round_outcomes(rounds) if outcomes is None else outcomes[start:start + CLOSE_ROWS]
         nephew_fields = (part.nephew_owner, part.nephew_height, part.from_reserve)
-        nephews = map(nephew_of, *(c.tolist() for c in nephew_fields))
+        nephews = map(nephew_of.__getitem__, zip(*(c.tolist() for c in nephew_fields)))
         numerators = ratio_numerators(rounds.pegged, part.orphan, rounds.released, part.uncle_count)
-        ratios = map(ratios_of, *(c.tolist() for c in numerators))
+        ratios = map(ratios_of.__getitem__, zip(*(c.tolist() for c in numerators)))
         units = reward_columns(rounds, part.uncle_distance, part.prev_uncle_count)
         # One PoolReward per pool and round, regrouped into each round's tuple.
-        pays = zip(*[map(pay_of, *(m.ravel().tolist() for m in units))] * pools)
+        pays = zip(*[map(pay_of.__getitem__, zip(*(m.ravel().tolist() for m in units)))] * pools)
         columns = zip(
             played, rounds.pegged.tolist(), part.orphan.tolist(), part.stale.tolist(),
-            uncle_records(part.nephew_height, part.uncle_distance), nephews, ratios, pays,
+            uncle_records(part.nephew_height, part.uncle_distance), nephews, ratios, pays, part.duration.tolist(),
         )
-        for index, (outcome, regular, orphan, stale, uncles, nephew, ratio, per_pool) in enumerate(
+        for index, (outcome, regular, orphan, stale, uncles, nephew, ratio, per_pool, duration) in enumerate(
             columns, start=first_index + start
         ):
             classification = Classification(regular, orphan, uncles, stale, nephew)
-            yield RoundRecord(index, outcome, classification, ratio, RewardVector(per_pool))
+            yield RoundRecord(index, outcome, classification, ratio, RewardVector(per_pool), duration)
 
 
 def chained_rounds(
-    config: SimConfig, clock, termination_policy: Optional[TerminationPolicy] = None,
+    config: SimConfig, miners: Iterable[int], termination_policy: Optional[TerminationPolicy] = None,
     carryover: Optional[Carryover] = None,
 ) -> Iterator[RoundOutcome]:
-    """run_round's rounds on one event source, each starting from the carry
-    the round before it left, until the source runs out."""
+    """run_round's rounds on one miner iterator, each starting from the
+    carry the round before it left, until the iterator runs out."""
     while True:
         try:
-            outcome = run_round(config, carryover, clock, termination_policy)
+            outcome = run_round(config, carryover, miners, termination_policy)
         except ScriptExhausted:
             return
         yield outcome
@@ -138,7 +152,7 @@ def simulate_rounds(
             next_owner = int(after.first_owner[0])
         else:
             next_owner = None if columns.reserved[-1] else int(draws.miners(1)[0])
-        closed = close_columns(columns, next_owner, prev_uncles)
+        closed = close_columns(columns, draws.durations(columns.events), next_owner, prev_uncles)
         bank.add(closed)
         if on_record is not None or records is not None:
             for record in round_records(closed, played, closed_rounds + 1):
@@ -153,11 +167,12 @@ def simulate_rounds(
 
     # Blocks of (columns, the outcomes run_round played, or None for a lane
     # block): a policy block keeps the outcomes it was built from, so records
-    # never rebuild them. A lane block's columns, durations included, are
-    # built as soon as it is played, so its rows can go.
+    # never rebuild them. A lane block's columns are built as soon as it is
+    # played, so its rows can go. MiningClock is a LaneDraws, so both kinds
+    # of block draw their durations from `draws`.
     if termination_policy is None:
         draws = LaneDraws(config, seed)
-        blocks = ((lane_columns(config, lanes, draws.durations), None) for lanes in lane_blocks(config, rounds, draws))
+        blocks = ((lane_columns(config, lanes), None) for lanes in lane_blocks(config, rounds, draws))
     else:
         draws = MiningClock(config, seed)
         chain = chained_rounds(config, draws, termination_policy)

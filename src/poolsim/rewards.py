@@ -64,11 +64,13 @@ class RewardVector(NamedTuple):
 
 
 class ClosedRounds(NamedTuple):
-    """A buffer of consecutive rounds closed together: their columns and
-    their classification, one row per round. uncle_distance has one column
-    per pool; the booked units are read off the rows (reward_columns)."""
+    """A buffer of consecutive rounds closed together: their columns, their
+    durations and their classification, one row per round. uncle_distance
+    has one column per pool; the booked units are read off the rows
+    (reward_columns)."""
 
     rounds: RoundColumns
+    duration: np.ndarray  # float: drawn from the events by the one time rule (0 for a script)
     nephew_owner: np.ndarray
     nephew_height: np.ndarray
     from_reserve: np.ndarray
@@ -101,8 +103,10 @@ def reward_columns(
     return regular, uncle, nephew
 
 
-def close_columns(rounds: RoundColumns, next_first_owner: Optional[int], prev_uncle_count: int) -> ClosedRounds:
-    """Classify a buffer of consecutive rounds.
+def close_columns(
+    rounds: RoundColumns, duration: np.ndarray, next_first_owner: Optional[int], prev_uncle_count: int
+) -> ClosedRounds:
+    """Classify a buffer of consecutive rounds, whose durations it carries.
 
     next_first_owner owns the first block after the buffer (None if the last
     round reserved blocks); prev_uncle_count is the uncle count of the round
@@ -112,7 +116,7 @@ def close_columns(rounds: RoundColumns, next_first_owner: Optional[int], prev_un
     distance = uncle_columns(rounds, nephew[1])
     uncle_count = np.count_nonzero(distance, axis=1)
     prev = np.concatenate(([prev_uncle_count], uncle_count[:-1]))
-    return ClosedRounds(rounds, *nephew, distance, uncle_count, *block_counts(rounds, uncle_count), prev)
+    return ClosedRounds(rounds, duration, *nephew, distance, uncle_count, *block_counts(rounds, uncle_count), prev)
 
 
 def allocate(

@@ -4,7 +4,7 @@ from poolsim.engine import RoundOutcome
 from poolsim.engine import HONEST
 
 
-def build_outcome(winner, honest_len, pools, released=0, first_owner=HONEST, duration=1.0):
+def build_outcome(winner, honest_len, pools, released=0, first_owner=HONEST):
     """Assemble a RoundOutcome for classifier/allocator tests.
 
     pools is one (forked, fork_position, length) triple per dishonest pool;
@@ -33,7 +33,6 @@ def build_outcome(winner, honest_len, pools, released=0, first_owner=HONEST, dur
         released=rel,
         reserved=reserved,
         pegged=pegged,
-        duration=duration,
         first_owner=first_owner,
         events=sum(length),
         longest=gens[0],

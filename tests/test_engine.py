@@ -13,7 +13,6 @@ from poolsim.engine import (
     RELEASE_MIN,
     Carryover,
     MiningClock,
-    ScriptClock,
     ScriptExhausted,
     SimConfig,
     interarrival_scale,
@@ -34,9 +33,9 @@ class RecordingClock:
         self.events = []
 
     def __iter__(self):
-        for pool, gap in self.clock:
+        for pool in self.clock:
             self.events.append(pool)
-            yield pool, gap
+            yield pool
 
 
 def replay_pegged(events, out, alphas=(0.4, 0.3, 0.3), **cfg):
@@ -49,7 +48,7 @@ def replay_pegged(events, out, alphas=(0.4, 0.3, 0.3), **cfg):
 
 def scripted_round(events, alphas=(0.4, 0.3, 0.3), carry=None, policy=None, **cfg):
     config = SimConfig.from_alphas(alphas, **cfg)
-    return run_round(config, carry, ScriptClock(events), policy)
+    return run_round(config, carry, iter(events), policy)
 
 
 class TestSimConfig:
@@ -108,17 +107,11 @@ class TestSimConfig:
             SimConfig.from_alphas([0.6, 0.4], **{field: value})
 
 
-class PinnedGenerator:
-    """Generator stub: every uniform is u, every exponential draw its mean."""
+class MeanGenerator:
+    """Generator stub: every Gamma draw is its mean."""
 
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n):
-        return np.full(n, self.u)
-
-    def exponential(self, scale, n):
-        return np.full(n, scale)
+    def gamma(self, shape, scale):
+        return np.asarray(shape) * scale
 
 
 def clock_events(clock, n):
@@ -126,17 +119,18 @@ def clock_events(clock, n):
 
 
 class TestSampleInterarrival:
-    """The events MiningClock draws: miners by rate, gaps of the race's mean."""
+    """What MiningClock draws: miners by rate, and through durations() a
+    round of k blocks lasting Gamma(k, the race's mean gap)."""
 
     def pinned_gap(self, alpha):
         clock = MiningClock(SimConfig.from_alphas([alpha, 0.0], gamma=10.0, mean_block_time=15.0))
-        clock._gen = clock._time = PinnedGenerator(0.5)
-        [(_, gap)] = clock_events(clock, 1)
+        clock._time = MeanGenerator()
+        [gap] = clock.durations(np.array([1]))
         return gap
 
     def test_direct_substitution_half_power(self):
-        # With the exponential draw pinned to its mean, a lone pool with half
-        # the power and gamma 10 needs 15 * (2 + 0.1) seconds.
+        # With the Gamma draw pinned to its mean, one block of a lone pool
+        # with half the power and gamma 10 takes 15 * (2 + 0.1) seconds.
         assert self.pinned_gap(0.5) == pytest.approx(31.5, rel=1e-12)
 
     def test_direct_substitution_full_power(self):
@@ -144,31 +138,32 @@ class TestSampleInterarrival:
 
     def test_zero_power_pool_never_scheduled(self):
         clock = MiningClock(SimConfig.from_alphas([0.5, 0.0, 0.5]), seed=4)
-        assert {pool for pool, _ in clock_events(clock, 5000)} == {0, 2}
+        assert set(clock_events(clock, 5000)) == {0, 2}
 
     def test_monte_carlo_mean_matches_closed_form(self):
         clock = MiningClock(SimConfig.from_alphas([0.6, 0.0], gamma=10.0, mean_block_time=15.0), seed=7)
         n = 10**6
-        now = sum(gap for _, gap in islice(clock, n))
+        now = clock.durations(np.ones(n, dtype=np.int64)).sum()
         assert abs(now / n - 26.5) < 0.1
 
     def test_sampler_matches_vectorized_transform(self):
         # 2,100 events cross two refills: each takes CLOCK_BATCH uniforms for
-        # the miners from a Philox generator on the seed, and CLOCK_BATCH
-        # exponential gaps from the same generator jumped ahead.
+        # the miners from a Philox generator on the seed. Durations are one
+        # Gamma draw per round, from the same generator jumped ahead.
         config = SimConfig.from_alphas([0.5, 0.3, 0.2])
         seed = np.random.SeedSequence(11)
-        events = clock_events(MiningClock(config, seed), 2100)
+        clock = MiningClock(config, seed)
+        events = clock_events(clock, 2100)
         rates = np.array([1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas])
         edges = np.cumsum(rates)[:-1] / rates.sum()
         miners = np.random.Generator(np.random.Philox(seed))
         time = np.random.Generator(np.random.Philox(seed).jumped())
-        pools, gaps = [], []
+        pools = []
         for _ in range(3):
             pools += edges.searchsorted(miners.random(CLOCK_BATCH), side="right").tolist()
-            gaps += time.exponential(1.0 / rates.sum(), CLOCK_BATCH).tolist()
-        assert [pool for pool, _ in events] == pools[:2100]
-        assert [gap for _, gap in events] == gaps[:2100]
+        assert events == pools[:2100]
+        counts = np.arange(1, 60)
+        assert clock.durations(counts).tolist() == time.gamma(counts, 1.0 / rates.sum()).tolist()
 
     def test_scale_is_inverse_power_plus_communication(self):
         assert interarrival_scale(0.5, 10.0, 15.0) == pytest.approx(31.5)
@@ -183,7 +178,7 @@ class TestRunRoundScripted:
         assert replay_pegged([0, 0], out) == (Block(0, 1, 1), Block(0, 2, 2))
         assert out.pegged == 2
         assert out.released == 0 and out.reserved == 0
-        assert out.duration == 2.0
+        assert out.events == 2
         assert out.first_owner == HONEST
 
     def test_two_dishonest_blocks_claim_the_round(self):
@@ -318,12 +313,13 @@ class TestCarryover:
     def test_big_carryover_claims_after_one_mined_block(self):
         out = scripted_round([0], carry=Carryover(1, 3))
         assert out.winner == 1
-        assert out.duration == 1.0  # the one-block floor keeps duration positive
+        assert out.events == 1  # the one-block floor keeps duration positive
         assert out.released == 3 and out.reserved == 0
 
     def test_carryover_floor_blocks_zero_duration_rounds(self):
-        out = scripted_round([2], carry=Carryover(1, 5), alphas=(0.4, 0.3, 0.3))
-        assert out.duration > 0.0
+        alphas = (0.4, 0.3, 0.3)
+        out = scripted_round([2], carry=Carryover(1, 5), alphas=alphas)
+        assert MiningClock(SimConfig.from_alphas(alphas)).durations(np.array([out.events]))[0] > 0.0
         assert out.events == 1
 
 
@@ -331,24 +327,31 @@ class ReferenceClock:
     """The race as the model states it, on its own generator: every pool
     holds an exponential timestamp, all restarted each round (run_round
     iterates its source once per round); the first minimum mines and draws
-    its next gap."""
+    its next gap. elapsed holds each round's time: the timestamp of its
+    last block."""
 
     def __init__(self, config, seed):
         self.rng = random.Random(seed)
         self.rates = [1.0 / interarrival_scale(a, config.gamma, config.mean_block_time) for a in config.alphas]
+        self.elapsed = []
 
     def gap(self, rate):
         return self.rng.expovariate(rate) if rate > 0.0 else math.inf
 
     def __iter__(self):
         pending = [self.gap(rate) for rate in self.rates]
-        now = 0.0
+        self.elapsed.append(0.0)
         while True:
             at = min(pending)
             pool = pending.index(at)
             pending[pool] = at + self.gap(self.rates[pool])
-            yield pool, at - now
-            now = at
+            self.elapsed[-1] = at
+            yield pool
+
+    def durations(self, events):
+        """The times the race took for the rounds played, whose event counts are `events`."""
+        assert len(self.elapsed) == len(events)
+        return np.array(self.elapsed)
 
 
 def z_score(a, b):
@@ -359,18 +362,16 @@ def z_score(a, b):
 
 
 class TestMiningClock:
-    """MiningClock's categorical draw against the per-pool race it stands
-    for: 22 two-sample comparisons, |z| > 4 has probability 6e-5 each."""
+    """MiningClock's categorical draw, with the time rule's durations for
+    its rounds, against the per-pool race they stand for and the time it
+    took: 22 two-sample comparisons, |z| > 4 has probability 6e-5 each."""
 
     ROUNDS = 40_000
 
     def samples(self, config, clock):
         outs = [run_round(config, None, clock) for _ in range(self.ROUNDS)]
-        return (
-            np.array([o.winner for o in outs]),
-            np.array([o.events for o in outs], dtype=float),
-            np.array([o.duration for o in outs]),
-        )
+        events = np.array([o.events for o in outs])
+        return np.array([o.winner for o in outs]), events.astype(float), clock.durations(events)
 
     @pytest.mark.parametrize("alphas,rule", [
         ((0.55, 0.45), FORK_ANCHORED),
@@ -401,25 +402,22 @@ class TestStochasticRounds:
     def test_degenerate_single_miner_always_wins_with_two_blocks(self):
         config = SimConfig.from_alphas([1.0, 0.0, 0.0], gamma=10.0)
         clock = MiningClock(config, seed=1)
+        events = []
         for _ in range(200):
             out = run_round(config, None, clock)
             assert out.winner == HONEST
             assert out.length[HONEST] == 2
-            assert out.duration > 0.0
+            events.append(out.events)
+        assert (clock.durations(np.array(events)) > 0.0).all()
 
     def test_degenerate_mean_duration_near_closed_form(self):
         # Two inter-arrival draws of mean 15 * (1/1 + 1/10) = 16.5 s each.
         config = SimConfig.from_alphas([1.0, 0.0], gamma=10.0)
         clock = MiningClock(config, seed=2)
-        total = 0.0
         n = 30_000
-        for _ in range(n):
-            total += run_round(config, None, clock).duration
+        events = np.array([run_round(config, None, clock).events for _ in range(n)])
+        total = clock.durations(events).sum()
         assert abs(total / n - 33.0) / 33.0 < 0.02
-
-    def test_duration_is_sum_of_event_gaps(self):
-        out = scripted_round([1, 0, 1, 1])
-        assert out.duration == 4.0 and out.events == 4
 
     def test_eager_rounds_end_at_exactly_two_lead(self):
         config = SimConfig.from_alphas([0.5, 0.37, 0.13])

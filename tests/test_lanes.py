@@ -12,10 +12,11 @@ The prefix table's states are checked against every owner sequence of a
 short length, and its masses against run_round on them. The oracle checks
 run_round against an independent tree replay on the same scripts, so this
 carries that check over to the lanes. The draw-order tests pin down which
-rounds each draw is for, and when durations are drawn, which every seeded
-eager run rests on. The statistical tests compare seeded lane runs with
-run_round runs on MiningClock, seeded apart, on win fractions, mean events
-and mean duration.
+rounds each draw is for, and that the engine draws no duration, which every
+seeded eager run rests on. The statistical tests compare seeded lane runs
+with run_round runs on MiningClock, seeded apart, on win fractions, mean
+events and mean duration, each engine's durations drawn from its event
+counts by the one time rule.
 """
 import math
 from collections import Counter, defaultdict
@@ -37,7 +38,6 @@ from poolsim.engine import (
     MiningClock,
     RoundColumns,
     RoundOutcome,
-    ScriptClock,
     ScriptExhausted,
     SimConfig,
     lane_blocks,
@@ -79,8 +79,7 @@ def replay(config, scripts, last=None):
 
 
 class ScriptDraws:
-    """Lane event source replaying one script per round, with unit gaps like
-    ScriptClock. uniforms() draws for each round the prefix table row its
+    """Lane event source replaying one script per round. uniforms() draws for each round the prefix table row its
     script reaches after the table's length, found by replaying it there;
     pools() then reads on in each round's own script through its own
     cursor, since rounds stay open for different numbers of steps."""
@@ -107,9 +106,6 @@ class ScriptDraws:
         pools = self.table[rounds, self.cursor[rounds]]
         self.cursor[rounds] += 1
         return pools
-
-    def durations(self, events):
-        return events.astype(float)
 
 
 def sequence_blocks(pools):
@@ -140,7 +136,7 @@ def first_rounds(config, candidates):
     scripts, outcomes = [], []
     for script in candidates:
         try:
-            outcome = run_round(config, None, ScriptClock(script))
+            outcome = run_round(config, None, iter(script))
         except ScriptExhausted:
             continue
         scripts.append(script)
@@ -153,21 +149,19 @@ def script_config(pools, **kwargs):
 
 
 def column_blocks(config, rounds, draws):
-    """lane_blocks' blocks as columns, each block's durations drawn as simulate_rounds draws them."""
-    return [lane_columns(config, lanes, draws.durations) for lanes in lane_blocks(config, rounds, draws)]
+    """lane_blocks' blocks as columns."""
+    return [lane_columns(config, lanes) for lanes in lane_blocks(config, rounds, draws)]
 
 
 def assert_lanes_replay(config, scripts, want):
     """play_lanes on the scripts gives every round run_round gave on them."""
     [columns] = column_blocks(config, len(scripts), ScriptDraws(config, scripts))
     got = list(round_outcomes(columns))
-    # Durations come from the event source, not the rules.
-    assert [o._replace(duration=0.0) for o in got] == [o._replace(duration=0.0) for o in want]
+    assert got == want
     assert [o.pegged for o in got] == [o.pegged for o in want]
     expected = round_columns(want)
     for name in columns._fields:
-        if name != "duration":
-            assert np.array_equal(getattr(columns, name), getattr(expected, name)), name
+        assert np.array_equal(getattr(columns, name), getattr(expected, name)), name
 
 
 class TestScriptEquivalence:
@@ -250,19 +244,18 @@ class TestRoundFormat:
 def scalar_samples(config, rounds, seed):
     clock = MiningClock(config, seed=seed)
     outs = [run_round(config, None, clock) for _ in range(rounds)]
-    return (
-        np.array([o.winner for o in outs]),
-        np.array([o.events for o in outs], dtype=float),
-        np.array([o.duration for o in outs]),
-    )
+    events = np.array([o.events for o in outs])
+    return np.array([o.winner for o in outs]), events.astype(float), clock.durations(events)
 
 
 def lane_samples(config, rounds, seed):
-    blocks = column_blocks(config, rounds, LaneDraws(config, seed))
+    """Winners, events and durations of lane blocks, each block's durations drawn as simulate_rounds draws them."""
+    draws = LaneDraws(config, seed)
+    blocks = column_blocks(config, rounds, draws)
     return (
         np.concatenate([b.winner for b in blocks]),
         np.concatenate([b.events for b in blocks]).astype(float),
-        np.concatenate([b.duration for b in blocks]),
+        np.concatenate([draws.durations(b.events) for b in blocks]),
     )
 
 
@@ -407,7 +400,9 @@ class TestDrawOrder:
         assert stream.uniforms(rounds).tolist() == uniforms
         for _, asked, drawn in steps:
             assert stream.miners(len(asked)).tolist() == drawn
-        # play_lanes draws no duration: lane_columns draws the block's durations.
+        # Neither play_lanes nor lane_columns draws a duration: the pipeline
+        # draws the block's durations from its event counts.
+        lane_columns(config, block)
         assert draws.timed == []
         # The recorder changes nothing the block holds.
         plain = play_lanes(config, rounds, LaneDraws(config, 3))
@@ -474,11 +469,11 @@ class TestPrefixTable:
         for owners in product(range(pools), repeat=blocks):
             mass = math.prod(p[o] for o in owners)
             try:
-                want[run_round(config, None, ScriptClock(owners))] += mass
+                want[run_round(config, None, iter(owners))] += mass
             except ScriptExhausted:
                 unfinished += mass
         lanes = table.lanes
-        columns = lane_columns(config, lanes, lambda events: events.astype(float))
+        columns = lane_columns(config, lanes)
         is_open = lanes.longest - lanes.second < lead
         got = defaultdict(float)
         for out, mass, row_open in zip(round_outcomes(columns), table.mass.tolist(), is_open.tolist()):

@@ -100,7 +100,7 @@ class TestBankTotals:
             for uncle in rec.classification.uncles:
                 uncle_count[w][uncle.owner] += 1
                 uncle_units[w][uncle.owner] += uncle.units
-            duration += out.duration
+            duration += rec.duration
             ratio_total = [t + x for t, x in zip(ratio_total, rec.ratios.as_floats())]
         assert bank.win_counts == wins
         assert (bank.fork_pos_total, bank.length_total, bank.released_total) == (fork, length, released)
@@ -172,7 +172,7 @@ class TestRates:
         )
         stretched = EstimatorBank(1)
         for rec in records:
-            stretched.update(rec._replace(outcome=rec.outcome._replace(duration=33.0)))
+            stretched.update(rec._replace(duration=33.0))
         rate = stretched.growth_rate()
         assert rate.decomposition == pytest.approx(2 / 33, rel=1e-12)
         assert rate.direct == pytest.approx(2 / 33, rel=1e-12)
@@ -197,7 +197,7 @@ class TestRates:
         )
         rates = bank.reward_rates()
         total_rewards = sum(float(p.total) for rec in records for p in rec.rewards.per_pool)
-        total_time = sum(rec.outcome.duration for rec in records)
+        total_time = sum(rec.duration for rec in records)
         assert sum(rates.direct) == pytest.approx(total_rewards / total_time, rel=1e-9)
 
     def test_degenerate_honest_rate_equals_growth(self):

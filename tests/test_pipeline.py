@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from poolsim import classify, engine, pipeline
-from poolsim.engine import FORK_TIP, RELEASE_MIN, SimConfig, round_columns
+from poolsim.engine import FORK_TIP, RELEASE_MIN, SimConfig, miner_rates, round_columns
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_columns, round_records, simulate_rounds
 
@@ -18,8 +19,9 @@ delayed = lead_at_least(3)
 class TestCloseRound:
     def test_returns_consistent_triple(self):
         out = build_outcome(0, 4, [(1, 2), (0, 1)])
-        closed = close_columns(round_columns([out]), next_first_owner=0, prev_uncle_count=0)
-        [(_, _, classification, ratios, rewards)] = round_records(closed, [out], 1)
+        closed = close_columns(round_columns([out]), np.array([33.0]), next_first_owner=0, prev_uncle_count=0)
+        [(_, _, classification, ratios, rewards, duration)] = round_records(closed, [out], 1)
+        assert duration == 33.0
         assert classification.uncle_count == 2
         assert ratios.exact().uncle == Fraction(2, 7)
         assert rewards.per_pool[0].regular == 4
@@ -144,7 +146,7 @@ class TestCarryoverChaining:
 
     def test_durations_always_positive(self):
         _, records = self.run_with_reserve()
-        assert all(rec.outcome.duration > 0 for rec in records)
+        assert all(rec.duration > 0 for rec in records)
 
     def test_one_seed_object_gives_the_same_run_twice(self):
         # Seeding must not consume the caller's SeedSequence (no spawn on it).
@@ -365,7 +367,7 @@ class TestPinnedBankTotals:
                     [300, 264, 208, 0, 172],
                     [100, 176, 116, 72, 0],
                 ],
-                "duration_total": "0x1.77258e8852ed0p+19",
+                "duration_total": "0x1.755df51d66d0dp+19",
                 "ratio_total": [
                     "0x1.20e5456dfc3bap+12", "0x1.95ef54a0a4a93p+11", "0x1.b62156beb6adap+10",
                     "0x1.9d10ded41787cp+9", "0x1.cf31cea955d38p+9",
@@ -397,3 +399,26 @@ class TestPinnedBankTotals:
             if name in self.FLOATS:
                 got = np.vectorize(float.hex, otypes=[object])(got).tolist()
             assert got == want, name
+
+
+class TestOneTimeRule:
+    """Every round's duration is its event count drawn by the one time rule,
+    for lane and policy blocks alike: a run's durations are one Gamma call
+    over its rounds' event counts on the jumped stream, whatever the engine
+    and the block sizes, and the bank's duration total is their sum. The
+    eager run crosses a lane block; the policy run crosses CLOSE_ROWS."""
+
+    @pytest.mark.parametrize("config,policy,rounds", [
+        (SimConfig((0.55, 0.32, 0.13)), None, 40_000),
+        (SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN), delayed, 1_500),
+    ], ids=["eager", "policy-m4"])
+    def test_durations_are_one_gamma_draw_over_the_event_counts(self, config, policy, rounds):
+        assert rounds > (engine.BLOCK_ROUNDS if policy is None else pipeline.CLOSE_ROWS)
+        seed = 7
+        bank, records = simulate_rounds(config, rounds, seed=seed, termination_policy=policy, collect=True)
+        events = np.array([rec.outcome.events for rec in records])
+        time = np.random.Generator(np.random.Philox(seed).jumped())
+        want = time.gamma(events, 1.0 / miner_rates(config).sum())
+        got = [rec.duration for rec in records]
+        assert got == want.tolist()
+        assert bank.duration_total == pytest.approx(math.fsum(got), rel=1e-12)
