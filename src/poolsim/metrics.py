@@ -1,21 +1,22 @@
 """Streaming estimators over simulated rounds.
 
-An EstimatorBank takes in buffers of closed rounds and keeps totals of
-everything the long-run analysis needs: win counts per pool, the round
-geometry summed per winner, the per-round ratios, round duration and
-pegged-block count, booked rewards per pool, and the (winner, holder)
-counting tables for nephew and uncle events, each a bincount of a buffer's
-1-D columns over winner or (winner, pool) cells. Integer samples are summed
-exactly, so their means are one correctly rounded division; durations and
-ratios are float sums. Banks from different workers merge exactly on the
-integer totals and to rounding on the float ones, so results cannot depend
-on scheduling.
+An EstimatorBank takes in buffers of closed rounds and keeps the
+renewal-reward table the long-run analysis reads: one row per winner, with
+its win count, the round geometry, pegged blocks, booked reward units per
+pool, nephew and uncle event counts per holder, and the per-round ratios,
+each summed over the rounds that winner won, plus the duration and ratio
+totals over all rounds. Each is a bincount of a buffer's 1-D columns over
+winner or (winner, pool) cells. Integer samples are summed exactly, so their
+means are one correctly rounded division; durations and ratios are float
+sums. Banks from different workers merge exactly on the integer totals and
+to rounding on the float ones, so results cannot depend on scheduling.
 
 Long-run rates come out two ways on purpose, as one Estimate pair: a direct
 estimate (sample mean of per-round totals over mean duration) and the
 renewal decomposition E[X] = sum over winners w of P(w) E[X | w], which one
-method computes for growth, rewards and ratios alike. The two agree up to
-floating point; both are reported so the consistency is observable.
+rule reads off the table's rows for growth, rewards and ratios alike. The
+two agree up to floating point; both are reported so the consistency is
+observable.
 """
 from __future__ import annotations
 
@@ -93,25 +94,21 @@ def _add(total, part):
     return list(map(operator.add, total, part)) if isinstance(total, list) else total + part
 
 
-def _mean(total, count: int, default=None):
-    """total / count, or default when nothing was counted."""
-    return total / count if count else default
-
-
 class EstimatorBank:
     """Mergeable totals over the closed rounds of one simulation configuration.
 
-    Integer samples (win and event counts, lengths, pegged counts, reward
-    units) are kept as exact integer totals, so their means are exact up to
-    one final division; durations and the five ratios are float totals.
-    Per-pool lists are indexed by pool, tables by (winner, pool).
+    The bank is the renewal-reward table: one row per winner w, one column
+    per quantity X, each cell the total of X over the rounds w won. Integer
+    samples (win and event counts, lengths, pegged counts, reward units) are
+    kept as exact integer totals, so their means are exact up to one final
+    division; durations and the five ratios are float totals. Per-pool lists
+    are indexed by pool, tables by (winner, pool).
     """
 
     # Every accumulator, in merge order; each is a total over closed rounds.
     TOTALS = (
-        "rounds", "win_counts", "fork_pos_total", "length_total", "released_total",
-        "pegged_total", "reward_units", "nephew_count", "nephew_units",
-        "uncle_count", "uncle_units", "duration_total", "ratio_total", "ratio_by_winner",
+        "rounds", "win_counts", "fork_pos_total", "length_total", "released_total", "pegged_by_winner",
+        "reward_by_winner", "nephew_count", "uncle_count", "duration_total", "ratio_total", "ratio_by_winner",
     )
 
     def __init__(self, num_dishonest: int):
@@ -122,19 +119,17 @@ class EstimatorBank:
         self.rounds = 0
         self.win_counts = [0] * n
         # Winner's fork position, own chain length (the honest length on an
-        # honest win) and pegged own blocks, summed over its wins.
+        # honest win), released and pegged blocks, summed over its wins.
         self.fork_pos_total = [0] * n
         self.length_total = [0] * n
         self.released_total = [0] * n
-        self.pegged_total = 0
-        self.reward_units = [0] * n  # booked units of 1/32
-        # (winner, holder) event tables: holder owned the round's first block,
-        # the previous round's nephew / had an uncle among the round's
-        # orphans; with the units booked for them.
+        self.pegged_by_winner = [0] * n
+        # Booked units of 1/32, [winner][pool]: regular, uncle and nephew units alike.
+        self.reward_by_winner = [[0] * n for _ in range(n)]
+        # (winner, holder) event counts: holder owned the round's first block,
+        # the previous round's nephew / had an uncle among the round's orphans.
         self.nephew_count = [[0] * n for _ in range(n)]
-        self.nephew_units = [[0] * n for _ in range(n)]
         self.uncle_count = [[0] * n for _ in range(n)]
-        self.uncle_units = [[0] * n for _ in range(n)]
         self.duration_total = 0.0
         self.ratio_total = [0.0] * len(RATIO_NAMES)
         self.ratio_by_winner = [[0.0] * len(RATIO_NAMES) for _ in range(n)]
@@ -142,6 +137,15 @@ class EstimatorBank:
     @property
     def num_dishonest(self) -> int:
         return self.num_pools - 1
+
+    @property
+    def pegged_total(self) -> int:
+        return sum(self.pegged_by_winner)
+
+    @property
+    def reward_units(self) -> List[int]:
+        """Booked units of 1/32 per pool, over all winners."""
+        return [sum(column) for column in zip(*self.reward_by_winner)]
 
     def add(self, closed: ClosedRounds) -> None:
         """Take in a buffer of closed rounds. Every total is a bincount of
@@ -153,35 +157,38 @@ class EstimatorBank:
         def total(weights, cells=winner, size=n):
             return np.bincount(cells, weights, size).astype(np.int64)
 
+        pegged, released_by_winner = total(rounds.pegged), total(released)
         # The honest pool's main-chain blocks (its length when it won, else
         # the winner's fork) and a dishonest winner's own blocks.
-        honest_main, own = total(rounds.pegged - released), total(released + rounds.reserved)
+        honest_main, own = pegged - released_by_winner, total(released + rounds.reserved)
         nephew_cells = winner * n + rounds.first_owner
         # (winner, pool, uncle distance) counts, a pool's column at a time; distance 0 is no uncle.
         reach = int(closed.uncle_distance.max()) + 1
         uncles = np.stack([
             np.bincount(winner * reach + far, minlength=n * reach).reshape(n, reach) for far in closed.uncle_distance.T
         ], axis=1)[:, :, 1:]
+        # Units booked, by winner: a round's first owner collects one nephew unit per uncle of the
+        # round before, each uncle pays its owner by distance, the honest pool is paid its main-chain
+        # blocks and a dishonest winner its released ones.
+        nephew_units = total(closed.prev_uncle_count, nephew_cells, n * n).reshape(n, n)
+        reward = nephew_units + uncles @ uncle_units(np.arange(1, reach))
+        reward[:, HONEST] += UNITS_PER_BLOCK * honest_main
+        reward.reshape(-1)[:: n + 1] += UNITS_PER_BLOCK * released_by_winner  # the diagonal
         ratios = ratio_floats(*ratio_numerators(rounds.pegged, closed.orphan, released, closed.uncle_count))
         part = {
             "rounds": len(winner),
             "win_counts": np.bincount(winner, minlength=n),
             "fork_pos_total": np.append(0, honest_main[1:]),
             "length_total": np.append(honest_main[0], own[1:]),
-            "released_total": total(released),
-            "pegged_total": rounds.pegged.sum(),
+            "released_total": released_by_winner,
+            "pegged_by_winner": pegged,
+            "reward_by_winner": reward,
             "nephew_count": np.bincount(nephew_cells, minlength=n * n).reshape(n, n),
-            "nephew_units": total(closed.prev_uncle_count, nephew_cells, n * n).reshape(n, n),
             "uncle_count": uncles.sum(axis=2),
-            "uncle_units": uncles @ uncle_units(np.arange(1, reach)),
             "duration_total": closed.duration.sum(),
             "ratio_total": np.array([r.sum() for r in ratios]),
             "ratio_by_winner": np.stack([np.bincount(winner, r, n) for r in ratios], axis=1),
         }
-        # Regular units pay each winner its released blocks and the honest pool its main-chain blocks.
-        regular = UNITS_PER_BLOCK * part["released_total"]
-        regular[HONEST] = UNITS_PER_BLOCK * honest_main.sum()
-        part["reward_units"] = regular + part["nephew_units"].sum(axis=0) + part["uncle_units"].sum(axis=0)
         for name in self.TOTALS:
             setattr(self, name, _add(getattr(self, name), np.asarray(part[name]).tolist()))
 
@@ -222,7 +229,7 @@ class EstimatorBank:
     def event_rates(self, table: List[List[int]]) -> Dict[str, List[List[float]]]:
         """Frequencies of a (winner, holder) event table, such as nephew_count
         or uncle_count: joint rates divide by all rounds, conditional rates
-        by the winner's round count (what the rate decompositions need)."""
+        by the winner's round count."""
         self._require_data()
 
         def over(bases: List[int]) -> List[List[float]]:
@@ -233,7 +240,8 @@ class EstimatorBank:
     def conditional_mean(self, totals: List[int], winner: int) -> Optional[float]:
         """Mean of a winner-conditional total over that winner's rounds; None
         if it never won."""
-        return _mean(totals[winner], self.win_counts[winner])
+        wins = self.win_counts[winner]
+        return totals[winner] / wins if wins else None
 
     def duration_mean(self) -> float:
         self._require_data()
@@ -248,50 +256,28 @@ class EstimatorBank:
         self._require_data()
         return tuple(units / (UNITS_PER_BLOCK * self.rounds) for units in self.reward_units)
 
-    def _decomposed(self, given_winner: Callable[[int], float]) -> float:
-        """Mean of a per-round X through the round's winner: the sum of
-        wins_w * E[X | w] over the winners w that won, over all rounds.
-        given_winner(w) is E[X | w]."""
+    def _decomposed(self, by_winner: Sequence[float]) -> float:
+        """Mean of a per-round X through the round's winner, from its totals
+        T_w over the rounds each winner w won: the sum of wins_w * E[X | w],
+        with E[X | w] = T_w / wins_w, over the winners that won, over all
+        rounds."""
         total = 0.0
-        for w, wins in enumerate(self.win_counts):
+        for wins, given in zip(self.win_counts, by_winner):
             if wins:
-                total += wins * given_winner(w)
+                total += wins * (given / wins)
         return total / self.rounds
-
-    def _pegged_given(self, w: int) -> float:
-        """Mean pegged blocks of the rounds w won: the honest length, or a
-        dishonest winner's fork position plus its released blocks."""
-        if w == HONEST:
-            return self.conditional_mean(self.length_total, w)
-        return self.conditional_mean(self.fork_pos_total, w) + self.conditional_mean(self.released_total, w)
-
-    def _reward_given(self, pool: int, w: int) -> float:
-        """Mean reward of one pool, in blocks, over the rounds w won."""
-        wins = self.win_counts[w]
-        if pool == HONEST:
-            base = self.conditional_mean(self.length_total if w == HONEST else self.fork_pos_total, w)
-        elif w == pool:
-            base = self.conditional_mean(self.released_total, w)
-        else:
-            base = 0.0
-        # Event rate times the mean reward given the event, per table.
-        nephew, uncle = (
-            (count[w][pool] / wins) * _mean(units[w][pool], UNITS_PER_BLOCK * count[w][pool], 0.0)
-            for count, units in ((self.nephew_count, self.nephew_units), (self.uncle_count, self.uncle_units))
-        )
-        return base + nephew + uncle
 
     def growth_rate(self) -> Estimate:
         """Long-run pegged blocks per second."""
         mean_duration = self.duration_mean()
-        return Estimate(self.pegged_mean() / mean_duration, self._decomposed(self._pegged_given) / mean_duration)
+        return Estimate(self.pegged_mean() / mean_duration, self._decomposed(self.pegged_by_winner) / mean_duration)
 
     def reward_rates(self) -> Estimate:
         """Long-run reward per second for every pool, as tuples over the pools."""
         mean_duration = self.duration_mean()
         return Estimate(
             tuple(mean / mean_duration for mean in self.reward_means()),
-            tuple(self._decomposed(partial(self._reward_given, p)) / mean_duration for p in range(self.num_pools)),
+            tuple(self._decomposed(units) / (UNITS_PER_BLOCK * mean_duration) for units in zip(*self.reward_by_winner)),
         )
 
     def ratio_averages(self) -> Dict[str, Estimate]:
@@ -299,11 +285,8 @@ class EstimatorBank:
         estimators agree to float tolerance."""
         self._require_data()
         return {
-            name: Estimate(
-                self.ratio_total[k] / self.rounds,
-                self._decomposed(lambda w: self.ratio_by_winner[w][k] / self.win_counts[w]),
-            )
-            for k, name in enumerate(RATIO_NAMES)
+            name: Estimate(total / self.rounds, self._decomposed(by_winner))
+            for name, total, by_winner in zip(RATIO_NAMES, self.ratio_total, zip(*self.ratio_by_winner))
         }
 
     def summary(self) -> dict:

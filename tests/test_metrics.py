@@ -78,10 +78,9 @@ class TestBankTotals:
             termination_policy=lead_at_least(3), collect=True,
         )
         n = 3
-        wins, fork, length, released = [0] * n, [0] * n, [0] * n, [0] * n
-        units = [0] * n
-        nephew_count, nephew_units = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-        uncle_count, uncle_units = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        wins, fork, length, released, pegged = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
+        units = [[0] * n for _ in range(n)]
+        nephew_count, uncle_count = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
         duration, ratio_total = 0.0, [0.0] * 5
         for rec in records:
             out, w = rec.outcome, rec.outcome.winner
@@ -92,22 +91,21 @@ class TestBankTotals:
                 fork[w] += out.fork_pos[w]
                 length[w] += out.length[w]
                 released[w] += out.released
+            pegged[w] += out.pegged
             for p, pay in enumerate(rec.rewards.per_pool):
-                units[p] += pay.total_units
-            holder = out.first_owner
-            nephew_count[w][holder] += 1
-            nephew_units[w][holder] += rec.rewards.per_pool[holder].nephew_units
+                units[w][p] += pay.total_units
+            nephew_count[w][out.first_owner] += 1
             for uncle in rec.classification.uncles:
                 uncle_count[w][uncle.owner] += 1
-                uncle_units[w][uncle.owner] += uncle.units
             duration += rec.duration
             ratio_total = [t + x for t, x in zip(ratio_total, rec.ratios.as_floats())]
         assert bank.win_counts == wins
         assert (bank.fork_pos_total, bank.length_total, bank.released_total) == (fork, length, released)
+        assert bank.pegged_by_winner == pegged
         assert bank.pegged_total == sum(rec.outcome.pegged for rec in records)
-        assert bank.reward_units == units
-        assert (bank.nephew_count, bank.nephew_units) == (nephew_count, nephew_units)
-        assert (bank.uncle_count, bank.uncle_units) == (uncle_count, uncle_units)
+        assert bank.reward_by_winner == units
+        assert bank.reward_units == [sum(column) for column in zip(*units)]
+        assert (bank.nephew_count, bank.uncle_count) == (nephew_count, uncle_count)
         assert bank.duration_total == pytest.approx(duration, rel=1e-12)
         assert bank.ratio_total == pytest.approx(ratio_total, rel=1e-12)
 
@@ -220,13 +218,14 @@ class TestDecomposition:
             fork_pos_total=[0, 2, 0],
             length_total=[9, 4, 0],
             released_total=[0, 3, 0],
-            pegged_total=9 + 2 + 3,
-            # 11 honest blocks pegged, a nephew unit per nephew, an uncle at distance 2.
-            reward_units=[11 * 32 + 3 + 24, 3 * 32 + 1 + 28, 0],
+            pegged_by_winner=[9, 2 + 3, 0],
+            # Units of 1/32, [winner][pool]. Given honest wins: 9 honest blocks and 2 nephew
+            # units to the honest pool, a nephew unit and an uncle at distance 1 to pool 1. Given
+            # pool 1's win: 2 honest blocks under the fork, a nephew unit and an uncle at
+            # distance 2 to the honest pool, 3 released blocks to pool 1.
+            reward_by_winner=[[9 * 32 + 2, 1 + 28, 0], [2 * 32 + 1 + 24, 3 * 32, 0], [0, 0, 0]],
             nephew_count=[[2, 1, 0], [1, 0, 0], [0, 0, 0]],
-            nephew_units=[[2, 1, 0], [1, 0, 0], [0, 0, 0]],
             uncle_count=[[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-            uncle_units=[[0, 28, 0], [24, 0, 0], [0, 0, 0]],
             duration_total=8.0,
             ratio_total=[3.5, 3.15, 0.85, 0.55, 0.3],
             ratio_by_winner=[[3.0, 2.4, 0.6, 0.3, 0.3], [0.5, 0.75, 0.25, 0.25, 0.0], [0.0] * 5],

@@ -314,3 +314,42 @@ class TestMonteCarloAgainstReference:
         assert uncles_seen > 0
         if policy is not None:
             assert any(rec.outcome.reserved for rec in records)
+
+
+class TestBankAgainstReference:
+    """The estimator bank's booking rule against the from-scratch reference
+    analysis, chained over a run's round outcomes with the reference's own
+    count of the previous round's uncles: its rewards summed by (winner,
+    pool) and its main-chain lengths summed by winner must equal the bank's
+    per-winner tables exactly. The policy run crosses CLOSE_ROWS, so the
+    nephew reference carries across closed buffers."""
+
+    CASES = {
+        "m4-release-min-lead3": (
+            SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN), lead_at_least(3), 1_500,
+        ),
+        "m4-tip-zero-power": (SimConfig((0.4, 0.2, 0.2, 0.2, 0.0), fork_rule=FORK_TIP), None, 3_000),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_per_winner_tables_equal_reference_sums(self, case):
+        config, policy, rounds = self.CASES[case]
+        assert policy is None or rounds > pipeline.CLOSE_ROWS
+        bank, records = simulate_rounds(
+            config, rounds, seed=np.random.SeedSequence(505), termination_policy=policy, collect=True
+        )
+        n = len(config.alphas)
+        pegged = [0] * n
+        reward = [[Fraction(0)] * n for _ in range(n)]
+        prev_uncles = uncles_seen = 0
+        for rec in records:
+            winner = rec.outcome.winner
+            ref = reference_analysis(rec.outcome, prev_uncles)
+            pegged[winner] += ref["main_len"]
+            for pool, (regular, uncle, nephew) in enumerate(ref["rewards"]):
+                reward[winner][pool] += regular + uncle + nephew
+            prev_uncles = len(ref["uncles"])
+            uncles_seen += prev_uncles
+        assert uncles_seen > 0
+        assert bank.pegged_by_winner == pegged
+        assert [[Fraction(units, 32) for units in row] for row in bank.reward_by_winner] == reward

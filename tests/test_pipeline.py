@@ -238,10 +238,12 @@ class TestPinnedStreams:
 class TestPinnedBankTotals:
     """Every EstimatorBank total of three fixed-seed runs, pinned as
     literals, float totals as float.hex: a change to how a block is closed
-    or banked must leave each one exactly as it is. The eager runs are one
-    benchmark sweep task and a five-pool tip run that crosses a lane block
-    and holds a zero-power pool; the policy run is the benchmark's
-    four-rival, release-min, lead-3 run."""
+    or banked must leave each one exactly as it is. The per-winner pegged
+    and reward tables were summed from the runs' records, and the pegged
+    total and per-pool reward units, their sums, keep their earlier pins.
+    The eager runs are one benchmark sweep task and a five-pool tip run
+    that crosses a lane block and holds a zero-power pool; the policy run is
+    the benchmark's four-rival, release-min, lead-3 run."""
 
     FLOATS = ("duration_total", "ratio_total", "ratio_by_winner")
     CASES = {
@@ -253,12 +255,10 @@ class TestPinnedBankTotals:
                 "fork_pos_total": [0, 623, 257],
                 "length_total": [8924, 3415, 591],
                 "released_total": [0, 3415, 591],
-                "pegged_total": 13810,
-                "reward_units": [322682, 128895, 37589],
+                "pegged_by_winner": [8924, 4038, 848],
+                "reward_by_winner": [[286685, 17547, 13051], [26726, 109723, 5558], [9271, 1625, 18980]],
                 "nephew_count": [[1678, 594, 273], [423, 633, 154], [92, 57, 96]],
-                "nephew_units": [[1117, 427, 195], [286, 443, 94], [63, 45, 68]],
                 "uncle_count": [[0, 1066, 789], [401, 0, 326], [55, 101, 0]],
-                "uncle_units": [[0, 17120, 12856], [6504, 0, 5464], [984, 1580, 0]],
                 "duration_total": "0x1.2e12729c5b084p+18",
                 "ratio_total": [
                     "0x1.594a9d757a406p+11", "0x1.9bc96b80521acp+11", "0x1.60da51feb794ep+9",
@@ -273,6 +273,7 @@ class TestPinnedBankTotals:
                      "0x1.816a6fceb040ep+4", "0x1.bca1b9ae16169p+3"],
                 ],
             },
+            {"pegged_total": 13810, "reward_units": [322682, 128895, 37589]},
         ),
         "eager-tip-zero-power": (
             SimConfig((0.4, 0.2, 0.2, 0.2, 0.0), fork_rule=FORK_TIP), None, 40_000,
@@ -282,8 +283,14 @@ class TestPinnedBankTotals:
                 "fork_pos_total": [0, 40672, 40871, 40775, 0],
                 "length_total": [12634, 40098, 40196, 40123, 0],
                 "released_total": [0, 40098, 40196, 40123, 0],
-                "pegged_total": 255369,
-                "reward_units": [4331902, 1469177, 1472081, 1469234, 0],
+                "pegged_by_winner": [12634, 80770, 81067, 80898, 0],
+                "reward_by_winner": [
+                    [409609, 0, 0, 0, 0],
+                    [1304153, 1287211, 90673, 89970, 0],
+                    [1310561, 90782, 1290509, 91344, 0],
+                    [1307579, 91184, 90899, 1287920, 0],
+                    [0, 0, 0, 0, 0],
+                ],
                 "nephew_count": [
                     [6317, 0, 0, 0, 0],
                     [3154, 4938, 1582, 1585, 0],
@@ -291,25 +298,11 @@ class TestPinnedBankTotals:
                     [3240, 1563, 1538, 4828, 0],
                     [0, 0, 0, 0, 0],
                 ],
-                "nephew_units": [
-                    [5321, 0, 0, 0, 0],
-                    [2649, 4075, 1325, 1298, 0],
-                    [2689, 1322, 4237, 1372, 0],
-                    [2779, 1360, 1263, 3984, 0],
-                    [0, 0, 0, 0, 0],
-                ],
                 "uncle_count": [
                     [0, 0, 0, 0, 0],
                     [0, 0, 5584, 5553, 0],
                     [0, 5628, 0, 5657, 0],
                     [0, 5630, 5624, 0, 0],
-                    [0, 0, 0, 0, 0],
-                ],
-                "uncle_units": [
-                    [0, 0, 0, 0, 0],
-                    [0, 0, 89348, 88672, 0],
-                    [0, 89460, 0, 89972, 0],
-                    [0, 89824, 89636, 0, 0],
                     [0, 0, 0, 0, 0],
                 ],
                 "duration_total": "0x1.41fc109138608p+22",
@@ -328,6 +321,7 @@ class TestPinnedBankTotals:
                     ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
                 ],
             },
+            {"pegged_total": 255369, "reward_units": [4331902, 1469177, 1472081, 1469234, 0]},
         ),
         "policy-m4": (
             SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN), delayed, 5_000,
@@ -337,8 +331,14 @@ class TestPinnedBankTotals:
                 "fork_pos_total": [0, 352, 149, 55, 20],
                 "length_total": [23106, 1682, 401, 138, 48],
                 "released_total": [0, 1346, 307, 104, 36],
-                "pegged_total": 25475,
-                "reward_units": [765024, 76192, 40959, 30696, 24724],
+                "pegged_by_winner": [23106, 1698, 456, 159, 56],
+                "reward_by_winner": [
+                    [742580, 31790, 28753, 25303, 21676],
+                    [14280, 43248, 2000, 1650, 1408],
+                    [5342, 687, 9874, 325, 315],
+                    [2079, 275, 216, 3346, 173],
+                    [743, 192, 116, 72, 1152],
+                ],
                 "nephew_count": [
                     [2040, 1101, 634, 458, 291],
                     [105, 120, 64, 23, 24],
@@ -346,26 +346,12 @@ class TestPinnedBankTotals:
                     [10, 8, 6, 8, 2],
                     [2, 8, 1, 1, 0],
                 ],
-                "nephew_units": [
-                    [3188, 1702, 973, 707, 472],
-                    [192, 176, 92, 38, 40],
-                    [58, 39, 50, 17, 7],
-                    [19, 11, 8, 18, 1],
-                    [3, 16, 0, 0, 0],
-                ],
                 "uncle_count": [
                     [0, 2085, 1914, 1681, 1413],
                     [184, 0, 134, 112, 93],
                     [32, 44, 0, 21, 20],
                     [18, 18, 15, 0, 12],
                     [6, 12, 8, 5, 0],
-                ],
-                "uncle_units": [
-                    [0, 30088, 27780, 24596, 21204],
-                    [2824, 0, 1908, 1612, 1368],
-                    [516, 648, 0, 308, 308],
-                    [300, 264, 208, 0, 172],
-                    [100, 176, 116, 72, 0],
                 ],
                 "duration_total": "0x1.755df51d66d0dp+19",
                 "ratio_total": [
@@ -385,16 +371,17 @@ class TestPinnedBankTotals:
                      "0x1.c0b5c42c58acep+1", "0x1.21fd23eda00cap+1"],
                 ],
             },
+            {"pegged_total": 25475, "reward_units": [765024, 76192, 40959, 30696, 24724]},
         ),
 
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_every_total_matches_the_pinned_value(self, case):
-        config, policy, rounds, totals = self.CASES[case]
+        config, policy, rounds, totals, sums = self.CASES[case]
         bank, _ = simulate_rounds(config, rounds, seed=7, termination_policy=policy)
         assert list(totals) == list(EstimatorBank.TOTALS)
-        for name, want in totals.items():
+        for name, want in {**totals, **sums}.items():
             got = getattr(bank, name)
             if name in self.FLOATS:
                 got = np.vectorize(float.hex, otypes=[object])(got).tolist()
