@@ -28,7 +28,6 @@ import signal
 import sys
 import traceback
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
@@ -495,12 +494,6 @@ def _share_results(k: int, data: bytes, status: int) -> list:
     raise exc from RuntimeError(f"in run_grid worker {k}:\n{text}")
 
 
-def _threshold_task(config: SimConfig, seed, grid_idx: int, rep_idx: int, rounds: int) -> Tuple[float, ...]:
-    """run_grid task of the threshold search: one replication's win fractions
-    at one grid point's config, on that replication's seed."""
-    return win_fraction_run(config, rounds, seed)
-
-
 def find_power_threshold(
     base_config: SimConfig,
     alpha_grid: Sequence[float],
@@ -528,7 +521,10 @@ def find_power_threshold(
     configs = [grid_config(base_config, alpha) for alpha in grid]
     for config in configs:
         prefix_table(config)
-    task = partial(_threshold_task, rounds=rounds_per_run)
+
+    def task(config: SimConfig, seed, grid_idx: int, rep_idx: int) -> Tuple[float, ...]:
+        return win_fraction_run(config, rounds_per_run, seed)
+
     fractions = run_grid(task, configs, replications, master_seed, workers)
     p_honest = [[f[HONEST] for f in reps] for reps in fractions]
     p_first = [[f[1] for f in reps] for reps in fractions]

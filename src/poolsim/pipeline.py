@@ -9,15 +9,15 @@ with run_round, chained through carryover by chained_rounds, in blocks of
 up to CLOSE_ROWS. Neither engine keeps time: each block's durations are
 drawn once from its event counts (LaneDraws.durations) as it closes. A
 round's nephew is its first reserved block, or else the next round's first
-block, so each block waits, as columns, until the next one has been
-played; the uncle count the next nephew reference needs carries across
-blocks. After the last block one extra first-block miner is
-drawn just to close it when its last round reserved nothing; that block
-books nothing.
+block, so the close pairs each block with the next one, played before it
+closes; the uncle count the next nephew reference needs carries from one
+pair to the next. The last block pairs with an end marker: if its last
+round reserved nothing, one extra miner is drawn for that round's nephew,
+and the block it mines books nothing.
 """
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice, pairwise
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,17 +141,31 @@ def simulate_rounds(
     """
     if rounds < 1:
         raise ValueError("need at least one round")
+    # Blocks of (columns, the outcomes run_round played, or None for a lane
+    # block): a policy block keeps the outcomes it was built from, so records
+    # never rebuild them. A lane block's columns are built as soon as it is
+    # played, so its rows can go. MiningClock is a LaneDraws, so both kinds
+    # of block draw their durations from `draws`.
+    if termination_policy is None:
+        draws = LaneDraws(config, seed)
+        blocks = ((lane_columns(config, lanes), None) for lanes in lane_blocks(config, rounds, draws))
+    else:
+        draws = MiningClock(config, seed)
+        chained = chained_rounds(config, draws, termination_policy)
+        chunks = (list(islice(chained, min(CLOSE_ROWS, rounds - start))) for start in range(0, rounds, CLOSE_ROWS))
+        blocks = ((round_columns(played), played) for played in chunks)
     bank = EstimatorBank(config.num_dishonest)
     records: Optional[List[RoundRecord]] = [] if collect else None
-    closed_rounds = 0
-    prev_uncles = 0
-
-    def close(columns, played: Optional[List[RoundOutcome]], after) -> None:
-        nonlocal closed_rounds, prev_uncles, on_record
-        if after is not None:  # the next block, whose first round's first block closes this block's last round
-            next_owner = int(after.first_owner[0])
+    closed_rounds = prev_uncles = 0
+    # Consecutive blocks, the last paired with None: a block's last round
+    # takes its nephew from the next block's first owner unless it reserved.
+    for (columns, played), after in pairwise(chain(blocks, [None])):
+        if after is not None:
+            next_owner = int(after[0].first_owner[0])
+        elif columns.reserved[-1]:
+            next_owner = None  # the nephew is the winner's first reserved block
         else:
-            next_owner = None if columns.reserved[-1] else int(draws.miners(1)[0])
+            next_owner = int(draws.miners(1)[0])
         closed = close_columns(columns, draws.durations(columns.events), next_owner, prev_uncles)
         bank.add(closed)
         if on_record is not None or records is not None:
@@ -164,24 +178,4 @@ def simulate_rounds(
                     break
         closed_rounds += len(columns.winner)
         prev_uncles = int(closed.uncle_count[-1])
-
-    # Blocks of (columns, the outcomes run_round played, or None for a lane
-    # block): a policy block keeps the outcomes it was built from, so records
-    # never rebuild them. A lane block's columns are built as soon as it is
-    # played, so its rows can go. MiningClock is a LaneDraws, so both kinds
-    # of block draw their durations from `draws`.
-    if termination_policy is None:
-        draws = LaneDraws(config, seed)
-        blocks = ((lane_columns(config, lanes), None) for lanes in lane_blocks(config, rounds, draws))
-    else:
-        draws = MiningClock(config, seed)
-        chain = chained_rounds(config, draws, termination_policy)
-        chunks = (list(islice(chain, min(CLOSE_ROWS, rounds - start))) for start in range(0, rounds, CLOSE_ROWS))
-        blocks = ((round_columns(played), played) for played in chunks)
-    pending = None
-    for block in blocks:
-        if pending is not None:
-            close(*pending, block[0])
-        pending = block
-    close(*pending, None)
     return bank, records

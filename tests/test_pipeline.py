@@ -158,9 +158,9 @@ class TestCarryoverChaining:
 
 
 class TestBufferBoundaries:
-    """Closing rounds in buffers must not change any record or total: the
-    nephew owner, the pending round and the one-round-late nephew reference
-    all carry across buffer boundaries."""
+    """Closing rounds in buffers must not change any record or total: a
+    buffer's last round takes its nephew owner from the next buffer, and
+    the one-round-late nephew reference carries across buffer boundaries."""
 
     config = SimConfig.from_alphas([0.5, 0.37, 0.13], release_policy=RELEASE_MIN)
 
@@ -201,6 +201,83 @@ class TestBufferBoundaries:
         last_rows = [rec.outcome.reserved for rec in records[6::7]]
         assert any(last_rows) and not all(last_rows)
         self.assert_same(chunked, self.run(monkeypatch, 1, rounds))
+
+
+def recorded(draws_class, made):
+    """draws_class with a log of its draws, in call order: ("uniforms", n),
+    ("pools", n), ("miners", values) and ("durations", rows). Each instance
+    is appended to made."""
+
+    class Recorded(draws_class):
+        def __init__(self, *args):
+            self.calls = []
+            made.append(self)
+            super().__init__(*args)
+
+        def uniforms(self, n):
+            self.calls.append(("uniforms", n))
+            return super().uniforms(n)
+
+        def pools(self, lanes):
+            got = super().pools(lanes)
+            self.calls[-1] = ("pools", len(lanes))  # in place of the miners call it made
+            return got
+
+        def miners(self, n):
+            got = super().miners(n)
+            self.calls.append(("miners", got.tolist()))
+            return got
+
+        def durations(self, events):
+            self.calls.append(("durations", len(events)))
+            return super().durations(events)
+
+    return Recorded
+
+
+class TestClosingMiner:
+    """The last round's nephew. When that round reserved nothing, the run
+    draws exactly one miner, after its last block is played and before that
+    block's durations, and it mines the nephew. When that round reserved,
+    nothing is drawn for it and the nephew is the winner's reserved block."""
+
+    policy_config = SimConfig((0.5, 0.2, 0.13, 0.1, 0.07), release_policy=RELEASE_MIN)
+    CASES = {  # config, policy, rounds, seed, engine.BLOCK_ROUNDS
+        "eager-one-round": (SimConfig((0.6, 0.3, 0.1)), None, 1, 3, None),
+        "eager-lane-blocks": (SimConfig((0.6, 0.3, 0.1)), None, 20, 3, 8),
+        # Seed 7's round 528 reserves and round 529 does not; both runs cross a CLOSE_ROWS buffer.
+        "policy-reserves": (policy_config, delayed, 528, 7, None),
+        "policy-reserves-nothing": (policy_config, delayed, 529, 7, None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_closing_miner_mines_the_last_nephew(self, monkeypatch, case):
+        config, policy, rounds, seed, block_rounds = self.CASES[case]
+        if block_rounds is not None:
+            monkeypatch.setattr(engine, "BLOCK_ROUNDS", block_rounds)
+        made = []
+        for name in ("LaneDraws", "MiningClock"):
+            monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name), made))
+        _, records = simulate_rounds(config, rounds, seed=seed, termination_policy=policy, collect=True)
+        [draws] = made
+        calls = draws.calls
+        block = engine.BLOCK_ROUNDS if policy is None else pipeline.CLOSE_ROWS
+        durations = [rows for kind, rows in calls if kind == "durations"]
+        assert sum(durations) == rounds and len(durations) == -(-rounds // block)
+        assert calls[-1] == ("durations", (rounds - 1) % block + 1)
+        closing = [i for i, (kind, drawn) in enumerate(calls) if kind == "miners" and len(drawn) == 1]
+        last = records[-1]
+        nephew = last.classification.nephew
+        assert len(records) == rounds
+        if case == "policy-reserves":
+            assert last.outcome.reserved >= 1
+            assert closing == []
+            assert nephew.from_reserve and nephew.owner == last.outcome.winner
+        else:
+            assert last.outcome.reserved == 0
+            [i] = closing
+            assert i == len(calls) - 2
+            assert nephew.owner == calls[i][1][0] and not nephew.from_reserve
 
 
 class TestPinnedStreams:
