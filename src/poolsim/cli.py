@@ -221,8 +221,9 @@ def _replication_task(
 
 
 def _run_replications(spec: ExperimentSpec, configs: Sequence[SimConfig]) -> List[list]:
-    """(bank, trace rows) of every replication, as results[g][r]. Every
-    config's prefix table is built before the workers fork, so they share it."""
+    """(bank, trace rows) of every replication, as results[g][r], from
+    run_grid's spec.workers processes, this one included. Every config's
+    prefix table is built before the children fork, so they share it."""
     for config in configs:
         prefix_table(config)
     trace_cap = MAX_TRACE_ROWS // len(configs) if spec.emit_rounds else 0
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     parser.add_argument("--workers", type=int,
-                        help="forked worker processes (default: the CPUs this process may run on)")
+                        help="worker processes, this one included (default: the CPUs this process may run on)")
     parser.add_argument("--emit-rounds", action="store_true", default=None,
                         help="also write a capped per-round trace (rounds.csv)")
     return parser

@@ -26,13 +26,13 @@ The engines share one set of round rules. run_round plays one round at a
 time from an event source, a plain iterator of pool indices, and takes a
 carryover and a termination policy; pipeline.chained_rounds chains its
 rounds for withholding runs and the oracle. MiningClock yields the draw
-rule's miners one at a time, and a fixed script is iter(owners).
-play_lanes plays a block of eager rounds (no policy) and returns it as
-Lanes; lane_columns builds its RoundColumns, the form the columnar close
-consumes, from those, and metrics.win_fraction_run, which only counts
-winners, never calls it. Eager rounds never reserve a block, so each
-starts afresh and the rounds are i.i.d., and a round's state is a fixed
-function of its block owners. So prefix_states grows every state of a
+rule's miners one at a time, and a fixed script is iter(owners). play_lanes
+plays a block of eager rounds (no policy) and returns it as Lanes;
+lane_columns builds its RoundColumns, the form the columnar close consumes,
+from those; lane_winners gives only the same blocks' winners, on the same
+draws, for metrics.win_fraction_run. Eager rounds never reserve a block, so
+each starts afresh and the rounds are i.i.d., and a round's state is a
+fixed function of its block owners. So prefix_states grows every state of a
 round's first blocks once, equal states merged, by the lane step (race)
 that also plays on the rounds left open; prefix_table weighs them per
 config, and play_lanes draws each round's state there and races only the
@@ -62,17 +62,18 @@ pool forks or carries, an honest block then raises the top two by one and
 moves nothing else, and each forked chain's fork position is set to the
 honest length at the end.
 
-Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in round
-order. A block first draws one uniform per round, in round order, which
-picks the round's prefix table row; then each step draws one miner per
-round still open, in increasing round order, until none is. MiningClock
-draws CLOCK_BATCH miners at a time and hands them out in order across
-rounds. After the last round, if it reserved nothing, simulate_rounds
-draws one more miner, of the block that closes it. The time stream gives
-one Gamma duration per round, in round order, block by block, for lane
-and policy blocks alike (win_fraction_run draws none); one Gamma call over
-many rounds equals the same draws block by block, so no block size moves
-it. Results therefore depend on the seed alone, never on scheduling.
+Draw order. lane_blocks and lane_winners play blocks of up to BLOCK_ROUNDS
+rounds in round order. A block first draws one uniform per round, in round
+order, which picks the round's prefix table row (table_rows); then each
+step draws one miner per round still open, in increasing round order, until
+none is. MiningClock draws CLOCK_BATCH miners at a time and hands them out
+in order across rounds. After the last round, if it reserved nothing,
+simulate_rounds draws one more miner, of the block that closes it. The time
+stream gives one Gamma duration per round, in round order, block by block,
+for lane and policy blocks alike (win_fraction_run draws none); one Gamma
+call over many rounds equals the same draws block by block, so no block
+size moves it. Results therefore depend on the seed alone, never on
+scheduling.
 """
 from __future__ import annotations
 
@@ -575,22 +576,32 @@ def lane_columns(config: SimConfig, lanes: Lanes) -> RoundColumns:
     )
 
 
+def table_rows(table: PrefixTable, rounds: int, draws) -> np.ndarray:
+    """Each of `rounds` rounds' row of the prefix table, picked by the alias
+    method from one draws.uniforms draw."""
+    x = draws.uniforms(rounds) * len(table.cut)
+    column = x.astype(np.intp)
+    return np.where(x < table.cut[column], column, table.alias[column])
+
+
+def race_open(config: SimConfig, table: PrefixTable, lanes: Lanes, live: np.ndarray, draws) -> None:
+    """Race the rounds `live` of `lanes`, open after the table's length, to
+    their ends, each step drawing one miner per open round from draws.pools."""
+    race(lanes, live, table.length, lambda live, step: draws.pools(live), config.lead_threshold,
+         config.fork_rule == FORK_TIP)
+
+
 def play_lanes(config: SimConfig, rounds: int, draws) -> Lanes:
     """Play `rounds` eager rounds by run_round's rules and return them in
     round order; lane_columns builds their columns.
 
-    One draws.uniforms draw for the block picks each round's row of the
-    config's prefix table by the alias method, and one gather copies every
-    round's row from it. Only the rounds still open after the table's
-    length are raced on, from that state, each step drawing one miner per
-    open round from draws.pools.
+    table_rows picks each round's row of the config's prefix table, and one
+    gather copies every round's row from it. Only the rounds still open
+    after the table's length are raced on, from that state.
     """
     table = prefix_table(config)
-    x = draws.uniforms(rounds) * len(table.cut)
-    column = x.astype(np.intp)
-    lanes = Lanes(table.lanes.rows.take(np.where(x < table.cut[column], column, table.alias[column]), axis=0))
-    race(lanes, np.flatnonzero(lanes.longest - lanes.second < config.lead_threshold), table.length,
-         lambda live, step: draws.pools(live), config.lead_threshold, config.fork_rule == FORK_TIP)
+    lanes = Lanes(table.lanes.rows.take(table_rows(table, rounds, draws), axis=0))
+    race_open(config, table, lanes, np.flatnonzero(lanes.longest - lanes.second < config.lead_threshold), draws)
     return lanes
 
 
@@ -598,3 +609,21 @@ def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[Lanes]:
     """`rounds` eager rounds as consecutive blocks of up to BLOCK_ROUNDS."""
     for start in range(0, rounds, BLOCK_ROUNDS):
         yield play_lanes(config, min(BLOCK_ROUNDS, rounds - start), draws)
+
+
+def lane_winners(config: SimConfig, rounds: int, draws) -> Iterator[np.ndarray]:
+    """The winners of lane_blocks' blocks, on the same draws, without the
+    rest of their rows: an ended round's winner is read off its table row,
+    one gather per block, and only the rounds still open after the table
+    are copied into Lanes and raced."""
+    table = prefix_table(config)
+    # Each table row's winner, or -1 where its round plays on.
+    settled = np.where(table.lanes.longest - table.lanes.second < config.lead_threshold, -1, table.lanes.winner)
+    for start in range(0, rounds, BLOCK_ROUNDS):
+        row = table_rows(table, min(BLOCK_ROUNDS, rounds - start), draws)
+        winner = settled.take(row)
+        live = np.flatnonzero(winner < 0)
+        lanes = Lanes(table.lanes.rows.take(row[live], axis=0))
+        race_open(config, table, lanes, np.arange(len(live)), draws)
+        winner[live] = lanes.winner
+        yield winner

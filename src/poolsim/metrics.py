@@ -36,7 +36,7 @@ from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, ratio_numerators, u
 # MiningClock and run_round are not called here; the benchmark's tracer
 # patches them in this module, so they stay importable from it.
 from .engine import (  # noqa: F401
-    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, SimConfig, lane_blocks, prefix_table, round_columns, run_round,
+    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, SimConfig, lane_winners, prefix_table, round_columns, run_round,
 )
 from .rewards import ClosedRounds, close_columns
 
@@ -358,17 +358,17 @@ def grid_config(base: SimConfig, alpha_honest: float) -> SimConfig:
 def win_fraction_run(config: SimConfig, rounds: int, seed) -> Tuple[float, ...]:
     """Fraction of rounds each pool wins over one seeded run.
 
-    Fast path for probability-only experiments: a win-only close of the lane
-    engine, which counts each block's winners and skips classification and
-    reward booking, neither of which can change who wins. It plays the same
-    blocks on the same stream as simulate_rounds(config, rounds, seed=seed),
-    so the two agree on every winner.
+    Fast path for probability-only experiments: it counts each lane block's
+    winners (lane_winners) and skips classification and reward booking,
+    neither of which can change who wins. It makes the same draws as
+    simulate_rounds(config, rounds, seed=seed), so the two agree on every
+    winner.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
     counts = np.zeros(len(config.alphas), dtype=np.int64)
-    for block in lane_blocks(config, rounds, LaneDraws(config, seed)):
-        counts += np.bincount(block.winner, minlength=len(counts))
+    for winner in lane_winners(config, rounds, LaneDraws(config, seed)):
+        counts += np.bincount(winner, minlength=len(counts))
     return tuple(c / rounds for c in counts.tolist())
 
 
@@ -383,17 +383,20 @@ def run_grid(
     """results[g][r] = task(points[g], seed, g, r) for every grid point g and
     replication r, where seed is replication_seed(master_seed, g, r).
 
-    The calls are ordered grid point first. With n = min(workers, calls) > 1
-    on a platform with os.fork, n forked children share them: child k runs
-    calls k, k + n, k + 2n, ... in order, so with two replications and two
-    workers each child runs one replication of every point. The parent runs
-    no call itself. Children inherit task and points, so only results must
-    pickle; each child sends its results back through its own pipe, and the
-    parent reaps every child before it returns or raises. A task's exception
-    is raised here with its type, or as a RuntimeError carrying the child's
-    traceback when it does not pickle; a child that ends without a result
-    raises WorkerDied. Otherwise, and with one worker, the calls run here.
-    Every call has its own seed, so results match for any worker count.
+    The calls are ordered grid point first. workers counts processes, this
+    one included. With n = min(workers, calls) > 1 on a platform with
+    os.fork, n - 1 forked children and this process share them: child k
+    (1 <= k < n) runs calls k, k + n, k + 2n, ... in order, and this process
+    runs calls 0, n, 2n, ... once the last child has forked, so with two
+    replications and two workers each process runs one replication of every
+    point. Children inherit task and points, so only their results must
+    pickle; each child sends its results back through its own pipe, and
+    every child is reaped before run_grid returns or raises. An exception in
+    this process's share is raised as it was raised; a child's is raised here
+    with its type, or as a RuntimeError carrying the child's traceback when
+    it does not pickle; a child that ends without a result raises
+    WorkerDied. Otherwise, and with one worker, every call runs here. Every
+    call has its own seed, so results match for any worker count.
     """
     calls = [
         (point, replication_seed(master_seed, g, r), g, r)
@@ -406,12 +409,13 @@ def run_grid(
 
 
 def _forked_calls(task: Callable, calls: list, n: int) -> list:
-    """task(*call) for every call, in call order, from n forked children."""
+    """task(*call) for every call, in call order, from this process and n - 1
+    forked children."""
     pids: Dict[int, int] = {}  # child -> pid, until reaped
     pipes: Dict[int, int] = {}  # child -> read end, until read
     _flush_std_streams()  # so no child writes the parent's buffered output again
     try:
-        for k in range(n):
+        for k in range(1, n):
             pipes[k], write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -421,7 +425,8 @@ def _forked_calls(task: Callable, calls: list, n: int) -> list:
                 os.close(write_end)
             pids[k] = pid
         flat = [None] * len(calls)
-        for k in range(n):
+        flat[::n] = [task(*call) for call in calls[::n]]
+        for k in range(1, n):
             with open(pipes[k], "rb", closefd=False) as reader:
                 data = reader.read()
             os.close(pipes.pop(k))
@@ -430,8 +435,9 @@ def _forked_calls(task: Callable, calls: list, n: int) -> list:
             flat[k::n] = _share_results(k, data, status)
         return flat
     finally:
-        # On an early exit, a child not yet read may still be running or
-        # blocked on a full pipe: close the pipe and kill it before reaping.
+        # On an early exit, from this process's share too, a child not yet
+        # read may still be running or blocked on a full pipe: close the pipe
+        # and kill it before reaping.
         for k, read_end in pipes.items():
             os.close(read_end)
             if k in pids:
@@ -509,9 +515,10 @@ def find_power_threshold(
     `replications` times with child seeds of master_seed; the crossing of
     the averaged win-probability curves is located by linear interpolation,
     and the 95% interval comes from the per-replication crossings. With
-    workers > 1 the runs go to forked workers (run_grid); by default they
-    run here. Every grid config's prefix table is built here first, so
-    forked workers share it rather than each build it again.
+    workers > 1 the runs are shared by this process and workers - 1 forked
+    children (run_grid); by default they all run here. Every grid config's
+    prefix table is built here first, so the children share it rather than
+    each build it again.
     """
     if len(alpha_grid) < 2:
         raise ValueError("alpha_grid needs at least two points")

@@ -313,9 +313,15 @@ class TestRunExperiment:
         assert "runtime error" in capsys.readouterr().err
 
     def test_worker_that_dies_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "simulate_rounds", lambda *args, **kwargs: os._exit(3))
+        # Only the forked child dies; this process runs its own share.
+        parent, simulate = os.getpid(), cli.simulate_rounds
+
+        def dies_in_a_child(*args, **kwargs):
+            return simulate(*args, **kwargs) if os.getpid() == parent else os._exit(3)
+
+        monkeypatch.setattr(cli, "simulate_rounds", dies_in_a_child)
         assert run_experiment(self.spec(tmp_path, workers=2)) == 3
-        assert "WorkerDied: run_grid worker 0 ended without a result (exit status 3)" in capsys.readouterr().err
+        assert "WorkerDied: run_grid worker 1 ended without a result (exit status 3)" in capsys.readouterr().err
 
     def test_default_workers_are_the_cpus_this_process_may_use(self, tmp_path, monkeypatch):
         asked = []

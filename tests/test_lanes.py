@@ -42,6 +42,7 @@ from poolsim.engine import (
     SimConfig,
     lane_blocks,
     lane_columns,
+    lane_winners,
     miner_rates,
     play_lanes,
     prefix_states,
@@ -572,16 +573,16 @@ class TestLaneCallers:
         rounds, seed = 2 * BLOCK_ROUNDS + 17, np.random.SeedSequence(13)
         win_only, timed = [], []
 
-        def recording_blocks(*args):
-            for block in lane_blocks(*args):
-                win_only.append(block.winner)
-                yield block
+        def recording_winners(*args):
+            for winner in lane_winners(*args):
+                win_only.append(winner.copy())
+                yield winner
 
         def durations(draws, events):
             timed.append(len(events))
             return np.ones(len(events))
 
-        monkeypatch.setattr(metrics, "lane_blocks", recording_blocks)
+        monkeypatch.setattr(metrics, "lane_winners", recording_winners)
         monkeypatch.setattr(LaneDraws, "durations", durations)
         fractions = win_fraction_run(config, rounds, seed)
         assert timed == [] and len(win_only) == 3
@@ -590,6 +591,27 @@ class TestLaneCallers:
         assert timed == [BLOCK_ROUNDS, BLOCK_ROUNDS, 17]
         assert np.concatenate(win_only).tolist() == winners
         assert fractions == bank.win_fractions()
+
+    @pytest.mark.parametrize("alphas,rule,lead", [
+        ((0.5, 0.2, 0.0, 0.13, 0.17), FORK_TIP, 2),
+        (NINE_POOLS, FORK_RULES[0], 2),
+        ((0.4, 0.2, 0.15, 0.15, 0.1), FORK_RULES[0], 3),
+    ])
+    def test_win_only_run_races_the_open_rounds_as_the_pipeline_does(self, monkeypatch, alphas, rule, lead):
+        # Tables that leave 40-89% of the rounds open, so most of a block is
+        # copied and raced; blocks of 700 rounds, so each run crosses three
+        # block boundaries.
+        monkeypatch.setattr(engine, "BLOCK_ROUNDS", 700)
+        config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
+        table = prefix_table(config)
+        assert table.mass[table.lanes.longest - table.lanes.second < lead].sum() > 0.35
+        rounds, seed = 2500, np.random.SeedSequence(21)
+        blocks = list(lane_winners(config, rounds, LaneDraws(config, seed)))
+        assert [len(block) for block in blocks] == [700, 700, 700, 400]
+        winners = []
+        bank, _ = simulate_rounds(config, rounds, seed=seed, on_record=lambda r: winners.append(r.outcome.winner))
+        assert np.concatenate(blocks).tolist() == winners
+        assert win_fraction_run(config, rounds, seed) == bank.win_fractions()
 
     def test_records_carry_the_lane_outcomes(self, monkeypatch):
         # Blocks of 1,000 rounds, so the close hands the nephew over between

@@ -411,8 +411,9 @@ def grid_pair(point, seed, grid_idx, rep_idx):
     return point, grid_idx, rep_idx, os.getpid()
 
 
-def fail_first(point, seed, grid_idx, rep_idx):
-    if grid_idx == 0:
+def fail_second(point, seed, grid_idx, rep_idx):
+    """Raises at grid point 1, which child 1 runs; every other call returns 1 MB."""
+    if grid_idx == 1:
         raise ValueError(f"bad point {point}")
     return bytes(2**20)
 
@@ -456,27 +457,34 @@ class TestRunGrid:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("points,replications,workers,started", [
-        ((0.5,), 2, 64, [2]),
-        ((0.5, 0.6, 0.7), 2, 4, [4]),
-        ((0.5, 0.6, 0.7), 1, 8, [3]),
+        ((0.5,), 2, 64, [1]),
+        ((0.5, 0.6, 0.7), 2, 4, [3]),
+        ((0.5, 0.6, 0.7), 1, 8, [2]),
         ((0.5,), 1, 8, []),
         ((0.5, 0.6), 2, 1, []),
     ])
     def test_starts_at_most_one_process_per_task(self, points, replications, workers, started):
-        # started: the worker count of each process group started, as [n] or [].
+        # started: the children forked for n = min(workers, calls) > 1
+        # processes, this one included, as [n - 1] or [].
         results = run_grid(grid_pair, points, replications, 1, workers)
         pids = {pid for reps in results for *_, pid in reps}
+        assert os.getpid() in pids
         assert len(pids - {os.getpid()}) == sum(started)
         assert [[call for *call, _ in reps] for reps in results] == [
             [[p, g, r] for r in range(replications)] for g, p in enumerate(points)
         ]
 
     def test_child_k_runs_every_nth_call(self):
-        results = run_grid(grid_pair, (0.5, 0.6, 0.7), 2, 1, 2)
+        results = run_grid(grid_pair, (0.5, 0.6, 0.7), 2, 1, 3)
         pids = [pid for reps in results for *_, pid in reps]
-        assert os.getpid() not in pids
-        assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 3
-        assert pids[0] != pids[1]
+        assert pids[1::3] == [pids[1]] * 2 and pids[2::3] == [pids[2]] * 2
+        assert len({os.getpid(), pids[1], pids[2]}) == 3
+
+    def test_this_process_runs_calls_0_n_2n(self):
+        for workers in (2, 3):
+            results = run_grid(grid_pair, (0.5, 0.6, 0.7), 2, 1, workers)
+            pids = [pid for reps in results for *_, pid in reps]
+            assert [i for i, pid in enumerate(pids) if pid == os.getpid()] == list(range(0, 6, workers))
 
     def test_without_fork_the_calls_run_here(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -484,44 +492,73 @@ class TestRunGrid:
         assert {pid for reps in results for *_, pid in reps} == {os.getpid()}
 
     def test_task_exception_keeps_its_type(self):
-        with pytest.raises(ValueError, match="bad point 0.5"):
-            run_grid(fail_first, (0.5, 0.6), 1, 1, 2)
+        with pytest.raises(ValueError, match="bad point 0.6"):
+            run_grid(fail_second, (0.5, 0.6), 1, 1, 2)
+
+    def test_exception_in_this_process_is_raised_as_raised(self):
+        # The children are still asleep when this process's share raises.
+        parent = os.getpid()
+
+        def task(point, seed, g, r):
+            if os.getpid() == parent:
+                raise ValueError(f"bad point {point}")
+            time.sleep(60)
+
+        started = time.monotonic()
+        with interrupt_after(20), pytest.raises(ValueError, match="bad point 0.5") as info:
+            run_grid(task, (0.5, 0.6, 0.7), 1, 1, 3)
+        assert info.value.__cause__ is None
+        assert time.monotonic() - started < 10
 
     @pytest.mark.parametrize("error", [Unrebuildable, Unpicklable])
     def test_exception_that_does_not_come_back_is_a_runtime_error(self, error):
-        def task(point, seed, grid_idx, rep_idx):
-            raise error("point", point)
+        parent = os.getpid()
 
-        with pytest.raises(RuntimeError, match=f"(?s)worker 0 failed.*{error.__name__}: point: 0.5") as info:
+        def task(point, seed, grid_idx, rep_idx):
+            if os.getpid() != parent:
+                raise error("point", point)
+
+        with pytest.raises(RuntimeError, match=f"(?s)worker 1 failed.*{error.__name__}: point: 0.6") as info:
             run_grid(task, (0.5, 0.6), 1, 1, 2)
         assert type(info.value) is RuntimeError
 
     def test_child_that_exits_without_a_result(self):
-        with pytest.raises(metrics.WorkerDied, match=r"worker 0 ended without a result \(exit status 3\)"):
-            run_grid(lambda point, seed, g, r: os._exit(3), (0.5, 0.6), 1, 1, 2)
+        parent = os.getpid()
+        with pytest.raises(metrics.WorkerDied, match=r"worker 1 ended without a result \(exit status 3\)"):
+            run_grid(lambda point, seed, g, r: point if os.getpid() == parent else os._exit(3), (0.5, 0.6), 1, 1, 2)
 
     def test_large_results_come_back_intact(self):
         results = run_grid(lambda point, seed, g, r: bytes([g]) * 2**20, (0.5, 0.6), 1, 1, 2)
         assert results == [[bytes([0]) * 2**20], [bytes([1]) * 2**20]]
 
     def test_error_while_another_child_writes_returns_promptly(self):
-        # Child 1 blocks on its full pipe until the parent kills it.
+        # Child 1 raises; child 2 blocks on its full pipe until it is killed.
         started = time.monotonic()
-        with interrupt_after(20), pytest.raises(ValueError):
-            run_grid(fail_first, (0.5, 0.6), 1, 1, 2)
+        with interrupt_after(20), pytest.raises(ValueError, match="bad point 0.6"):
+            run_grid(fail_second, (0.5, 0.6, 0.7), 1, 1, 3)
         assert time.monotonic() - started < 10
 
     def test_interrupt_kills_the_children(self):
+        # This process's share ends at once; the interrupt comes while it reads.
+        parent = os.getpid()
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             with interrupt_after(0.5, KeyboardInterrupt):
-                run_grid(lambda point, seed, g, r: time.sleep(60), (0.5, 0.6), 1, 1, 2)
+                run_grid(lambda point, seed, g, r: os.getpid() == parent or time.sleep(60), (0.5, 0.6), 1, 1, 2)
+        assert time.monotonic() - started < 10
+
+    def test_interrupt_during_this_process_share_kills_the_children(self):
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            with interrupt_after(0.5, KeyboardInterrupt):
+                run_grid(lambda point, seed, g, r: time.sleep(60), (0.5, 0.6, 0.7), 1, 1, 3)
         assert time.monotonic() - started < 10
 
     def test_lambda_task_runs_in_children(self):
-        results = run_grid(lambda point, seed, g, r: (point * 2, os.getpid()), (0.5, 0.6), 1, 1, 2)
-        assert [[value for value, _ in reps] for reps in results] == [[1.0], [1.2]]
-        assert os.getpid() not in {pid for reps in results for _, pid in reps}
+        results = run_grid(lambda point, seed, g, r: (point * 2, os.getpid()), (0.5, 0.6, 0.7), 1, 1, 3)
+        assert [[value for value, _ in reps] for reps in results] == [[1.0], [1.2], [1.4]]
+        children = {pid for reps in results[1:] for _, pid in reps}
+        assert len(children) == 2 and os.getpid() not in children
 
 
 class TestMeanCi95:
