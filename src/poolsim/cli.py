@@ -353,8 +353,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
         }
         json_path = os.path.join(spec.out_dir, "summary.json")
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
         if spec.emit_rounds:
             rounds_path = os.path.join(spec.out_dir, "rounds.csv")

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from poolsim import engine, metrics
+from poolsim.cli import DEFAULT_GRID
 from poolsim.engine import (
     BLOCK_ROUNDS,
     FORK_RULES,
@@ -52,7 +53,7 @@ from poolsim.engine import (
     round_outcomes,
     run_round,
 )
-from poolsim.metrics import find_power_threshold, win_fraction_run
+from poolsim.metrics import find_power_threshold, grid_config, win_fraction_run
 from poolsim.pipeline import simulate_rounds
 
 # Each statistical comparison is a two-sample z-score on independent seeded
@@ -116,6 +117,17 @@ def sequence_blocks(pools):
     while pools ** (blocks + 1) <= 8192:
         blocks += 1
     return blocks
+
+
+# Configs whose full tables leave too few rounds open for the open-round
+# tests, which cut them at 17 blocks (three pools anchored, 0.7% of the mass
+# open), 32 (three pools `tip`, 0.3%) and 7 (five pools `tip`, 40%), so their
+# runs race open rounds over many steps.
+RACED_TABLES = {
+    ((0.6, 0.3, 0.1), FORK_RULES[0], 2): 17,
+    ((0.6, 0.3, 0.1), FORK_TIP, 2): 32,
+    ((0.5, 0.2, 0.0, 0.13, 0.17), FORK_TIP, 2): 7,
+}
 
 
 @pytest.fixture
@@ -367,7 +379,9 @@ class TestDrawOrder:
         ((0.6, 0.3, 0.1), FORK_TIP, 2),
         ((0.5, 0.2, 0.0, 0.13, 0.17), FORK_TIP, 3),
     ])
-    def test_each_step_asks_for_the_live_lanes_in_lane_order(self, alphas, rule, lead):
+    def test_each_step_asks_for_the_live_lanes_in_lane_order(self, alphas, rule, lead, short_tables):
+        if (alphas, rule, lead) in RACED_TABLES:
+            short_tables(RACED_TABLES[alphas, rule, lead])
         config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
         rounds = 3000
         table = prefix_table(config)
@@ -413,8 +427,8 @@ class TestDrawOrder:
 NINE_POOLS = (0.3,) + (0.0875,) * 8
 TABLE_POWERS = {2: (0.55, 0.45), 3: (0.5, 0.3, 0.2), 4: (0.4, 0.3, 0.2, 0.1), 9: NINE_POOLS}
 # Nine pools' rows have 22 columns, so they merge by a sort of whole rows
-# rather than one int64 key. TABLE_ROWS stops their tables after 3 blocks,
-# short of the owner-sequence length, so the tests cut them there.
+# rather than one int64 key. TABLE_ROWS stops their tables after 4-5 blocks;
+# the tests cut them at 3, so they replay 729 owner sequences, not 6,561.
 SHORT_TABLES = {9: 3}
 
 
@@ -507,6 +521,22 @@ class TestPrefixTable:
                  + np.bincount(table.alias, weights=1.0 - share, minlength=rows)) / rows
         assert np.abs(drawn - table.mass).max() <= 1e-12
 
+    @pytest.mark.parametrize("alphas,grid,rule,bound", [
+        ((0.6, 0.3, 0.1), (0.4, 0.5, 0.6, 0.7, 0.8), FORK_RULES[0], 1e-3),
+        ((0.55, 0.32, 0.13), DEFAULT_GRID, FORK_RULES[0], 1e-3),
+        ((0.6, 0.3, 0.1), (0.4, 0.5, 0.6, 0.7, 0.8), FORK_TIP, 0.02),
+    ], ids=["threshold-grid", "sweep-grid", "criterion-1-tip-grid"])
+    def test_three_pool_tables_leave_little_mass_open(self, alphas, grid, rule, bound):
+        # Only the rounds still open after the table are raced, one step per
+        # block, so a win-only run or a sweep on these grids races almost
+        # none. At most 1.2e-4 is open anchored (32 blocks) and 0.017 under
+        # `tip` (48 blocks, at aH 0.8); tables cut at 17 and 32 blocks leave
+        # as much as 1.1% and 4.6% open.
+        base = SimConfig.from_alphas(alphas, fork_rule=rule)
+        for honest in grid:
+            table = prefix_table(grid_config(base, honest))
+            assert table.mass[table.lanes.longest - table.lanes.second < 2].sum() <= bound, honest
+
     def test_threshold_search_builds_its_tables_in_the_parent_once(self):
         prefix_table.cache_clear()
         base, grid = SimConfig.from_alphas((0.6, 0.3, 0.1)), (0.4, 0.5, 0.6, 0.7, 0.8)
@@ -597,11 +627,15 @@ class TestLaneCallers:
         (NINE_POOLS, FORK_RULES[0], 2),
         ((0.4, 0.2, 0.15, 0.15, 0.1), FORK_RULES[0], 3),
     ])
-    def test_win_only_run_races_the_open_rounds_as_the_pipeline_does(self, monkeypatch, alphas, rule, lead):
-        # Tables that leave 40-89% of the rounds open, so most of a block is
+    def test_win_only_run_races_the_open_rounds_as_the_pipeline_does(
+        self, monkeypatch, alphas, rule, lead, short_tables
+    ):
+        # Tables that leave 40-84% of the rounds open, so most of a block is
         # copied and raced; blocks of 700 rounds, so each run crosses three
         # block boundaries.
         monkeypatch.setattr(engine, "BLOCK_ROUNDS", 700)
+        if (alphas, rule, lead) in RACED_TABLES:
+            short_tables(RACED_TABLES[alphas, rule, lead])
         config = SimConfig.from_alphas(alphas, fork_rule=rule, lead_threshold=lead)
         table = prefix_table(config)
         assert table.mass[table.lanes.longest - table.lanes.second < lead].sum() > 0.35
