@@ -1,12 +1,15 @@
-"""Check that the working tree's reference CLI runs are byte-identical to REV's.
+"""Check that the working tree's reference runs are byte-identical to REV's.
 
 Extracts REV's src/ with `git archive REV src | tar -x` into a temporary
 directory (no worktree, .git unchanged), then runs the reference CLI runs
 of CI on REV and on the working tree, each at --workers 1 and 2 with
 PYTHONPATH set to that tree's src/. gridpoint.csv and rounds.csv must match
 byte for byte, and summary.json through compare_summaries.py's load and
-differences, so wall_clock_seconds is left out. Prints one line per run,
-worker count and file, and exits 1 if anything differs.
+differences, so wall_clock_seconds is left out. No CLI mode counts winners
+alone (metrics.win_fraction_run), so library calls of find_power_threshold
+cover that path, under each fork rule at 1 and 2 workers; the repr of
+each ThresholdEstimate must match. Prints one line per run, worker count
+and file or call, and exits 1 if anything differs.
 
 Usage: python .github/compare_revisions.py REV
 """
@@ -35,12 +38,27 @@ RUNS = {
     "sweep": ["--mode", "sweep", "--alphas", "0.55,0.32,0.13", "--rounds", "2000", "--replications", "2",
               "--emit-rounds", "--seed", "7"],
 }
+# The threshold search of perfbench's threshold-winonly workload.
+THRESHOLD_CALL = (
+    "from poolsim.engine import SimConfig; from poolsim.metrics import find_power_threshold; "
+    "print(repr(find_power_threshold(SimConfig((0.6, 0.3, 0.1), fork_rule={rule!r}), (0.4, 0.5, 0.6, 0.7, 0.8), "
+    "2, 20000, master_seed=1, workers={workers})))"
+)
+FORK_RULES = ("anchored", "tip")
 
 
 def run_cli(src: Path, args: list, out: Path, cwd: Path) -> None:
     """One poolsim CLI run on the package under src, writing to out."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-m", "poolsim.cli", *args, "--out", str(out)], env=env, cwd=cwd, check=True)
+
+
+def run_threshold(src: Path, rule: str, workers: int, cwd: Path) -> str:
+    """The repr of one library find_power_threshold run on the package under src."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = THRESHOLD_CALL.format(rule=rule, workers=workers)
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def check_import(src: Path, cwd: Path) -> None:
@@ -87,6 +105,12 @@ def main():
                     verdict = compare(file, outs["rev"] / file, outs["ours"] / file)
                     differ |= verdict.startswith("DIFFERS")
                     print(f"{name:<10} workers {workers}  {file:<14} {verdict}", flush=True)
+        for rule in FORK_RULES:
+            for workers in WORKERS:
+                found = {tree: run_threshold(src, rule, workers, tmp) for tree, src in trees.items()}
+                verdict = "identical" if found["rev"] == found["ours"] else "DIFFERS"
+                differ |= verdict == "DIFFERS"
+                print(f"{'threshold-' + rule:<10} workers {workers}  {'estimate repr':<14} {verdict}", flush=True)
     sys.exit(1 if differ else 0)
 
 

@@ -26,17 +26,17 @@ The engines share one set of round rules. run_round plays one round at a
 time from an event source, a plain iterator of pool indices, and takes a
 carryover and a termination policy; pipeline.chained_rounds chains its
 rounds for withholding runs and the oracle. MiningClock yields the draw
-rule's miners one at a time, and a fixed script is iter(owners). play_lanes
-plays a block of eager rounds (no policy) and returns it as Lanes;
-lane_columns builds its RoundColumns, the form the columnar close consumes,
-from those; lane_winners gives only the same blocks' winners, on the same
-draws, for metrics.win_fraction_run. Eager rounds never reserve a block, so
-each starts afresh and the rounds are i.i.d., and a round's state is a
-fixed function of its block owners. So prefix_states grows every state of a
-round's first blocks once, equal states merged, by the lane step (race)
-that also plays on the rounds left open; prefix_table weighs them per
-config, and play_lanes draws each round's state there and races only the
-rounds still open, side by side as rows of one matrix.
+rule's miners one at a time, and a fixed script is iter(owners).
+lane_blocks plays eager rounds (no policy) in blocks, each a LaneBlock:
+its winners are all metrics.win_fraction_run counts, and lane_columns
+builds its full rows' RoundColumns, the form the columnar close consumes.
+Eager rounds never reserve a block, so each starts afresh and the rounds
+are i.i.d., and a round's state is a fixed function of its block owners.
+So prefix_states grows every state of a round's first blocks once, equal
+states merged, by the lane step (race) that also plays on the rounds left
+open; prefix_table weighs them per config, and lane_blocks draws each
+round's state there and races only the rounds still open, side by side as
+rows of one matrix.
 
 One round format. The paper's round is a tree of m+1 sub-chains, the
 honest chain first, each with a fork position and a length. RoundColumns
@@ -45,10 +45,11 @@ column per pool, then each round's event count and top two; run_round's
 RoundOutcome is one such row, with the per-pool columns as tuples.
 round_columns and round_outcomes are the two inverse maps between them.
 Lanes holds eager rounds in play, and prefix states, the same way, as
-one int32 row each; a row's event count (the sum of its own lengths) and
-whether it is open (its top leads its second by less than
-lead_threshold) are read off the row, never stored, and lane_columns casts
-the rows to RoundColumns.
+one int32 row each; a row's event count (the sum of its own lengths) is
+read off the row, never stored, and lane_columns casts the rows to
+RoundColumns. Whether a row is open (its top leads its second by less
+than lead_threshold) is read off it too, and the prefix table keeps each
+row's flag once.
 
 Top two. A pool's generalized length is its fork position plus its own
 length (the honest pool's is the honest length, 0 before a pool forks). A
@@ -62,17 +63,17 @@ pool forks or carries, an honest block then raises the top two by one and
 moves nothing else, and each forked chain's fork position is set to the
 honest length at the end.
 
-Draw order. lane_blocks and lane_winners play blocks of up to BLOCK_ROUNDS
-rounds in round order. A block first draws one uniform per round, in round
-order, which picks the round's prefix table row (table_rows); then each
-step draws one miner per round still open, in increasing round order, until
-none is. MiningClock draws CLOCK_BATCH miners at a time and hands them out
-in order across rounds. After the last round, if it reserved nothing,
-simulate_rounds draws one more miner, of the block that closes it. The time
-stream gives one Gamma duration per round, in round order, block by block,
-for lane and policy blocks alike (win_fraction_run draws none); one Gamma
-call over many rounds equals the same draws block by block, so no block
-size moves it. Results therefore depend on the seed alone, never on
+Draw order. lane_blocks plays blocks of up to BLOCK_ROUNDS rounds in
+round order. A block first draws one uniform per round, in round order,
+which picks the round's prefix table row; then each step draws one miner
+per round still open, in increasing round order, until none is.
+MiningClock draws CLOCK_BATCH miners at a time and hands them out in order
+across rounds. After the last round, if it reserved nothing,
+simulate_rounds draws one more miner, of the block that closes it. The
+time stream gives one Gamma duration per round, in round order, block by
+block, for lane and policy blocks alike (win_fraction_run draws none); one
+Gamma call over many rounds equals the same draws block by block, so no
+block size moves it. Results therefore depend on the seed alone, never on
 scheduling.
 """
 from __future__ import annotations
@@ -239,10 +240,11 @@ class LaneDraws:
 
     miners(n) gives the miners of n blocks, one uniform each, pool i with
     probability proportional to its rate, so a zero-power pool is never
-    drawn. Lanes read uniforms(rounds), one per round from the miners'
-    stream, each picking its round's first blocks from the prefix table;
-    pools(lanes), the next miner of each listed round; and
-    durations(events), the one time draw: a Gamma per round from its count.
+    drawn. Lanes read uniforms(n), one per round from the miners' stream,
+    each picking its round's first blocks from the prefix table;
+    pools(rounds), the next miner of each open round listed by its number
+    in the block; and durations(events), the one time draw: a Gamma per
+    round from its count.
     """
 
     def __init__(self, config: SimConfig, seed=0):
@@ -267,8 +269,8 @@ class LaneDraws:
     def uniforms(self, n: int) -> np.ndarray:
         return self._gen.random(n)
 
-    def pools(self, lanes: np.ndarray) -> np.ndarray:
-        return self.miners(len(lanes))
+    def pools(self, rounds: np.ndarray) -> np.ndarray:
+        return self.miners(len(rounds))
 
     def durations(self, events: np.ndarray) -> np.ndarray:
         return self._time.gamma(events, self._mean_gap)
@@ -423,6 +425,7 @@ class PrefixTable(NamedTuple):
 
     length: int
     lanes: Lanes
+    open: np.ndarray
     mass: np.ndarray
     cut: np.ndarray
     alias: np.ndarray
@@ -497,7 +500,7 @@ def prefix_states(pools: int, lead_threshold: int, fork_rule: str) -> Tuple[int,
     Three pools at lead 2 stop at 32 blocks (12,935 states, 0.6 MB) and
     under `tip` at 48 (3,597), five pools at 7-11 blocks and nine at 4-5."""
     lanes, count, live, length, kept = Lanes.empty(1, pools), np.ones(1), np.zeros(1, dtype=np.intp), 0, 0
-    grown = []  # each step's rows, their counts and which of them ended; `kept` ended in all
+    grown = []  # each step's ended rows and their counts, `kept` rows in all; then the last step's every row
     while len(live) and (length == 0 or length < TABLE_BLOCKS and kept + len(live) * pools <= TABLE_ROWS):
         parent, mined = np.divmod(np.arange(len(live) * pools), pools)
         kids = Lanes(lanes.rows.take(live[parent], axis=0))
@@ -514,12 +517,11 @@ def prefix_states(pools: int, lead_threshold: int, fork_rule: str) -> Tuple[int,
         count = np.bincount(merged, weights=count[live[parent]])
         lanes = Lanes(kids.rows.take(first, axis=0))
         ended = lanes.longest - lanes.second >= lead_threshold
-        grown.append((lanes.rows, count, ended))
+        grown.append((lanes.rows[ended], count[ended]))
         kept += np.count_nonzero(ended)
         live = np.flatnonzero(~ended)
-    keep = np.concatenate([ended for _, _, ended in grown[:-1]] + [np.ones(len(count), dtype=bool)])
-    rows = np.concatenate([step_rows for step_rows, _, _ in grown])[keep]
-    count = np.concatenate([step_count for _, step_count, _ in grown])[keep]
+    grown[-1] = lanes.rows, count  # all of them, in merged order: a row's index is what the alias draw picks
+    rows, count = map(np.concatenate, zip(*grown))
     for array in (rows, count):
         array.setflags(write=False)
     return length, Lanes(rows), count
@@ -547,25 +549,25 @@ def _alias(mass: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def prefix_table(config: SimConfig) -> PrefixTable:
     """The config's masses over prefix_states' rows, count times the product
     of p_i ** own_i, and their alias arrays; read-only, like the states.
-    They take 24 bytes a row: about 310 KB for a three-pool lead-2 config,
-    and at most 393 KB (TABLE_ROWS rows), so the 64 cached configs hold at
-    most 25 MB besides the states they share."""
+    With the rows' open flags they take 25 bytes a row: about 323 KB for a
+    three-pool lead-2 config, and at most 410 KB (TABLE_ROWS rows), so the
+    64 cached configs hold at most 26 MB besides the states they share."""
     length, lanes, count = prefix_states(len(config.alphas), config.lead_threshold, config.fork_rule)
     rates = miner_rates(config)
     powers = (rates / rates.sum())[:, None] ** np.arange(length + 1)  # powers[i, k] = p_i ** k
     mass = count * powers[np.arange(len(rates)), lanes.own].prod(axis=1)
-    table = PrefixTable(length, lanes, mass, *_alias(mass))
+    table = PrefixTable(length, lanes, lanes.longest - lanes.second < config.lead_threshold, mass, *_alias(mass))
     for array in table[2:]:
         array.setflags(write=False)
     return table
 
 
 def lane_columns(config: SimConfig, lanes: Lanes) -> RoundColumns:
-    """The columns of a block of eager rounds as play_lanes leaves them: the
-    tip fork positions and the released and pegged counts are built here,
-    so a caller that only counts winners never builds them. The columns are
-    views of one column-major copy of the block's rows; the caller draws
-    the rounds' durations from their event counts."""
+    """The columns of a block of eager rounds as LaneBlock.lanes gives them:
+    the tip fork positions and the released and pegged counts are built
+    here, so a caller that only counts winners never builds them. The
+    columns are views of one column-major copy of the block's rows; the
+    caller draws the rounds' durations from their event counts."""
     lanes = Lanes(np.asfortranarray(lanes.rows))  # every column contiguous
     length, fork_pos, winner, longest = lanes.own, lanes.fork_pos, lanes.winner, lanes.longest
     if config.fork_rule == FORK_TIP:
@@ -582,54 +584,49 @@ def lane_columns(config: SimConfig, lanes: Lanes) -> RoundColumns:
     )
 
 
-def table_rows(table: PrefixTable, rounds: int, draws) -> np.ndarray:
-    """Each of `rounds` rounds' row of the prefix table, picked by the alias
-    method from one draws.uniforms draw."""
-    x = draws.uniforms(rounds) * len(table.cut)
-    column = x.astype(np.intp)
-    return np.where(x < table.cut[column], column, table.alias[column])
+class LaneBlock(NamedTuple):
+    """A block of eager rounds as lane_blocks plays it: each round's row of
+    the prefix table, the rounds still open after the table's length
+    (round numbers in increasing order) and those rounds raced to their
+    ends. winner gathers the block's winners from the table and the race
+    alone, so a caller that only counts winners never copies an ended
+    round's row; lanes copies every round's full row, for lane_columns."""
+
+    table: PrefixTable
+    row: np.ndarray
+    live: np.ndarray
+    raced: Lanes
+
+    @property
+    def winner(self) -> np.ndarray:
+        winner = self.table.lanes.winner.take(self.row)
+        winner[self.live] = self.raced.winner
+        return winner
+
+    @property
+    def lanes(self) -> Lanes:
+        lanes = Lanes(self.table.lanes.rows.take(self.row, axis=0))
+        lanes.rows[self.live] = self.raced.rows
+        return lanes
 
 
-def race_open(config: SimConfig, table: PrefixTable, lanes: Lanes, live: np.ndarray, draws) -> None:
-    """Race the rounds `live` of `lanes`, open after the table's length, to
-    their ends, each step drawing one miner per open round from draws.pools."""
-    race(lanes, live, table.length, lambda live, step: draws.pools(live), config.lead_threshold,
-         config.fork_rule == FORK_TIP)
+def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[LaneBlock]:
+    """Play `rounds` eager rounds by run_round's rules, as consecutive
+    blocks of up to BLOCK_ROUNDS in round order.
 
-
-def play_lanes(config: SimConfig, rounds: int, draws) -> Lanes:
-    """Play `rounds` eager rounds by run_round's rules and return them in
-    round order; lane_columns builds their columns.
-
-    table_rows picks each round's row of the config's prefix table, and one
-    gather copies every round's row from it. Only the rounds still open
-    after the table's length are raced on, from that state.
+    One draws.uniforms draw per round picks its row of the config's prefix
+    table by the alias method. Only the rounds still open after the table's
+    length are copied out and raced on from there, each step drawing one
+    miner per open round from draws.pools, which gets their round numbers
+    in the block.
     """
     table = prefix_table(config)
-    lanes = Lanes(table.lanes.rows.take(table_rows(table, rounds, draws), axis=0))
-    race_open(config, table, lanes, np.flatnonzero(lanes.longest - lanes.second < config.lead_threshold), draws)
-    return lanes
-
-
-def lane_blocks(config: SimConfig, rounds: int, draws) -> Iterator[Lanes]:
-    """`rounds` eager rounds as consecutive blocks of up to BLOCK_ROUNDS."""
     for start in range(0, rounds, BLOCK_ROUNDS):
-        yield play_lanes(config, min(BLOCK_ROUNDS, rounds - start), draws)
-
-
-def lane_winners(config: SimConfig, rounds: int, draws) -> Iterator[np.ndarray]:
-    """The winners of lane_blocks' blocks, on the same draws, without the
-    rest of their rows: an ended round's winner is read off its table row,
-    one gather per block, and only the rounds still open after the table
-    are copied into Lanes and raced."""
-    table = prefix_table(config)
-    # Each table row's winner, or -1 where its round plays on.
-    settled = np.where(table.lanes.longest - table.lanes.second < config.lead_threshold, -1, table.lanes.winner)
-    for start in range(0, rounds, BLOCK_ROUNDS):
-        row = table_rows(table, min(BLOCK_ROUNDS, rounds - start), draws)
-        winner = settled.take(row)
-        live = np.flatnonzero(winner < 0)
-        lanes = Lanes(table.lanes.rows.take(row[live], axis=0))
-        race_open(config, table, lanes, np.arange(len(live)), draws)
-        winner[live] = lanes.winner
-        yield winner
+        x = draws.uniforms(min(BLOCK_ROUNDS, rounds - start)) * len(table.cut)
+        column = x.astype(np.intp)
+        row = np.where(x < table.cut[column], column, table.alias[column])
+        live = np.flatnonzero(table.open.take(row))
+        raced = Lanes(table.lanes.rows.take(row[live], axis=0))
+        race(raced, np.arange(len(live)), table.length, lambda at, step: draws.pools(live[at]),
+             config.lead_threshold, config.fork_rule == FORK_TIP)
+        yield LaneBlock(table, row, live, raced)

@@ -36,7 +36,7 @@ from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, ratio_numerators, u
 # MiningClock and run_round are not called here; the benchmark's tracer
 # patches them in this module, so they stay importable from it.
 from .engine import (  # noqa: F401
-    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, SimConfig, lane_winners, prefix_table, round_columns, run_round,
+    ALPHA_SLACK, HONEST, LaneDraws, MiningClock, SimConfig, lane_blocks, prefix_table, round_columns, run_round,
 )
 from .rewards import ClosedRounds, close_columns
 
@@ -358,17 +358,18 @@ def grid_config(base: SimConfig, alpha_honest: float) -> SimConfig:
 def win_fraction_run(config: SimConfig, rounds: int, seed) -> Tuple[float, ...]:
     """Fraction of rounds each pool wins over one seeded run.
 
-    Fast path for probability-only experiments: it counts each lane block's
-    winners (lane_winners) and skips classification and reward booking,
-    neither of which can change who wins. It makes the same draws as
+    Fast path for probability-only experiments: it counts the winners of
+    each of lane_blocks' blocks, which gathers no ended round's row, and
+    skips classification and reward booking, neither of which can change
+    who wins. It plays the same blocks on the same draws as
     simulate_rounds(config, rounds, seed=seed), so the two agree on every
     winner.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
     counts = np.zeros(len(config.alphas), dtype=np.int64)
-    for winner in lane_winners(config, rounds, LaneDraws(config, seed)):
-        counts += np.bincount(winner, minlength=len(counts))
+    for block in lane_blocks(config, rounds, LaneDraws(config, seed)):
+        counts += np.bincount(block.winner, minlength=len(counts))
     return tuple(c / rounds for c in counts.tolist())
 
 

@@ -148,7 +148,7 @@ def simulate_rounds(
     # of block draw their durations from `draws`.
     if termination_policy is None:
         draws = LaneDraws(config, seed)
-        blocks = ((lane_columns(config, lanes), None) for lanes in lane_blocks(config, rounds, draws))
+        blocks = ((lane_columns(config, block.lanes), None) for block in lane_blocks(config, rounds, draws))
     else:
         draws = MiningClock(config, seed)
         chained = chained_rounds(config, draws, termination_policy)

@@ -1,15 +1,16 @@
 """The lane engine against the scalar one.
 
 Both engines read one draw rule (engine.LaneDraws); what the lanes add is
-playing many rounds at once, so these tests tie play_lanes to run_round.
+playing many rounds at once, so these tests tie lane_blocks to run_round.
 Script equivalence does it round by round: both play the same event
 scripts (every short script on up to three rivals, and seeded random ones
 on four, where ties among rival chains are common), and every counter of
 every round must agree. The lanes replay a script through race from the
 empty state, the state the prefix table's build starts from, to find the
-table row it reaches, then play_lanes draws that row and plays on from it.
+table row it reaches, then lane_blocks draws that row and plays on from it.
 The prefix table's states are checked against every owner sequence of a
-short length, and its masses against run_round on them. The oracle checks
+short length, its masses against run_round on them, and its build's
+memory against the states it returns. The oracle checks
 run_round against an independent tree replay on the same scripts, so this
 carries that check over to the lanes. The draw-order tests pin down which
 rounds each draw is for, and that the engine draws no duration, which every
@@ -19,6 +20,7 @@ events and mean duration, each engine's durations drawn from its event
 counts by the one time rule.
 """
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 from itertools import product
 
@@ -29,6 +31,7 @@ from poolsim import engine, metrics
 from poolsim.cli import DEFAULT_GRID
 from poolsim.engine import (
     BLOCK_ROUNDS,
+    FORK_ANCHORED,
     FORK_RULES,
     FORK_TIP,
     HONEST,
@@ -43,9 +46,7 @@ from poolsim.engine import (
     SimConfig,
     lane_blocks,
     lane_columns,
-    lane_winners,
     miner_rates,
-    play_lanes,
     prefix_states,
     prefix_table,
     race,
@@ -81,10 +82,12 @@ def replay(config, scripts, last=None):
 
 
 class ScriptDraws:
-    """Lane event source replaying one script per round. uniforms() draws for each round the prefix table row its
-    script reaches after the table's length, found by replaying it there;
-    pools() then reads on in each round's own script through its own
-    cursor, since rounds stay open for different numbers of steps."""
+    """Lane event source replaying one script per round. uniforms() draws
+    for each round the prefix table row its script reaches after the
+    table's length, found by replaying it there; pools() then reads on in
+    the scripts of the rounds it is given, by their numbers in the block,
+    each through its own cursor, since rounds stay open for different
+    numbers of steps."""
 
     def __init__(self, config, scripts):
         self.table = np.array(scripts, dtype=np.int64)
@@ -163,12 +166,15 @@ def script_config(pools, **kwargs):
 
 def column_blocks(config, rounds, draws):
     """lane_blocks' blocks as columns."""
-    return [lane_columns(config, lanes) for lanes in lane_blocks(config, rounds, draws)]
+    return [lane_columns(config, block.lanes) for block in lane_blocks(config, rounds, draws)]
 
 
 def assert_lanes_replay(config, scripts, want):
-    """play_lanes on the scripts gives every round run_round gave on them."""
-    [columns] = column_blocks(config, len(scripts), ScriptDraws(config, scripts))
+    """lane_blocks on the scripts gives every round run_round gave on them,
+    in full and in the winners alone that the win-only count reads."""
+    [block] = lane_blocks(config, len(scripts), ScriptDraws(config, scripts))
+    assert block.winner.tolist() == [o.winner for o in want]
+    columns = lane_columns(config, block.lanes)
     got = list(round_outcomes(columns))
     assert got == want
     assert [o.pegged for o in got] == [o.pegged for o in want]
@@ -360,9 +366,9 @@ class RecordingDraws(LaneDraws):
         self.calls.append(("uniforms", n, drawn.tolist()))
         return drawn
 
-    def pools(self, lanes):
-        drawn = super().pools(lanes)
-        self.calls.append(("pools", lanes.tolist(), drawn.tolist()))
+    def pools(self, rounds):
+        drawn = super().pools(rounds)
+        self.calls.append(("pools", rounds.tolist(), drawn.tolist()))
         return drawn
 
     def durations(self, events):
@@ -371,7 +377,7 @@ class RecordingDraws(LaneDraws):
 
 
 class TestDrawOrder:
-    """The order in which play_lanes reads its draws, which the engine
+    """The order in which lane_blocks reads its draws, which the engine
     docstring states and every seeded eager run rests on."""
 
     @pytest.mark.parametrize("alphas,rule,lead", [
@@ -387,8 +393,11 @@ class TestDrawOrder:
         table = prefix_table(config)
         length = table.length
         draws = RecordingDraws(config, 3)
-        block = play_lanes(config, rounds, draws)
+        [played] = lane_blocks(config, rounds, draws)
+        block = played.lanes
         events = block.events
+        # The win-only count reads the same block's winners, so the same draws.
+        assert np.array_equal(played.winner, block.winner)
         # One uniforms call first: one uniform per round, in round order.
         # Each picks its round's row by the alias method: column c =
         # floor(u * rows) keeps row c where u * rows < cut[c], else it
@@ -415,13 +424,13 @@ class TestDrawOrder:
         assert stream.uniforms(rounds).tolist() == uniforms
         for _, asked, drawn in steps:
             assert stream.miners(len(asked)).tolist() == drawn
-        # Neither play_lanes nor lane_columns draws a duration: the pipeline
+        # Neither lane_blocks nor lane_columns draws a duration: the pipeline
         # draws the block's durations from its event counts.
         lane_columns(config, block)
         assert draws.timed == []
         # The recorder changes nothing the block holds.
-        plain = play_lanes(config, rounds, LaneDraws(config, 3))
-        assert np.array_equal(block.rows, plain.rows)
+        [plain] = lane_blocks(config, rounds, LaneDraws(config, 3))
+        assert np.array_equal(block.rows, plain.lanes.rows)
 
 
 NINE_POOLS = (0.3,) + (0.0875,) * 8
@@ -490,6 +499,7 @@ class TestPrefixTable:
         lanes = table.lanes
         columns = lane_columns(config, lanes)
         is_open = lanes.longest - lanes.second < lead
+        assert np.array_equal(table.open, is_open)
         got = defaultdict(float)
         for out, mass, row_open in zip(round_outcomes(columns), table.mass.tolist(), is_open.tolist()):
             if not row_open and out.events <= blocks:
@@ -536,6 +546,18 @@ class TestPrefixTable:
         for honest in grid:
             table = prefix_table(grid_config(base, honest))
             assert table.mass[table.lanes.longest - table.lanes.second < 2].sum() <= bound, honest
+
+    def test_states_build_holds_little_more_than_the_states(self):
+        # The build keeps each step's ended rows and only the last step's
+        # open ones, so the three-pool lead-2 table's 0.6 MB of states peak
+        # at about 1.8 MB; every step's rows kept to the end peak at 4.3 MB.
+        tracemalloc.start()
+        try:
+            prefix_states.__wrapped__(3, 2, FORK_ANCHORED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
     def test_threshold_search_builds_its_tables_in_the_parent_once(self):
         prefix_table.cache_clear()
@@ -603,16 +625,16 @@ class TestLaneCallers:
         rounds, seed = 2 * BLOCK_ROUNDS + 17, np.random.SeedSequence(13)
         win_only, timed = [], []
 
-        def recording_winners(*args):
-            for winner in lane_winners(*args):
-                win_only.append(winner.copy())
-                yield winner
+        def recording_blocks(*args):
+            for block in lane_blocks(*args):
+                win_only.append(block.winner)
+                yield block
 
         def durations(draws, events):
             timed.append(len(events))
             return np.ones(len(events))
 
-        monkeypatch.setattr(metrics, "lane_winners", recording_winners)
+        monkeypatch.setattr(metrics, "lane_blocks", recording_blocks)
         monkeypatch.setattr(LaneDraws, "durations", durations)
         fractions = win_fraction_run(config, rounds, seed)
         assert timed == [] and len(win_only) == 3
@@ -640,7 +662,7 @@ class TestLaneCallers:
         table = prefix_table(config)
         assert table.mass[table.lanes.longest - table.lanes.second < lead].sum() > 0.35
         rounds, seed = 2500, np.random.SeedSequence(21)
-        blocks = list(lane_winners(config, rounds, LaneDraws(config, seed)))
+        blocks = [block.winner for block in lane_blocks(config, rounds, LaneDraws(config, seed))]
         assert [len(block) for block in blocks] == [700, 700, 700, 400]
         winners = []
         bank, _ = simulate_rounds(config, rounds, seed=seed, on_record=lambda r: winners.append(r.outcome.winner))
