@@ -89,12 +89,8 @@ class RoundRatios(NamedTuple):
     honest_main: int  # honest blocks on the main chain
     uncles: int
 
-    def as_floats(self) -> Ratios:
-        """The five ratios as floats."""
-        return ratio_floats(*self)
-
     def exact(self) -> Ratios:
-        """The five ratios as exact Fractions, by the same rule as as_floats."""
+        """The five ratios as exact Fractions, by ratio_floats' one rule."""
         return ratio_floats(*map(Fraction, self))
 
 

@@ -20,16 +20,20 @@ import time
 import traceback
 from dataclasses import dataclass, fields
 from functools import partial, reduce
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK
+from .classify import UNITS_PER_BLOCK, ratio_floats
 from .engine import HONEST, RELEASE_MIN, RELEASE_POLICIES, SimConfig, prefix_table
 from .metrics import (
     RATIO_NAMES, EstimatorBank, NoCrossing, ci95, crossing_estimate, grid_config, replication_seed, run_grid,
 )
-from .pipeline import simulate_rounds
+# simulate_rounds is not called here; the benchmark's tracer patches it in
+# this module, so it stays importable from it.
+from .pipeline import closed_blocks, simulate_rounds  # noqa: F401
+from .rewards import reward_columns
 
 MODES = ("single", "sweep", "threshold")
 DEFAULT_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
@@ -190,33 +194,28 @@ TRACE_COLUMNS = ("gridIndex", "alphaH", "replication", "round", "winner", "hones
                  "reserved", "duration", "nUncles", *RATIO_COLUMNS)  # then reward<i> per pool
 
 
-def _trace_row(grid_idx: float, alpha_h: float, rep_idx: int, record) -> list:
-    out = record.outcome
-    return [
-        grid_idx, f"{alpha_h:.6g}", rep_idx, record.index, out.winner,
-        out.length[HONEST], out.released, out.reserved, f"{record.duration!r}",
-        record.classification.uncle_count,
-    ] + [f"{x!r}" for x in record.ratios.as_floats()] + [
-        f"{p.total_units / UNITS_PER_BLOCK!r}" for p in record.rewards.per_pool
-    ]
-
-
 def _replication_task(
     config: SimConfig, seed, grid_idx: int, rep_idx: int, rounds: int, trace_cap: int
-) -> Tuple[EstimatorBank, Optional[List[list]]]:
+) -> Tuple[EstimatorBank, List[list]]:
     """One replication's bank, and its first trace_cap trace rows when it is
-    replication 0 and trace_cap > 0."""
-    rows: Optional[List[list]] = [] if trace_cap and rep_idx == 0 else None
-    alpha_h = config.alphas[0]
-
-    def on_record(record) -> bool:
-        rows.append(_trace_row(grid_idx, alpha_h, rep_idx, record))
-        return len(rows) >= trace_cap  # no more records once the trace is full
-
-    bank, _ = simulate_rounds(
-        config, rounds, seed=seed,
-        on_record=on_record if rows is not None else None,
-    )
+    replication 0, read off each closed block's columns."""
+    bank = EstimatorBank(config.num_dishonest)
+    rows: List[list] = []
+    cap = trace_cap if rep_idx == 0 else 0
+    head = [grid_idx, f"{config.alphas[0]:.6g}", rep_idx]
+    for closed, _ in closed_blocks(config, rounds, seed=seed):
+        take = min(cap - len(rows), len(closed.duration))
+        if take > 0:
+            block = closed.rounds
+            columns = (
+                block.winner, block.length[:, HONEST], block.released, block.reserved, closed.duration,
+                closed.uncle_count, *ratio_floats(*closed.ratio_numerators),
+                sum(reward_columns(block, closed.uncle_distance, closed.prev_uncle_count)) / UNITS_PER_BLOCK,
+            )
+            # Plain Python values, one tolist per column: csv writes a float as its repr.
+            *fields, pays = (c[:take].tolist() for c in columns)
+            rows += [[*head, i, *row, *pay] for i, *row, pay in zip(count(bank.rounds + 1), *fields, pays)]
+        bank.add(closed)
     return bank, rows
 
 

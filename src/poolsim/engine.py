@@ -20,7 +20,7 @@ rates), the only time quantity the model needs. LaneDraws holds the rule:
 miners on a Philox generator on the run's seed, and durations(events), one
 Gamma draw per round from its block count, on its jump. The engines keep
 no clock: each is a function of its rounds' owner sequences, and
-pipeline.simulate_rounds draws every block's durations once.
+pipeline.closed_blocks draws every block's durations once.
 
 The engines share one set of round rules. run_round plays one round at a
 time from an event source, a plain iterator of pool indices, and takes a
@@ -69,7 +69,7 @@ which picks the round's prefix table row; then each step draws one miner
 per round still open, in increasing round order, until none is.
 MiningClock draws CLOCK_BATCH miners at a time and hands them out in order
 across rounds. After the last round, if it reserved nothing,
-simulate_rounds draws one more miner, of the block that closes it. The
+closed_blocks draws one more miner, of the block that closes it. The
 time stream gives one Gamma duration per round, in round order, block by
 block, for lane and policy blocks alike (win_fraction_run draws none); one
 Gamma call over many rounds equals the same draws block by block, so no

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, NoRetur
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, ratio_numerators, uncle_units
+from .classify import UNITS_PER_BLOCK, Ratios, ratio_floats, uncle_units
 # MiningClock and run_round are not called here; the benchmark's tracer
 # patches them in this module, so they stay importable from it.
 from .engine import (  # noqa: F401
@@ -173,7 +173,7 @@ class EstimatorBank:
         reward = nephew_units + uncles @ uncle_units(np.arange(1, reach))
         reward[:, HONEST] += UNITS_PER_BLOCK * honest_main
         reward.reshape(-1)[:: n + 1] += UNITS_PER_BLOCK * released_by_winner  # the diagonal
-        ratios = ratio_floats(*ratio_numerators(rounds.pegged, closed.orphan, released, closed.uncle_count))
+        ratios = ratio_floats(*closed.ratio_numerators)
         part = {
             "rounds": len(winner),
             "win_counts": np.bincount(winner, minlength=n),

@@ -11,8 +11,8 @@ reference one per uncle named); regular, uncle, nephew and total give them
 as exact numbers of blocks. close_columns classifies a buffer into
 ClosedRounds: 1-D columns, one row per round, and each pool's uncle
 distance. The estimator bank books its totals from those; reward_columns
-builds each pool's unit matrices only for records and for allocate, its
-one-row case.
+builds each pool's unit matrices only for records, the CLI trace and
+allocate, its one-row case.
 """
 from __future__ import annotations
 
@@ -22,7 +22,9 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .classify import UNITS_PER_BLOCK, Classification, block_counts, nephew_columns, uncle_columns, uncle_units
+from .classify import (
+    UNITS_PER_BLOCK, Classification, block_counts, nephew_columns, ratio_numerators, uncle_columns, uncle_units,
+)
 from .engine import RoundColumns, RoundOutcome, round_columns
 
 
@@ -80,13 +82,18 @@ class ClosedRounds(NamedTuple):
     stale: np.ndarray
     prev_uncle_count: np.ndarray  # the round before's uncles: the nephew units its first owner collects
 
+    @property
+    def ratio_numerators(self) -> Tuple[np.ndarray, ...]:
+        """Each round's ratio numerators (classify.ratio_numerators)."""
+        return ratio_numerators(self.rounds.pegged, self.orphan, self.rounds.released, self.uncle_count)
+
 
 def reward_columns(
     rounds: RoundColumns, uncle_distance: np.ndarray, prev_uncle_count: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regular, uncle and nephew units of every pool in each round, one
-    column per pool; built only for records and allocate, since the
-    estimator bank books its totals from the 1-D columns.
+    column per pool; built only for records, the CLI trace and allocate,
+    since the estimator bank books its totals from the 1-D columns.
 
     prev_uncle_count[i] is the uncle count of the round before row i; row
     i's first block is that round's nephew, so its owner collects the

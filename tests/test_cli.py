@@ -8,7 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from poolsim import cli
+from poolsim import cli, engine
 from poolsim.cli import (
     ConfigError,
     ExperimentSpec,
@@ -17,7 +17,8 @@ from poolsim.cli import (
     parse_config,
     run_experiment,
 )
-from poolsim.metrics import WorkerDied, run_grid
+from poolsim.classify import ratio_floats
+from poolsim.metrics import WorkerDied, replication_seed, run_grid
 from poolsim.pipeline import simulate_rounds
 
 GOLDEN_COLUMNS_M2 = [
@@ -236,6 +237,24 @@ class TestRunExperiment:
         assert [row["gridIndex"] for row in rows] == ["0"] * 20 + ["1"] * 20 + ["2"] * 20
         assert [row["round"] for row in rows] == [str(k) for k in range(1, 21)] * 3
 
+    def test_trace_rows_equal_the_record_values(self, tmp_path, monkeypatch):
+        # Five pools at lead threshold 3 cross a lane block; the cap falls inside the second block.
+        monkeypatch.setattr(cli, "MAX_TRACE_ROWS", engine.BLOCK_ROUNDS + 2000)
+        spec = self.spec(tmp_path, alphas=(0.4, 0.2, 0.15, 0.15, 0.1), lead_threshold=3, rounds=40_000,
+                         replications=1, emit_rounds=True)
+        assert run_experiment(spec) == 0
+        with open(os.path.join(spec.out_dir, "rounds.csv")) as fh:
+            rows = list(csv.reader(fh))[1:]
+        _, records = simulate_rounds(spec.base_config(), 40_000, seed=replication_seed(77, 0, 0), collect=True)
+        assert len(rows) == engine.BLOCK_ROUNDS + 2000 < len(records)
+        for row, rec in zip(rows, records):
+            out = rec.outcome
+            assert row[:4] == ["0", "0.4", "0", str(rec.index)]
+            assert row[4:10] == [str(out.winner), str(out.length[0]), str(out.released), str(out.reserved),
+                                 repr(rec.duration), str(rec.classification.uncle_count)]
+            assert row[10:15] == [repr(x) for x in ratio_floats(*rec.ratios)]
+            assert row[15:] == [repr(p.total_units / 32) for p in rec.rewards.per_pool]
+
     def test_deterministic_across_worker_counts(self, tmp_path):
         spec1 = self.spec(tmp_path, out_dir=str(tmp_path / "w1"), workers=1, emit_rounds=True,
                           mode="sweep", grid=(0.55, 0.65), rounds=300, replications=2)
@@ -308,18 +327,18 @@ class TestRunExperiment:
         def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "simulate_rounds", failing)
+        monkeypatch.setattr(cli, "closed_blocks", failing)
         assert run_experiment(self.spec(tmp_path)) == 3
         assert "runtime error" in capsys.readouterr().err
 
     def test_worker_that_dies_exits_3(self, tmp_path, monkeypatch, capsys):
         # Only the forked child dies; this process runs its own share.
-        parent, simulate = os.getpid(), cli.simulate_rounds
+        parent, simulate = os.getpid(), cli.closed_blocks
 
         def dies_in_a_child(*args, **kwargs):
             return simulate(*args, **kwargs) if os.getpid() == parent else os._exit(3)
 
-        monkeypatch.setattr(cli, "simulate_rounds", dies_in_a_child)
+        monkeypatch.setattr(cli, "closed_blocks", dies_in_a_child)
         assert run_experiment(self.spec(tmp_path, workers=2)) == 3
         assert "WorkerDied: run_grid worker 1 ended without a result (exit status 3)" in capsys.readouterr().err
 

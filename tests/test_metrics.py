@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from poolsim import metrics
+from poolsim.classify import ratio_floats
 from poolsim.engine import HONEST, SimConfig
 from poolsim.metrics import (
     Estimate,
@@ -98,7 +99,7 @@ class TestBankTotals:
             for uncle in rec.classification.uncles:
                 uncle_count[w][uncle.owner] += 1
             duration += rec.duration
-            ratio_total = [t + x for t, x in zip(ratio_total, rec.ratios.as_floats())]
+            ratio_total = [t + x for t, x in zip(ratio_total, ratio_floats(*rec.ratios))]
         assert bank.win_counts == wins
         assert (bank.fork_pos_total, bank.length_total, bank.released_total) == (fork, length, released)
         assert bank.pegged_by_winner == pegged

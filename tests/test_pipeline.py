@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poolsim import classify, engine, pipeline
+from poolsim import cli, engine, pipeline
 from poolsim.engine import FORK_TIP, RELEASE_MIN, SimConfig, miner_rates, round_columns
 from poolsim.metrics import EstimatorBank
 from poolsim.pipeline import close_columns, round_records, simulate_rounds
@@ -45,66 +45,49 @@ class TestSimulateRounds:
         simulate_rounds(config, 64, seed=np.random.SeedSequence(3), on_record=lambda r: seen.append(r.index))
         assert seen == list(range(1, 65))
 
-    def test_on_record_can_stop_the_records(self):
+    def test_on_record_sees_every_round_and_collect_gets_the_same_records(self):
+        # on_record's return value is ignored: returning True stops nothing.
         config = SimConfig.from_alphas([0.6, 0.3, 0.1])
         seen = []
 
-        def first_ten(record):
-            seen.append(record.index)
-            return len(seen) >= 10
+        def returns_true(record):
+            seen.append(record)
+            return True
 
         bank, records = simulate_rounds(
-            config, 5000, seed=np.random.SeedSequence(6), on_record=first_ten, collect=True
+            config, 5000, seed=np.random.SeedSequence(6), on_record=returns_true, collect=True
         )
-        assert seen == list(range(1, 11))
+        assert seen == records
         assert [rec.index for rec in records] == list(range(1, 5001))
         assert bank.rounds == 5000
 
-    def test_stopped_records_build_few_outcomes(self, monkeypatch):
-        # A lane block's outcomes are built as the records read them, so a
-        # consumer that stops at its tenth record does not pay for the block.
+    def test_capped_cli_trace_builds_no_round_outcome(self, monkeypatch):
+        # The trace reads its rows off each closed block's columns, so no
+        # round becomes a RoundOutcome or a RoundRecord.
         built = []
 
-        class CountedOutcome(engine.RoundOutcome):
-            __slots__ = ()
+        def counted(kind):
+            class Counted(kind):
+                __slots__ = ()
 
-            def __new__(cls, *fields):
-                built.append(1)
-                return super().__new__(cls, *fields)
+                def __new__(cls, *fields):
+                    built.append(kind.__name__)
+                    return super().__new__(cls, *fields)
 
-        monkeypatch.setattr(engine, "RoundOutcome", CountedOutcome)
-        seen = []
+            return Counted
 
-        def first_ten(record):
-            seen.append(record.index)
-            return len(seen) >= 10
+        monkeypatch.setattr(engine, "RoundOutcome", counted(engine.RoundOutcome))
+        monkeypatch.setattr(pipeline, "RoundRecord", counted(pipeline.RoundRecord))
+        bank, rows = cli._replication_task(SimConfig.from_alphas([0.6, 0.3, 0.1]), 5, 0, 0, 40_000, 10)
+        assert [row[3] for row in rows] == list(range(1, 11)) and bank.rounds == 40_000
+        assert built == []
 
-        bank, _ = simulate_rounds(SimConfig.from_alphas([0.6, 0.3, 0.1]), 40_000, seed=5, on_record=first_ten)
-        assert seen == list(range(1, 11)) and bank.rounds == 40_000
-        assert len(built) < 100
-
-    def test_stopped_records_read_one_slice(self, monkeypatch):
-        # Records read a closed lane block CLOSE_ROWS rows at a time, so a
-        # consumer that stops early never has a whole block's uncles sorted.
+    def test_trace_stops_at_its_cap_while_the_bank_takes_every_round(self):
         config = SimConfig.from_alphas([0.6, 0.3, 0.1])
-        rows_seen = []
-
-        def counted(nephew_height, distance):
-            rows_seen.append(len(distance))
-            return classify.uncle_records(nephew_height, distance)
-
-        monkeypatch.setattr(pipeline, "uncle_records", counted)
-        got = []
-
-        def first_ten(record):
-            got.append(record)
-            return len(got) >= 10
-
-        bank, _ = simulate_rounds(config, 5000, seed=5, on_record=first_ten)
-        assert bank.rounds == 5000
-        assert rows_seen and max(rows_seen) <= pipeline.CLOSE_ROWS < 5000
-        _, records = simulate_rounds(config, 5000, seed=5, collect=True)
-        assert got == records[:10]
+        bank, rows = cli._replication_task(config, 5, 0, 0, 5000, 10)
+        whole, records = simulate_rounds(config, 5000, seed=5, collect=True)
+        assert bank.rounds == 5000 and bank.summary() == whole.summary()
+        assert [row[3:5] for row in rows] == [[rec.index, rec.outcome.winner] for rec in records[:10]]
 
     def test_rejects_zero_rounds(self):
         config = SimConfig.from_alphas([0.6, 0.4])
